@@ -13,7 +13,7 @@ from math import ceil, gcd
 
 import numpy as np
 
-from .bmatrix import BMatrix, DEFAULT_TOL, svd
+from .bmatrix import BMatrix, DEFAULT_TOL, _sigma_v
 from .btensor import model_gather, tucker_cross, tucker_rank
 
 
@@ -200,33 +200,38 @@ def leverage_scores(slab, tol_rel=DEFAULT_TOL):
     function-valued matrix with ``n_k`` columns; the scores are the
     squared row norms of the right singular factor, divided by the rank.
     """
-    fac = svd(slab, tol_rel)
-    if fac.sigma.size == 0:
+    sigma, V = _sigma_v(slab, tol_rel)
+    if sigma.size == 0:
         raise ValueError("cannot compute leverage scores of a zero slab")
-    p = np.sum(fac.V**2, axis=1) / fac.sigma.size
+    p = np.sum(V**2, axis=1) / sigma.size
     return p / p.sum()
 
 
-def _estimate_leverage(cached, aux_sizes, rng, tol_rel):
-    """Approximate per-mode leverage scores from random fiber samples."""
+def _estimate_leverage(cached, aux, rng, tol_rel):
+    """Approximate per-mode leverage scores from random fiber samples.
+
+    For mode ``k``, ``len(aux[k])`` full mode-``k`` fibers are drawn from
+    the combinations of the other modes' auxiliary indices, so every
+    sample lies in cross(``aux``).
+    """
     dims = cached.dims
     d = len(dims)
     scores = []
     for k in range(d):
-        other = [dims[l] for l in range(d) if l != k]
+        other = tuple(len(aux[l]) for l in range(d) if l != k)
         n_other = int(np.prod(other, dtype=np.int64))
-        ncols = min(aux_sizes[k], n_other)
+        ncols = min(len(aux[k]), n_other)
         cols = np.sort(rng.choice(n_other, size=ncols, replace=False))
         rows = []
         for c in cols:
-            combo = np.unravel_index(int(c), tuple(other))
+            combo = np.unravel_index(int(c), other)
             grids = []
             t = 0
             for l in range(d):
                 if l == k:
                     grids.append(np.arange(dims[k]))
                 else:
-                    grids.append([int(combo[t])])
+                    grids.append([aux[l][combo[t]]])
                     t += 1
             rows.append(cached.gather(grids).reshape(dims[k], cached.ip.h))
         slab = BMatrix(np.stack(rows, axis=0), cached.ip)
@@ -256,11 +261,12 @@ def tucker_abc(cached, cfg):
       which reads all of cross(index_sets).
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
-      the auxiliary sets.  So with the ``uniform`` and ``round_robin``
-      draws every evaluation lies in cross(``report.aux_sets``).
-    - The ``leverage`` rule also reads ``len(init_aux[k])`` random full
-      mode-``k`` fibers per mode to estimate its scores; these may lie
-      outside that cross.
+      the auxiliary sets.
+    - The ``leverage`` rule also reads ``len(init_aux[k])`` full mode-``k``
+      fibers per mode to estimate its scores, drawn at random from the
+      combinations of the other modes' initial auxiliary indices.
+    - So under every draw rule each evaluation lies in
+      cross(``report.aux_sets``).
     """
     dims = cached.dims
     d = len(dims)
@@ -273,7 +279,7 @@ def tucker_abc(cached, cfg):
 
     scores = None
     if cfg.draw == "leverage":
-        scores = _estimate_leverage(cached, [len(s) for s in aux], rng, cfg.tol_rel)
+        scores = _estimate_leverage(cached, aux, rng, cfg.tol_rel)
 
     report = AbcReport(index_sets=(), aux_sets=())
     for s in range(1, cfg.n_iter + 1):

@@ -2,9 +2,16 @@
 
 A function-valued matrix stores one coefficient vector of length ``h`` per
 entry, as an ``(m, n, h)`` array.  Scalar matrices act on it from the left
-and right, the adjoint contracts against the Hilbert-space inner product,
-and a pivoted Gram-Schmidt process provides QR, SVD, numerical column-rank,
-the applied pseudoinverse, and cross approximation.
+and right, and the adjoint contracts against the Hilbert-space inner product.
+
+Whitening each entry (:meth:`~fvtensor.hilbert.InnerProduct.whiten`) maps
+an ``(m, n)`` function-valued matrix isometrically onto a real
+``(m*h, n)`` matrix with the same singular values and right singular
+vectors.  SVD, numerical column-rank and the applied pseudoinverse are
+therefore each one LAPACK call on the whitened matrix, and numerical rank
+is everywhere the count of singular values above ``tol_rel`` times the
+largest one.  Cross approximation is built on the pseudoinverse.  A
+column-pivoted Gram-Schmidt QR is kept as a standalone factorization.
 """
 
 from dataclasses import dataclass
@@ -146,15 +153,14 @@ def mgs_qr(A, tol_rel=DEFAULT_TOL):
     once the largest remaining residual norm falls to ``tol_rel`` times
     the largest original column norm.
 
-    Accepted columns are swapped to the front of the workspace, so the
-    active block stays a contiguous slice; a Gram-applied copy of the
-    workspace is maintained alongside to keep every inner product a
-    single contraction.
+    The process runs on whitened entries, where every H-inner product is
+    a Euclidean one, and maps the orthonormal columns back to coefficient
+    vectors at the end.  Accepted columns are swapped to the front of the
+    workspace, so the active block stays a contiguous slice.
     """
     ip = A.ip
     m, n, h = A.data.shape
-    work = A.data.astype(float, copy=True)
-    gwork = work if ip.kind == "identity" else ip.apply(work)
+    work = np.array(ip.whiten(A.data))
     cols = np.arange(n)
     orig = column_norms(A)
     max_orig = float(orig.max()) if n else 0.0
@@ -169,30 +175,26 @@ def mgs_qr(A, tol_rel=DEFAULT_TOL):
         if a == b:
             return
         work[:, [a, b]] = work[:, [b, a]]
-        if gwork is not work:
-            gwork[:, [a, b]] = gwork[:, [b, a]]
         cols[[a, b]] = cols[[b, a]]
 
     if max_orig > 0.0:
         threshold = tol_rel * max_orig
         while t < cap and t < n_active:
             sq = np.einsum("mjh,mjh->j", work[:, t:n_active],
-                           gwork[:, t:n_active])
+                           work[:, t:n_active])
             ties = np.flatnonzero(sq == sq.max())
             p_rel = int(ties[np.argmin(cols[t:n_active][ties])])
-            vnorm = np.sqrt(max(float(sq[p_rel]), 0.0))
+            vnorm = float(np.sqrt(sq[p_rel]))
             if vnorm <= threshold:
                 break
             _swap(t, t + p_rel)
             v = work[:, t]
             if vnorm < drop * orig[cols[t]]:
                 for i in range(t):
-                    c = float(np.sum(gwork[:, i] * v))
+                    c = float(np.sum(work[:, i] * v))
                     v -= c * work[:, i]
                     Rfull[i, cols[t]] += c
-                if gwork is not work:
-                    gwork[:, t] = ip.apply(v)
-                vnorm = float(np.sqrt(max(np.sum(gwork[:, t] * v), 0.0)))
+                vnorm = float(np.sqrt(np.sum(v * v)))
                 if vnorm <= threshold:
                     # dependent after reorthogonalization: keep the reduced
                     # residual for reconstruction, never pivot on it again
@@ -200,98 +202,94 @@ def mgs_qr(A, tol_rel=DEFAULT_TOL):
                     _swap(t, n_active)
                     continue
             work[:, t] /= vnorm
-            if gwork is not work:
-                gwork[:, t] /= vnorm
             Rfull[t, cols[t]] = vnorm
             if t + 1 < n:
-                coef = np.einsum("mh,mjh->j", gwork[:, t], work[:, t + 1:])
+                coef = np.einsum("mh,mjh->j", work[:, t], work[:, t + 1:])
                 Rfull[t, cols[t + 1:]] = coef
                 work[:, t + 1:] -= work[:, t][:, None, :] * coef[None, :, None]
-                if gwork is not work:
-                    gwork[:, t + 1:] -= (gwork[:, t][:, None, :]
-                                         * coef[None, :, None])
             t += 1
 
     r = t
     rejected = sorted(cols[r:].tolist())
     perm = np.array(cols[:r].tolist() + rejected, dtype=int)
-    Q = BMatrix(work[:, :r].copy() if r else np.zeros((m, 0, h)), ip)
+    Q = BMatrix(ip.unwhiten(work[:, :r].copy()), ip)
     R = Rfull[:r][:, perm] if n else np.zeros((0, 0))
     return QRFactors(Q=Q, R=R, perm=perm, rank=r)
 
 
-def _truncated_scalar_svd(R, tol_rel):
-    Uh, s, Vh = np.linalg.svd(R, full_matrices=False)
+def _whitened(A):
+    """``A`` as a real ``(m*h, n)`` matrix whose Euclidean geometry is its
+    H-geometry: the column ``j`` stacks the whitened entries of column
+    ``j`` of ``A``, so both have the same singular values and right
+    singular vectors.
+
+    The result is column-major, the layout LAPACK reads; the reshape
+    copies nothing when ``A`` is the transpose of a contiguous matrix, as
+    unfoldings are.
+    """
+    m, n, h = A.data.shape
+    return A.ip.whiten(np.swapaxes(A.data, 0, 1)).reshape(n, m * h).T
+
+
+def _rank(s, tol_rel):
+    """Number of singular values above ``tol_rel`` times the largest."""
     if s.size == 0 or s[0] <= 0.0:
-        return Uh[:, :0], s[:0], Vh[:0]
-    keep = s > tol_rel * s[0]
-    k = int(np.count_nonzero(keep))
+        return 0
+    return int(np.count_nonzero(s > tol_rel * s[0]))
+
+
+def _truncated_scalar_svd(X, tol_rel):
+    Uh, s, Vh = np.linalg.svd(X, full_matrices=False)
+    k = _rank(s, tol_rel)
     return Uh[:, :k], s[:k], Vh[:k]
 
 
-def svd(A, tol_rel=DEFAULT_TOL):
-    """SVD of a function-valued matrix via pivoted QR.
+def _sigma_v(A, tol_rel=DEFAULT_TOL):
+    """Truncated singular values and right singular vectors of ``A``.
 
-    The scalar triangular factor of :func:`mgs_qr` is decomposed with an
-    ordinary SVD and the function-valued orthonormal factor is rotated
-    accordingly.  Singular values at or below ``tol_rel`` times the
-    largest one are discarded.  A zero matrix yields empty factors.
+    They are read off the triangular factor of the whitened matrix, so
+    the tall left singular factor is never formed.
     """
-    m, n, h = A.data.shape
-    qr = mgs_qr(A, tol_rel)
-    if qr.rank == 0:
-        return SVDFactors(
-            U=BMatrix(np.zeros((m, 0, h)), A.ip),
-            sigma=np.zeros(0),
-            V=np.zeros((n, 0)),
-        )
-    Uh, s, Vh = _truncated_scalar_svd(qr.R, tol_rel)
-    U = BMatrix(np.einsum("mrh,rt->mth", qr.Q.data, Uh), A.ip)
-    V = np.zeros((n, s.size))
-    V[qr.perm] = Vh.T
-    return SVDFactors(U=U, sigma=s, V=V)
+    R = np.linalg.qr(_whitened(A), mode="r")
+    _, s, Vh = _truncated_scalar_svd(R, tol_rel)
+    return s, Vh.T
+
+
+def svd(A, tol_rel=DEFAULT_TOL):
+    """SVD of a function-valued matrix from one SVD of its whitened matrix.
+
+    The left singular vectors of the whitened matrix are mapped back to
+    coefficient vectors, which makes the columns of ``U`` H-orthonormal.
+    Singular values at or below ``tol_rel`` times the largest one are
+    discarded.  A zero matrix yields empty factors.
+    """
+    m, _, h = A.data.shape
+    Uw, s, Vh = _truncated_scalar_svd(_whitened(A), tol_rel)
+    U = A.ip.unwhiten(np.moveaxis(Uw.reshape(m, h, s.size), 1, 2))
+    return SVDFactors(U=BMatrix(U, A.ip), sigma=s, V=Vh.T)
 
 
 def pinv_apply(A, B, tol_rel=DEFAULT_TOL):
     """Apply the pseudoinverse of ``A`` to the columns of ``B``.
 
-    Returns the real ``(n, k)`` matrix ``V diag(sigma)^-1 (U* B)``.  The
-    adjoint product ``U* B`` is evaluated through the Gram-Schmidt
-    recurrences: each column of ``B`` is reduced against the pivoted
-    orthonormal columns in turn, which is the numerically stable way of
-    applying the adjoint of an MGS-computed factor.  A zero ``A`` maps
-    everything to zero.
+    Returns the real ``(n, k)`` matrix ``V diag(sigma)^-1 (U* B)``, the
+    minimum-norm H-least-squares solution ``X`` of ``A X ~ B``.  Both
+    operands are whitened, so ``U* B`` is a single product with the left
+    singular factor of one SVD of the whitened ``A``, truncated as in
+    :func:`svd`.  A zero ``A`` maps everything to zero.
     """
     if A.ip != B.ip:
         raise ValueError("operands use different inner products")
     if A.m != B.m:
         raise ValueError(f"row mismatch: {A.m} vs {B.m}")
-    ip = A.ip
-    n, k = A.n, B.n
-    qr = mgs_qr(A, tol_rel)
-    if qr.rank == 0:
-        return np.zeros((n, k))
-    Uh, s, Vh = _truncated_scalar_svd(qr.R, tol_rel)
-    if s.size == 0:
-        return np.zeros((n, k))
-
-    W = B.data.astype(float, copy=True)
-    C = np.empty((qr.rank, k))
-    for i in range(qr.rank):
-        q = qr.Q.data[:, i]
-        c = np.einsum("mh,mkh->k", ip.apply(q), W)
-        C[i] = c
-        W -= q[:, None, :] * c[None, :, None]
-
-    coeff = (Uh.T @ C) / s[:, None]
-    out = np.zeros((n, k))
-    out[qr.perm] = Vh.T @ coeff
-    return out
+    Uw, s, Vh = _truncated_scalar_svd(_whitened(A), tol_rel)
+    return Vh.T @ ((Uw.T @ _whitened(B)) / s[:, None])
 
 
 def column_rank(A, tol_rel=DEFAULT_TOL):
-    """Numerical column-rank: the number of accepted MGS pivots."""
-    return mgs_qr(A, tol_rel).rank
+    """Numerical column-rank: the number of singular values of ``A``
+    above ``tol_rel`` times the largest one."""
+    return _rank(np.linalg.svd(_whitened(A), compute_uv=False), tol_rel)
 
 
 def _canonical_index_set(I, size, what):

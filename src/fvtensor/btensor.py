@@ -257,7 +257,9 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     """Higher-order SVD truncated to the requested rank tuple.
 
     Each mode's factor collects the leading right singular vectors of the
-    transposed unfolding; the core is the tensor contracted with the
+    transposed unfolding, taken with its singular values from the
+    triangular factor of the whitened unfolding (no left singular vectors
+    are formed); the core is the tensor contracted with the
     transposed factors.  Requested ranks above the numerical rank are
     clamped (and reported), never an error.  The full per-mode singular
     value vectors are returned so the quasi-optimality bound can be
@@ -275,13 +277,13 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     achieved = []
     clamped = False
     for k in range(d):
-        fac = bmatrix.svd(transpose(unfold(A, k)), tol_rel)
-        sigmas.append(fac.sigma)
-        rk = min(ranks[k], fac.sigma.size)
+        sigma, V = bmatrix._sigma_v(transpose(unfold(A, k)), tol_rel)
+        sigmas.append(sigma)
+        rk = min(ranks[k], sigma.size)
         if rk < ranks[k]:
             clamped = True
         rk = max(rk, 0)
-        factors.append(fac.V[:, :rk])
+        factors.append(V[:, :rk])
         achieved.append(rk)
 
     core = A

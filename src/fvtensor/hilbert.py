@@ -5,6 +5,12 @@ real coefficient vector of fixed length ``h``.  The geometry of H enters
 exclusively through a Gram specification: identity, diagonal weights, or a
 dense SPD matrix.  Every other module is parameterized over an
 :class:`InnerProduct`.
+
+With the Cholesky factorization ``G = L L^T`` of the Gram matrix, the map
+``x -> L^T x`` is an isometry from H onto Euclidean R^h.  It carries a
+function-valued matrix onto an ordinary real matrix with the same
+singular values, so rank-revealing linear algebra runs in LAPACK on
+whitened coordinates.
 """
 
 import numpy as np
@@ -44,9 +50,12 @@ class InnerProduct:
 
     Instances are immutable after construction; the stored arrays are
     marked read-only so they can be shared freely across threads.
+    ``chol`` holds the Cholesky factor of the Gram matrix: ``None`` for
+    the identity, the vector ``sqrt(weights)`` for the diagonal kind, and
+    the lower-triangular ``L`` with ``gram = L L^T`` for the dense kind.
     """
 
-    __slots__ = ("h", "kind", "weights", "gram")
+    __slots__ = ("h", "kind", "weights", "gram", "chol")
 
     def __init__(self, h, kind="identity", weights=None, gram=None):
         if h < 1:
@@ -66,13 +75,15 @@ class InnerProduct:
             self.weights = None
         else:
             raise InnerProductError(f"unknown Gram kind {kind!r}")
-        validate(self)
+        self.chol = validate(self)
         if self.kind == "dense":
             # symmetrize after validation so file round-trips stay SPD
             self.gram = 0.5 * (self.gram + self.gram.T)
             self.gram.flags.writeable = False
         if self.weights is not None:
             self.weights.flags.writeable = False
+        if self.chol is not None:
+            self.chol.flags.writeable = False
 
     @classmethod
     def identity(cls, h):
@@ -88,18 +99,43 @@ class InnerProduct:
         g = np.asarray(gram, dtype=float)
         return cls(g.shape[0], "dense", gram=g)
 
-    def apply(self, x):
-        """Apply the Gram matrix along the last axis of ``x``."""
+    def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.h:
             raise ValueError(
                 f"coefficient length {x.shape[-1]} does not match h={self.h}"
             )
+        return x
+
+    def apply(self, x):
+        """Apply the Gram matrix along the last axis of ``x``."""
+        x = self._check(x)
         if self.kind == "identity":
             return x
         if self.kind == "diagonal":
             return x * self.weights
         return x @ self.gram
+
+    def whiten(self, x):
+        """Apply ``L^T`` along the last axis of ``x``.
+
+        Euclidean inner products of whitened vectors are the H-inner
+        products of the originals.
+        """
+        x = self._check(x)
+        if self.kind == "identity":
+            return x
+        return x * self.chol if self.kind == "diagonal" else x @ self.chol
+
+    def unwhiten(self, y):
+        """Inverse of :meth:`whiten`: solve ``L^T x = y`` along the last axis."""
+        y = self._check(y)
+        if self.kind == "identity":
+            return y
+        if self.kind == "diagonal":
+            return y / self.chol
+        x = np.linalg.solve(self.chol.T, y.reshape(-1, self.h).T)
+        return x.T.reshape(y.shape)
 
     def pair(self, x, y):
         """Entrywise H-inner products; contracts the last axis."""
@@ -130,10 +166,11 @@ def validate(ip):
 
     Diagonal weights must be strictly positive and finite.  A dense Gram
     must be symmetric to within a 1e-12 relative tolerance and admit a
-    Cholesky factorization.
+    Cholesky factorization.  Returns the Cholesky factor in the form
+    :attr:`InnerProduct.chol` stores it.
     """
     if ip.kind == "identity":
-        return
+        return None
     if ip.kind == "diagonal":
         w = ip.weights
         if w.shape != (ip.h,):
@@ -142,7 +179,7 @@ def validate(ip):
             raise NonPositiveWeightError("weights must be finite")
         if np.any(w <= 0.0):
             raise NonPositiveWeightError("weights must be strictly positive")
-        return
+        return np.sqrt(w)
     g = ip.gram
     if g.shape != (ip.h, ip.h):
         raise InnerProductError("Gram matrix shape does not match h")
@@ -154,7 +191,7 @@ def validate(ip):
     if np.max(np.abs(g - g.T)) > SYMMETRY_RTOL * scale:
         raise NonSymmetricError("Gram matrix is not symmetric")
     try:
-        np.linalg.cholesky(0.5 * (g + g.T))
+        return np.linalg.cholesky(0.5 * (g + g.T))
     except np.linalg.LinAlgError:
         raise NonSPDError("Gram matrix is not positive definite") from None
 

@@ -22,6 +22,18 @@ def make_ip(kind, h, rng):
     return InnerProduct.dense((M @ M.T + h * np.eye(h)) / h)
 
 
+def gram_matrix(ip):
+    if ip.kind == "identity":
+        return np.eye(ip.h)
+    return np.diag(ip.weights) if ip.kind == "diagonal" else ip.gram
+
+
+def whitened_rank(M_w, tol_rel=1e-12):
+    """Rank of a real matrix under the rule sigma_i > tol_rel * sigma_1."""
+    s1 = np.linalg.svd(M_w, compute_uv=False)[0]
+    return int(np.linalg.matrix_rank(M_w, tol=tol_rel * s1))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240823)

@@ -234,6 +234,25 @@ def test_abc_leverage_rule_runs(rng):
     assert all(len(I) == 3 for I in report.index_sets)
 
 
+def test_abc_leverage_footprint(rng):
+    # the leverage estimate reads fibers through the auxiliary sets only,
+    # so every evaluation lies in cross(aux): at most one index per
+    # multi-index outside the final auxiliary sets
+    A = BTensor(rng.standard_normal((12, 11, 10, 2)), InnerProduct.identity(2))
+    c = tensor_oracle(A)
+    cfg = AbcConfig(n_iter=2, init_aux=[[0, 6], [1, 7], [2, 8]],
+                    draw="leverage", seed=3)
+    _, report = tucker_abc(c, cfg)
+    aux = [set(S) for S in report.aux_sets]
+    assert all(sum(i not in S for i, S in zip(idx, aux)) <= 1
+               for idx in c.cache)
+    s = [len(S) for S in aux]
+    cross = int(np.prod(s)) + sum(
+        (n - s[k]) * int(np.prod(s[:k] + s[k + 1:]))
+        for k, n in enumerate(A.dims))
+    assert c.count <= cross
+
+
 def test_abc_mode_saturation_skips(rng):
     # one mode of size 2 saturates; later sweeps skip it without error
     A = BTensor(rng.standard_normal((2, 8, 8, 3)), InnerProduct.identity(3))

@@ -17,7 +17,7 @@ from fvtensor.bmatrix import (
 )
 from fvtensor.hilbert import InnerProduct
 
-from conftest import GRAM_KINDS, make_ip, scalar_cross
+from conftest import GRAM_KINDS, gram_matrix, make_ip, scalar_cross, whitened_rank
 
 
 def rand_bm(rng, m, n, h, ip=None):
@@ -199,6 +199,25 @@ def test_pinv_projector_identity(rng):
     assert np.abs(out - fac.V @ fac.V.T).max() < 1e-9
 
 
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_pinv_normal_equations(kind):
+    # X = A^dagger B is the H-least-squares fit, A* (B - A X) = 0, of
+    # minimum norm, X = V V^T X, also when A is rank-deficient
+    rng = np.random.default_rng(23)
+    ip = make_ip(kind, 5, rng)
+    full = rand_bm(rng, 6, 3, 5, ip)
+    deficient = right_mul(rand_bm(rng, 6, 2, 5, ip),
+                          rng.standard_normal((2, 4)))
+    for A in (full, deficient):
+        B = rand_bm(rng, 6, 4, 5, ip)
+        X = pinv_apply(A, B)
+        resid = BMatrix(B.data - right_mul(A, X).data, ip)
+        assert np.abs(adjoint_apply(A, resid)).max() \
+            <= 1e-10 * l2h_norm(A) * l2h_norm(B)
+        V = svd(A).V
+        assert np.abs(X - V @ (V.T @ X)).max() <= 1e-10 * np.abs(X).max()
+
+
 # --- column rank -------------------------------------------------------------
 
 def test_column_rank_cases(rng):
@@ -212,6 +231,25 @@ def test_column_rank_cases(rng):
     B = rand_bm(rng, 2, 3, 5, ip5)
     assert column_rank(B) == 3
     assert column_rank(transpose(B)) == 2
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_column_rank_is_whitened_matrix_rank(kind):
+    # A 4 x 5 matrix over R^3 whose whitened (12, 5) matrix has singular
+    # values (1, 0.3, tiny): 1e-11 lies above the 1e-12 cut, 1e-13 below
+    rng = np.random.default_rng(29)
+    m, n, h = 4, 5, 3
+    ip = make_ip(kind, h, rng)
+    L = np.linalg.cholesky(gram_matrix(ip))
+    for tiny, expected in ((1e-11, 3), (1e-13, 2)):
+        sigma = np.array([1.0, 0.3, tiny])
+        Q, _ = np.linalg.qr(rng.standard_normal((m * h, 3)))
+        P, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+        W = ((Q * sigma) @ P.T).reshape(m, h, n).transpose(0, 2, 1)
+        data = np.linalg.solve(L.T, W.reshape(-1, h).T).T.reshape(m, n, h)
+        A = BMatrix(data, ip)
+        M_w = (data @ L).transpose(0, 2, 1).reshape(m * h, n)
+        assert column_rank(A) == whitened_rank(M_w) == expected
 
 
 # --- cross approximation -----------------------------------------------------

@@ -24,10 +24,12 @@ from fvtensor.hilbert import InnerProduct
 
 from conftest import (
     GRAM_KINDS,
+    gram_matrix,
     make_ip,
     scalar_hosvd,
     scalar_tucker_cross,
     scalar_unfold,
+    whitened_rank,
 )
 
 
@@ -145,6 +147,30 @@ def test_rank_monotonicity_and_subtensor_bound(rng):
         assert all(x <= y for x, y in zip(ra, rg))
         sub = BTensor(A.data[np.ix_([0, 2, 4], [1, 3], [0, 3])], A.ip)
         assert all(x <= y for x, y in zip(tucker_rank(sub), ra))
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_tucker_rank_is_whitened_matrix_rank(kind):
+    # mode k of a 4 x 5 x 3 tensor over R^3 gets whitened unfolding
+    # singular values (1, 0.3, tiny): 1e-11 is kept, 1e-13 dropped
+    rng = np.random.default_rng(37)
+    dims, h = (4, 5, 3), 3
+    ip = make_ip(kind, h, rng)
+    L = np.linalg.cholesky(gram_matrix(ip))
+    for k in range(3):
+        for tiny, expected in ((1e-11, 3), (1e-13, 2)):
+            sigma = np.array([1.0, 0.3, tiny])
+            rest = [dims[l] for l in range(3) if l != k]
+            Q, _ = np.linalg.qr(rng.standard_normal((dims[k], 3)))
+            P, _ = np.linalg.qr(rng.standard_normal((rest[0] * rest[1] * h, 3)))
+            T_w = np.moveaxis(((Q * sigma) @ P.T).reshape(
+                [dims[k]] + rest + [h]), 0, k)
+            data = np.linalg.solve(L.T, T_w.reshape(-1, h).T).T.reshape(T_w.shape)
+            ranks = tucker_rank(BTensor(data, ip))
+            for l in range(3):
+                M_w = np.moveaxis(data @ L, l, 0).reshape(dims[l], -1)
+                assert ranks[l] == whitened_rank(M_w)
+            assert ranks[k] == expected
 
 
 # --- row matrices ------------------------------------------------------------

@@ -104,3 +104,19 @@ def test_immutability():
     ip = InnerProduct.diagonal([1.0, 2.0])
     with pytest.raises(ValueError):
         ip.weights[0] = 5.0
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_whiten_is_an_isometry(kind):
+    # Euclidean products of whitened vectors are H-inner products, and
+    # unwhiten inverts whiten, on batches along the last axis
+    rng = np.random.default_rng(43)
+    ip = make_ip(kind, 5, rng)
+    x = rng.standard_normal((3, 4, 5))
+    y = rng.standard_normal((3, 4, 5))
+    xw, yw = ip.whiten(x), ip.whiten(y)
+    assert np.allclose(np.sum(xw * yw, axis=-1), ip.pair(x, y),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(ip.unwhiten(xw), x, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        ip.whiten(np.zeros((2, 4)))
