@@ -10,7 +10,7 @@ shows that changing the inner product changes the cross approximant.
 import numpy as np
 
 import fvtensor as fv
-from fvtensor.bmatrix import assemble_cross, l2h_norm
+from fvtensor.bmatrix import assemble_cross
 
 rng = np.random.default_rng(0)
 
@@ -53,7 +53,7 @@ print("A^dagger A equals the V-projector:",
 F, core, Pt = fv.cross_matrix(A, I, J)
 B = assemble_cross(F, core, Pt)
 print("\ncross error at rank-matching sets:",
-      l2h_norm(fv.BMatrix(B.data - A.data, ip_g)) / l2h_norm(A))
+      fv.fro_norm(fv.BMatrix(B.data - A.data, ip_g)) / fv.fro_norm(A))
 
 # the approximant depends on the Hilbert-space geometry: same data and
 # index sets under the identity Gram give a different approximant
@@ -61,5 +61,5 @@ A_id = fv.BMatrix(A.data, ip_id)
 Bad = fv.BMatrix(rng.standard_normal((5, 4, 6)), ip_g)
 B_g = assemble_cross(*fv.cross_matrix(fv.BMatrix(Bad.data, ip_g), I, J))
 B_i = assemble_cross(*fv.cross_matrix(fv.BMatrix(Bad.data, ip_id), I, J))
-gap = l2h_norm(fv.BMatrix(B_g.data - B_i.data, ip_id))
+gap = fv.fro_norm(fv.BMatrix(B_g.data - B_i.data, ip_id))
 print("gap between identity-Gram and dense-Gram approximants:", gap)

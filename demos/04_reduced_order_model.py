@@ -39,7 +39,7 @@ print("value at a sampled node equals the stored core entry:",
 # evaluation anywhere in the parameter box
 query = (0.37, 0.52, 0.81)
 u = rom_eval(rm, query)
-truth = fv.make_oracle(coarse)(tuple(
+truth = fv.make_oracle(coarse).fn(tuple(
     int(np.argmin(np.abs(rm.grid.nodes[k] - query[k]))) for k in range(3)))
 print("prediction at", query, "-> coefficient vector of length", u.size)
 print("nearest-node sanity gap:",

@@ -9,7 +9,7 @@ cross-sampling algorithm driven by a cached entry oracle, and interpolatory
 reduced-order models built on top of the sampled decompositions.
 """
 
-from .hilbert import InnerProduct, dot, norm, axpy, validate
+from .hilbert import InnerProduct, dot, norm, validate
 from .bmatrix import (
     BMatrix,
     QRFactors,
@@ -17,7 +17,6 @@ from .bmatrix import (
     adjoint_apply,
     column_rank,
     cross_matrix,
-    l2h_norm,
     left_mul,
     mgs_qr,
     pinv_apply,
@@ -30,11 +29,11 @@ from .btensor import (
     TuckerCrossModel,
     TuckerDecomp,
     assemble,
+    error_norm,
     fro_norm,
     hosvd,
     hosvd_error_bound,
     mode_mul,
-    model_entry,
     refold,
     relative_error,
     row_matrix,
@@ -42,7 +41,7 @@ from .btensor import (
     tucker_rank,
     unfold,
 )
-from .sampler import CachedOracle, EntryOracle, residual_view
+from .sampler import CachedOracle, EntryOracle
 from .aca import AbcConfig, AbcReport, draw, leverage_scores, rook_pivot, tucker_abc
 from .rom import (
     Basis1D,

@@ -13,7 +13,7 @@ from math import ceil, gcd
 
 import numpy as np
 
-from .bmatrix import BMatrix, DEFAULT_TOL, _sigma_v
+from .bmatrix import BMatrix, DEFAULT_TOL, _canonical_index_set, _sigma_v
 from .btensor import model_gather, tucker_cross, tucker_rank
 
 
@@ -35,6 +35,7 @@ class AbcConfig:
     early_stop_tol: float = 0.0
 
     def validate(self, dims):
+        """Check the knobs; return the sorted, deduplicated ``init_aux``."""
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
         if self.n_rook < 0:
@@ -43,12 +44,8 @@ class AbcConfig:
             raise ValueError(f"unknown draw rule {self.draw!r}")
         if len(self.init_aux) != len(dims):
             raise ValueError("need one auxiliary index set per mode")
-        for k, (aux, n) in enumerate(zip(self.init_aux, dims)):
-            idx = sorted(set(int(i) for i in aux))
-            if not idx:
-                raise ValueError(f"auxiliary index set for mode {k} is empty")
-            if idx[0] < 0 or idx[-1] >= n:
-                raise ValueError(f"auxiliary index set for mode {k} out of range")
+        return [_canonical_index_set(aux, n, f"mode-{k} auxiliary")
+                for k, (aux, n) in enumerate(zip(self.init_aux, dims))]
 
 
 @dataclass
@@ -80,69 +77,51 @@ class _ResidualRowView:
         self.model = model
         self.aux = aux
         self.k = k
-        self.row_dims = tuple(len(aux[l]) for l in range(cached.d) if l != k)
-        self.shape = (int(np.prod(self.row_dims, dtype=np.int64)), cached.dims[k])
+        other = [len(a) for l, a in enumerate(aux) if l != k]
+        self.shape = (int(np.prod(other, dtype=np.int64)), cached.dims[k])
         self.max_seen = 0.0
 
-    def _norms(self, grids):
+    def _sq_norms(self, grids):
+        """Squared residual entry H-norms on a product grid, grid-shaped."""
         vals = self.cached.gather(grids)
         if self.model is not None:
             vals = vals - model_gather(self.model, grids)
-        flat = vals.reshape(-1, self.cached.ip.h)
-        norms = self.cached.ip.norms(flat)
-        if norms.size:
-            self.max_seen = max(self.max_seen, float(norms.max()))
-        return norms
+        # flat, because a dense-Gram product over a grid with a length-1
+        # axis takes another BLAS path and can change the last bits
+        flat = vals.reshape(-1, vals.shape[-1])
+        sq = self.cached.ip.pair(flat, flat)
+        if sq.size:
+            self.max_seen = max(self.max_seen, float(np.sqrt(max(sq.max(), 0.0))))
+        return sq.reshape(vals.shape[:-1])
 
     def col_norms(self, j):
-        grids = [self.aux[l] if l != self.k else [int(j)]
-                 for l in range(self.cached.d)]
-        return self._norms(grids)
+        return _norms(self._sq_norms(
+            [[int(j)] if l == self.k else a for l, a in enumerate(self.aux)]))
 
     def row_norms(self, i):
-        combo = np.unravel_index(int(i), self.row_dims)
-        grids = []
-        t = 0
-        for l in range(self.cached.d):
-            if l == self.k:
-                grids.append(np.arange(self.cached.dims[l]))
-            else:
-                grids.append([self.aux[l][combo[t]]])
-                t += 1
-        return self._norms(grids)
+        return _norms(self._sq_norms(
+            _fiber_grids(self.cached.dims, self.aux, self.k, i)))
 
     def all_col_norms(self):
-        grids = [self.aux[l] if l != self.k else np.arange(self.cached.dims[l])
-                 for l in range(self.cached.d)]
-        vals = self.cached.gather(grids)
-        if self.model is not None:
-            vals = vals - model_gather(self.model, grids)
-        sq = self.cached.ip.pair(vals, vals)
-        axes = tuple(l for l in range(self.cached.d) if l != self.k)
-        norms = np.sqrt(np.sum(sq, axis=axes).clip(min=0.0))
-        if norms.size:
-            self.max_seen = max(self.max_seen, float(np.max(self.cached.ip.norms(
-                vals.reshape(-1, self.cached.ip.h)))))
-        return norms
+        dims = self.cached.dims
+        sq = self._sq_norms([np.arange(n) if l == self.k else self.aux[l]
+                             for l, n in enumerate(dims)])
+        axes = tuple(l for l in range(len(dims)) if l != self.k)
+        return _norms(np.sum(sq, axis=axes))
 
 
-class _MatrixView:
-    """Norm-scan adapter so rook pivoting runs on a plain BMatrix."""
+def _norms(sq):
+    """Flat norms from squared norms; round-off negatives become 0."""
+    return np.sqrt(np.maximum(sq, 0.0)).reshape(-1)
 
-    def __init__(self, A):
-        self.A = A
-        self.shape = A.shape
-        self.max_seen = 0.0
 
-    def col_norms(self, j):
-        norms = self.A.ip.norms(self.A.data[:, int(j)])
-        self.max_seen = max(self.max_seen, float(norms.max()))
-        return norms
-
-    def row_norms(self, i):
-        norms = self.A.ip.norms(self.A.data[int(i)])
-        self.max_seen = max(self.max_seen, float(norms.max()))
-        return norms
+def _fiber_grids(dims, aux, k, c):
+    """Grids of the mode-``k`` fiber at big-endian position ``c`` among
+    the combinations of the other modes' auxiliary indices."""
+    other = [len(aux[l]) for l in range(len(dims)) if l != k]
+    combo = iter(np.unravel_index(int(c), other))
+    return [np.arange(n) if l == k else [aux[l][next(combo)]]
+            for l, n in enumerate(dims)]
 
 
 def rook_pivot(view, j_start, n_rook):
@@ -153,8 +132,6 @@ def rook_pivot(view, j_start, n_rook):
     the smallest index.  With ``n_rook = 0`` no entry is inspected and
     ``(None, j_start)`` is returned.
     """
-    if isinstance(view, BMatrix):
-        view = _MatrixView(view)
     m, n = view.shape
     if m == 0 or n == 0:
         raise ValueError("cannot pivot on an empty matrix")
@@ -222,19 +199,9 @@ def _estimate_leverage(cached, aux, rng, tol_rel):
         n_other = int(np.prod(other, dtype=np.int64))
         ncols = min(len(aux[k]), n_other)
         cols = np.sort(rng.choice(n_other, size=ncols, replace=False))
-        rows = []
-        for c in cols:
-            combo = np.unravel_index(int(c), other)
-            grids = []
-            t = 0
-            for l in range(d):
-                if l == k:
-                    grids.append(np.arange(dims[k]))
-                else:
-                    grids.append([aux[l][combo[t]]])
-                    t += 1
-            rows.append(cached.gather(grids).reshape(dims[k], cached.ip.h))
-        slab = BMatrix(np.stack(rows, axis=0), cached.ip)
+        rows = [cached.gather(_fiber_grids(dims, aux, k, c)) for c in cols]
+        slab = BMatrix(np.stack(rows).reshape(ncols, dims[k], cached.ip.h),
+                       cached.ip)
         scores.append(leverage_scores(slab, tol_rel))
     return scores
 
@@ -270,10 +237,8 @@ def tucker_abc(cached, cfg):
     """
     dims = cached.dims
     d = len(dims)
-    cfg.validate(dims)
+    aux = cfg.validate(dims)
     rng = np.random.default_rng(cfg.seed)
-
-    aux = [sorted(set(int(i) for i in s)) for s in cfg.init_aux]
     sets = [[] for _ in range(d)]
     model = None
 

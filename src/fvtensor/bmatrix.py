@@ -100,11 +100,6 @@ class SVDFactors:
     V: np.ndarray
 
 
-def l2h_norm(A):
-    """Frobenius-type norm: root of the summed squared entry H-norms."""
-    return float(np.sqrt(np.sum(A.ip.pair(A.data, A.data).clip(min=0.0))))
-
-
 def column_norms(A):
     """H-norms of the columns of ``A`` as a length-``n`` vector."""
     return np.sqrt(np.sum(A.ip.pair(A.data, A.data), axis=0).clip(min=0.0))
@@ -293,6 +288,7 @@ def column_rank(A, tol_rel=DEFAULT_TOL):
 
 
 def _canonical_index_set(I, size, what):
+    """Sorted distinct indices of ``I``; ``ValueError`` unless in ``[0, size)``."""
     idx = sorted(set(int(i) for i in I))
     if not idx:
         raise ValueError(f"empty {what} index set")

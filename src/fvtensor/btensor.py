@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmatrix
-from .bmatrix import BMatrix, DEFAULT_TOL, column_rank, pinv_apply, transpose
+from .bmatrix import (
+    BMatrix,
+    DEFAULT_TOL,
+    _canonical_index_set,
+    column_rank,
+    pinv_apply,
+    transpose,
+)
 
 
 class BTensor:
@@ -118,18 +125,6 @@ def tucker_rank(A, tol_rel=DEFAULT_TOL):
     )
 
 
-def _canonical_sets(index_sets, dims):
-    out = []
-    for k, I in enumerate(index_sets):
-        idx = sorted(set(int(i) for i in I))
-        if not idx:
-            raise ValueError(f"empty index set for mode {k}")
-        if idx[0] < 0 or idx[-1] >= dims[k]:
-            raise ValueError(f"index set for mode {k} out of range")
-        out.append(tuple(idx))
-    return tuple(out)
-
-
 def row_matrix(source, index_sets, k):
     """Residual-style row matrix: mode-``k`` fibers over the other sets.
 
@@ -142,15 +137,9 @@ def row_matrix(source, index_sets, k):
     d = len(dims)
     if not 0 <= k < d:
         raise IndexError(f"mode {k} out of range for order {d}")
-    grids = []
-    for l in range(d):
-        if l == k:
-            grids.append(np.arange(dims[k]))
-        else:
-            idx = sorted(set(int(i) for i in index_sets[l]))
-            if not idx:
-                raise ValueError(f"empty index set for mode {l}")
-            grids.append(np.asarray(idx, dtype=int))
+    grids = [np.arange(n) if l == k
+             else _canonical_index_set(index_sets[l], n, f"mode-{l}")
+             for l, n in enumerate(dims)]
     slab = BTensor(source.gather(grids), source.ip)
     return transpose(unfold(slab, k))
 
@@ -196,7 +185,8 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL):
     the per-mode slabs) are accessed, so ``source`` may be a lazy oracle.
     """
     dims = tuple(source.dims)
-    sets = _canonical_sets(index_sets, dims)
+    sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
+                 for k, I in enumerate(index_sets))
     core = BTensor(source.gather([np.asarray(I) for I in sets]), source.ip)
     factors = []
     for k in range(len(dims)):
@@ -220,18 +210,6 @@ def model_gather(model, grids):
         rows = np.asarray(grids[k], dtype=int)
         Fk = model.factors[k][rows]
         T = np.moveaxis(np.tensordot(Fk, T, axes=(1, k)), 0, k)
-    return T
-
-
-def model_entry(model, idx):
-    """Single entry of the assembled model as a coefficient vector."""
-    idx = tuple(int(i) for i in idx)
-    d = model.core.d
-    if len(idx) != d:
-        raise IndexError(f"expected {d} indices, got {len(idx)}")
-    T = model.core.data
-    for k in range(d):
-        T = np.tensordot(model.factors[k][idx[k]], T, axes=(0, 0))
     return T
 
 
@@ -304,25 +282,27 @@ def hosvd_error_bound(sigmas, ranks):
     return float(np.sqrt(tail))
 
 
-def relative_error(A, model):
-    """Relative l2(H) error of a Tucker(-cross) model against ``A``.
+def error_norm(A, model):
+    """l2(H) norm of ``A`` minus a Tucker(-cross) model.
 
     The difference is accumulated slice by slice along the first mode, so
     the approximant is never materialized at full size.
     """
-    ip = A.ip
     n0 = A.dims[0]
     rest = int(np.prod(A.dims[1:], dtype=np.int64)) * A.h
     chunk = max(1, int(8_000_000 // max(rest, 1)))
     tail_grids = [np.arange(n) for n in A.dims[1:]]
-    num = 0.0
-    den = 0.0
+    sq = 0.0
     for start in range(0, n0, chunk):
         rows = np.arange(start, min(start + chunk, n0))
-        sub = A.data[rows]
-        diff = sub - model_gather(model, [rows] + tail_grids)
-        num += float(np.sum(ip.pair(diff, diff)))
-        den += float(np.sum(ip.pair(sub, sub)))
+        diff = A.data[rows] - model_gather(model, [rows] + tail_grids)
+        sq += float(np.sum(A.ip.pair(diff, diff)))
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def relative_error(A, model):
+    """Relative l2(H) error of a Tucker(-cross) model against ``A``."""
+    den = fro_norm(A)
     if den <= 0.0:
         raise ValueError("reference tensor is zero")
-    return float(np.sqrt(num / den))
+    return error_norm(A, model) / den

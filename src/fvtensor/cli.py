@@ -20,10 +20,10 @@ from .aca import AbcConfig, tucker_abc
 from .btensor import (
     BTensor,
     TuckerDecomp,
+    error_norm,
     fro_norm,
     hosvd,
     hosvd_error_bound,
-    relative_error,
     tucker_cross,
 )
 from .fvt import FvtError, MAGIC, load_fvt, save_fvt
@@ -215,14 +215,16 @@ def _cmd_compare(args):
     model, report = _run_abc(args, cached)
     full = hosvd(A, None, float(args.tol))
     norm_a = fro_norm(A)
+    if norm_a <= 0.0:
+        raise ValueError("reference tensor is zero")
 
     lines = ["iterations\trank\tabc_error\thosvd_error\thosvd_bound\tevals\n"]
     for s, (sets, rk) in enumerate(
             zip(report.index_set_history, report.rank_history), start=1):
         m = tucker_cross(cached, sets, float(args.tol))
-        e_abc = relative_error(A, m)
+        e_abc = error_norm(A, m) / norm_a
         rk_cl = tuple(min(r, sig.size) for r, sig in zip(rk, full.sigmas))
-        e_h = relative_error(A, _hosvd_at_rank(full, rk_cl))
+        e_h = error_norm(A, _hosvd_at_rank(full, rk_cl)) / norm_a
         bound = hosvd_error_bound(full.sigmas, rk_cl) / norm_a
         rank_str = "(" + ", ".join(str(r) for r in rk) + ")"
         lines.append(

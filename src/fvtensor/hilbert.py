@@ -220,11 +220,3 @@ def norm(u, ip):
     """H-norm of a coefficient vector."""
     return np.sqrt(max(dot(u, u, ip), 0.0))
 
-
-def axpy(a, x, y):
-    """Return ``a * x + y`` componentwise."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return a * x + y

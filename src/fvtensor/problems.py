@@ -12,7 +12,7 @@ fixed analytic functions, so the same spec at two different ``h`` yields
 two discretizations of one family.
 
 Externally computed snapshot tensors enter through the FVT format
-(:func:`load_fvt` / :func:`save_fvt`).
+(:func:`fvtensor.fvt.load_fvt` / :func:`fvtensor.fvt.save_fvt`).
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .btensor import BTensor
-from .fvt import load_fvt, save_fvt  # noqa: F401  (re-exported ingestion path)
 from .hilbert import InnerProduct
 from .sampler import EntryOracle
 

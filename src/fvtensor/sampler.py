@@ -30,9 +30,6 @@ class EntryOracle:
     def d(self):
         return len(self.dims)
 
-    def __call__(self, idx):
-        return self.fn(idx)
-
     @classmethod
     def from_tensor(cls, A):
         return cls(A.dims, A.ip, lambda idx: A.data[tuple(idx)])
@@ -100,6 +97,7 @@ class CachedOracle:
         return winner
 
     def get(self, idx):
+        # no library caller; perfbench/spans.py wraps it by name, so keep it
         idx = self._check_idx(idx)
         hit = self.cache.get(idx)
         if hit is not None:
@@ -141,24 +139,3 @@ class CachedOracle:
         vals = self.get_many(flat)
         return vals.reshape(tuple(len(a) for a in arrs) + (self.ip.h,))
 
-
-def residual_view(cached, model):
-    """Oracle for ``A - B`` given a cached ``A`` and a Tucker-cross ``B``.
-
-    With ``model=None`` the view is the cached oracle itself (the empty
-    approximant is zero).  Evaluations charge the underlying oracle only
-    for uncached entries of ``A``.
-    """
-    from .btensor import model_entry
-
-    if model is None:
-        return EntryOracle(cached.dims, cached.ip, lambda idx: cached.get(idx))
-    if tuple(model.dims) != tuple(cached.dims):
-        raise ValueError(
-            f"model dims {model.dims} do not match oracle dims {cached.dims}"
-        )
-
-    def fn(idx):
-        return cached.get(idx) - model_entry(model, idx)
-
-    return EntryOracle(cached.dims, cached.ip, fn)

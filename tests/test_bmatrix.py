@@ -7,7 +7,6 @@ from fvtensor.bmatrix import (
     assemble_cross,
     column_rank,
     cross_matrix,
-    l2h_norm,
     left_mul,
     mgs_qr,
     pinv_apply,
@@ -15,6 +14,7 @@ from fvtensor.bmatrix import (
     svd,
     transpose,
 )
+from fvtensor.btensor import fro_norm
 from fvtensor.hilbert import InnerProduct
 
 from conftest import GRAM_KINDS, gram_matrix, make_ip, scalar_cross, whitened_rank
@@ -97,8 +97,8 @@ def test_mgs_qr_reconstruction(kind):
     assert q.rank == 4
     assert np.abs(adjoint_apply(q.Q, q.Q) - np.eye(4)).max() < 1e-10
     recon = right_mul(q.Q, q.R)
-    err = l2h_norm(BMatrix(recon.data - A.data[:, q.perm], ip))
-    assert err <= 1e-9 * l2h_norm(A)
+    err = fro_norm(BMatrix(recon.data - A.data[:, q.perm], ip))
+    assert err <= 1e-9 * fro_norm(A)
     # upper-trapezoidal in pivoted order
     assert np.allclose(np.tril(q.R[:, :q.rank], k=-1), 0.0)
 
@@ -111,8 +111,8 @@ def test_mgs_qr_rank_deficient_reconstruction(rng):
     q = mgs_qr(A)
     assert q.rank == 2
     recon = right_mul(q.Q, q.R)
-    assert l2h_norm(BMatrix(recon.data - A.data[:, q.perm], ip)) \
-        <= 1e-9 * l2h_norm(A)
+    assert fro_norm(BMatrix(recon.data - A.data[:, q.perm], ip)) \
+        <= 1e-9 * fro_norm(A)
 
 
 # --- SVD ---------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_svd_invariants_seeded(kind):
         assert np.abs(adjoint_apply(fac.U, fac.U) - np.eye(r)).max() < 1e-10
         assert np.abs(fac.V.T @ fac.V - np.eye(r)).max() < 1e-10
         recon = right_mul(right_mul(fac.U, np.diag(fac.sigma)), fac.V.T)
-        assert l2h_norm(BMatrix(recon.data - A.data, ip)) <= 1e-9 * l2h_norm(A)
+        assert fro_norm(BMatrix(recon.data - A.data, ip)) <= 1e-9 * fro_norm(A)
 
 
 # --- pseudoinverse application ----------------------------------------------
@@ -213,7 +213,7 @@ def test_pinv_normal_equations(kind):
         X = pinv_apply(A, B)
         resid = BMatrix(B.data - right_mul(A, X).data, ip)
         assert np.abs(adjoint_apply(A, resid)).max() \
-            <= 1e-10 * l2h_norm(A) * l2h_norm(B)
+            <= 1e-10 * fro_norm(A) * fro_norm(B)
         V = svd(A).V
         assert np.abs(X - V @ (V.T @ X)).max() <= 1e-10 * np.abs(X).max()
 
@@ -278,7 +278,7 @@ def test_cross_exactness_when_ranks_match(rng):
     A = right_mul(left_mul(F, K), P.T)
     Fc, core, Pt = cross_matrix(A, I, J)
     B = assemble_cross(Fc, core, Pt)
-    assert l2h_norm(BMatrix(B.data - A.data, ip)) <= 1e-9 * l2h_norm(A)
+    assert fro_norm(BMatrix(B.data - A.data, ip)) <= 1e-9 * fro_norm(A)
 
 
 def test_cross_scalar_oracle(rng):
@@ -304,7 +304,7 @@ def test_cross_interpolation_invariant():
         F, core, Pt = cross_matrix(A, I, J)
         B = assemble_cross(F, core, Pt)
         diff = B.data[np.ix_(I, J)] - A.data[np.ix_(I, J)]
-        assert ip.norms(diff).max() <= 1e-9 * l2h_norm(A)
+        assert ip.norms(diff).max() <= 1e-9 * fro_norm(A)
 
 
 def test_cross_empty_index_set_errors(rng):
@@ -322,7 +322,7 @@ def test_cross_inner_product_sensitivity():
     I, J = [0, 2], [1, 3]
     B_id = assemble_cross(*cross_matrix(BMatrix(data, ip_id), I, J))
     B_dense = assemble_cross(*cross_matrix(BMatrix(data, ip_dense), I, J))
-    diff = l2h_norm(BMatrix(B_id.data - B_dense.data, ip_id))
+    diff = fro_norm(BMatrix(B_id.data - B_dense.data, ip_id))
     assert diff > 1e-6
 
 

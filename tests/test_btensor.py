@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from fvtensor.bmatrix import BMatrix, column_rank, l2h_norm, left_mul, right_mul, transpose
+from fvtensor.bmatrix import BMatrix, column_rank, left_mul, right_mul, transpose
 from fvtensor.btensor import (
     BTensor,
     TuckerCrossModel,
     TuckerDecomp,
     assemble,
+    error_norm,
     fro_norm,
     hosvd,
     hosvd_error_bound,
     mode_mul,
-    model_entry,
     model_gather,
     refold,
     relative_error,
@@ -21,6 +21,7 @@ from fvtensor.btensor import (
     unfold,
 )
 from fvtensor.hilbert import InnerProduct
+from fvtensor.sampler import CachedOracle, EntryOracle
 
 from conftest import (
     GRAM_KINDS,
@@ -200,6 +201,21 @@ def test_row_matrix_singletons_and_core_slice(rng):
         row_matrix(A, [[], None, [0]], 1)
 
 
+@pytest.mark.parametrize("source", ["tensor", "oracle"])
+def test_row_matrix_rejects_out_of_range_sets(rng, source):
+    # a negative index must not wrap round to the end of the mode, and an
+    # index past the end fails the way tucker_cross does, before any read
+    A = rand_bt(rng, (4, 5, 6), 3)
+    src = A if source == "tensor" else CachedOracle(EntryOracle.from_tensor(A))
+    for sets in ([[-1], [0], [0]], [[4], [0], [0]], [[0], [0], [6]]):
+        with pytest.raises(ValueError):
+            row_matrix(src, sets, 1)
+        with pytest.raises(ValueError):
+            tucker_cross(src, sets)
+    if source == "oracle":
+        assert src.count == 0
+
+
 # --- Tucker-cross ------------------------------------------------------------
 
 def test_tucker_cross_matches_matrix_cross(rng):
@@ -254,8 +270,8 @@ def test_slab_reproduction_and_exactness_conditions(rng):
         Rk_b = row_matrix(B, sets, k)
         core_unf = unfold(model.core, k)
         assert column_rank(transpose(core_unf)) == column_rank(Rk_a)
-        assert l2h_norm(BMatrix(Rk_a.data - Rk_b.data, ip)) \
-            <= 1e-9 * l2h_norm(Rk_a)
+        assert fro_norm(BMatrix(Rk_a.data - Rk_b.data, ip)) \
+            <= 1e-9 * fro_norm(Rk_a)
     assert direct_rel_error(A, B) <= 1e-8
     # negative: undersized sets leave rank behind, slabs not reproduced
     small = [I[:1] for I in sets]
@@ -263,7 +279,7 @@ def test_slab_reproduction_and_exactness_conditions(rng):
     B2 = assemble(m2)
     assert direct_rel_error(A, B2) > 1e-3
     slab_gap = max(
-        l2h_norm(BMatrix(row_matrix(A, small, k).data
+        fro_norm(BMatrix(row_matrix(A, small, k).data
                          - row_matrix(B2, small, k).data, ip))
         for k in range(3))
     assert slab_gap > 1e-6
@@ -271,28 +287,31 @@ def test_slab_reproduction_and_exactness_conditions(rng):
 
 # --- assemble / entry ---------------------------------------------------------
 
-def test_model_entry_matches_assemble(rng):
+def test_model_gather_entry_matches_assemble(rng):
     A = rand_bt(rng, (6, 5, 4), 3)
     sets = [[0, 3], [1, 4], [0, 2]]
     model = tucker_cross(A, sets)
     B = assemble(model)
     for _ in range(20):
         idx = tuple(int(rng.integers(n)) for n in A.dims)
-        assert np.abs(model_entry(model, idx) - B.data[idx]).max() < 1e-12
+        val = model_gather(model, [[i] for i in idx]).reshape(-1)
+        assert np.abs(val - B.data[idx]).max() < 1e-12
     grids = [[0, 5], [2], [1, 3]]
     gathered = model_gather(model, grids)
     assert np.allclose(gathered, B.data[np.ix_(*grids)], atol=1e-12)
 
 
-def test_model_entry_rank_one_and_zero_core(rng):
+def test_model_gather_rank_one_and_zero_core(rng):
     ip = InnerProduct.identity(3)
     core = BTensor(rng.standard_normal((1, 1, 3)), ip)
     factors = [rng.standard_normal((4, 1)), rng.standard_normal((5, 1))]
     dec = TuckerDecomp(core=core, factors=factors)
-    val = model_entry(dec, (2, 3))
-    assert np.allclose(val, factors[0][2, 0] * factors[1][3, 0] * core.data[0, 0])
+    val = model_gather(dec, [[2], [3]])
+    assert val.shape == (1, 1, 3)
+    assert np.allclose(val[0, 0],
+                       factors[0][2, 0] * factors[1][3, 0] * core.data[0, 0])
     zero = TuckerDecomp(core=BTensor(np.zeros((1, 1, 3)), ip), factors=factors)
-    assert not model_entry(zero, (1, 1)).any()
+    assert not model_gather(zero, [[1], [1]]).any()
 
 
 # --- HOSVD --------------------------------------------------------------------
@@ -365,8 +384,14 @@ def test_relative_error_matches_direct(rng):
     ip = make_ip("diagonal", 4, rng)
     A = rand_bt(rng, (6, 5, 7), 4, ip)
     model = tucker_cross(A, [[0, 2], [1, 3], [2, 4]])
-    direct = direct_rel_error(A, assemble(model))
+    B = assemble(model)
+    direct = direct_rel_error(A, B)
     assert relative_error(A, model) == pytest.approx(direct, rel=1e-10)
+    diff = fro_norm(BTensor(A.data - B.data, ip))
+    assert error_norm(A, model) == pytest.approx(diff, rel=1e-10)
+    assert error_norm(A, model) / fro_norm(A) == relative_error(A, model)
+    with pytest.raises(ValueError):
+        relative_error(BTensor(np.zeros_like(A.data), ip), model)
 
 
 def test_scalar_consistency_all_ops(rng):

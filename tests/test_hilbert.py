@@ -6,7 +6,6 @@ from fvtensor.hilbert import (
     NonPositiveWeightError,
     NonSPDError,
     NonSymmetricError,
-    axpy,
     dot,
     norm,
     validate,
@@ -47,17 +46,6 @@ def test_norm_zero_and_pythagoras():
     assert norm([3.0, 4.0], InnerProduct.identity(2)) == pytest.approx(5.0)
     assert norm([1.0, 1.0], InnerProduct.diagonal([2.0, 3.0])) == \
         pytest.approx(np.sqrt(5.0))
-
-
-def test_axpy():
-    y = np.array([3.0, 4.0])
-    assert np.array_equal(axpy(0.0, np.array([9.0, 9.0]), y), y)
-    assert np.array_equal(axpy(1.0, np.array([1.0, 2.0]), y),
-                          np.array([4.0, 6.0]))
-    x = np.array([5.0, 7.0])
-    assert np.array_equal(axpy(-1.0, x, x), np.zeros(2))
-    with pytest.raises(ValueError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
 
 
 def test_validate_identity_ok():

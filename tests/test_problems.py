@@ -35,13 +35,13 @@ def test_oracle_matches_dense_and_is_pure():
     rng = np.random.default_rng(0)
     for _ in range(20):
         idx = tuple(int(rng.integers(n)) for n in spec.dims)
-        v1 = oracle(idx)
-        v2 = oracle(idx)
+        v1 = oracle.fn(idx)
+        v2 = oracle.fn(idx)
         assert np.array_equal(v1, v2)
         assert np.allclose(v1, A.data[idx], atol=1e-12)
     # same seed, fresh objects: identical
     again = make_oracle(FamilySpec("lowrank_plus_decay", (5, 6, 4), 3, seed=5))
-    assert np.array_equal(again((1, 2, 3)), oracle((1, 2, 3)))
+    assert np.array_equal(again.fn((1, 2, 3)), oracle.fn((1, 2, 3)))
 
 
 def test_two_resolution_consistency():

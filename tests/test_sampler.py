@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fvtensor.btensor import BTensor, assemble, tucker_cross
+from fvtensor.aca import _ResidualRowView
+from fvtensor.btensor import BTensor, assemble, row_matrix, tucker_cross
 from fvtensor.hilbert import InnerProduct
-from fvtensor.sampler import CacheOverflowError, CachedOracle, EntryOracle, residual_view
+from fvtensor.sampler import CacheOverflowError, CachedOracle, EntryOracle
 
 
 def counting_oracle(rng, dims, h):
@@ -68,29 +69,29 @@ def test_overflow_knob(rng):
         c.get((1, 1))
 
 
-def test_residual_view_cases(rng):
+def test_residual_row_view_norms(rng):
     A, c = counting_oracle(rng, (5, 4, 6), 3)
-    # empty model: residual equals the tensor itself
-    view = residual_view(c, None)
-    idx = (2, 1, 3)
-    assert np.array_equal(view(idx), A.data[idx])
-    # exact model: residual vanishes
     sets = [[0, 2, 4], [0, 1, 3], [1, 2, 5]]
     model = tucker_cross(A, sets)
-    res = residual_view(c, model)
-    B = assemble(model)
+    resid = BTensor(A.data - assemble(model).data, A.ip)
     scale = A.ip.norms(A.data.reshape(-1, 3)).max()
-    for _ in range(10):
-        idx = tuple(int(rng.integers(n)) for n in (5, 4, 6))
-        r = res(idx)
-        assert np.allclose(r, A.data[idx] - B.data[idx], atol=1e-12 * scale)
-    core_idx = (sets[0][1], sets[1][0], sets[2][2])
-    assert A.ip.norms(res(core_idx)).max() <= 1e-9 * scale
-
-
-def test_residual_view_dims_mismatch(rng):
-    A, c = counting_oracle(rng, (5, 4), 3)
-    B, _ = counting_oracle(rng, (5, 5), 3)
-    model = tucker_cross(B, [[0, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        residual_view(c, model)
+    for k in range(3):
+        # empty model: the view's norms are the tensor's own fiber norms
+        view = _ResidualRowView(c, None, sets, k)
+        fibers = row_matrix(A, sets, k).data
+        assert view.shape == fibers.shape[:2]
+        for i in range(view.shape[0]):
+            assert np.array_equal(view.row_norms(i), A.ip.norms(fibers[i]))
+        for j in range(view.shape[1]):
+            assert np.array_equal(view.col_norms(j), A.ip.norms(fibers[:, j]))
+        assert view.max_seen == A.ip.norms(fibers).max()
+        # Tucker-cross model at the same sets: the residual of the assembled
+        # model, which vanishes on the core fibers
+        view = _ResidualRowView(c, model, sets, k)
+        want = A.ip.norms(row_matrix(resid, sets, k).data)
+        for i in range(view.shape[0]):
+            assert np.allclose(view.row_norms(i), want[i], atol=1e-12 * scale)
+        cols = np.sqrt(np.sum(want**2, axis=0))
+        assert np.allclose(view.all_col_norms(), cols, atol=1e-12 * scale)
+        for j in sets[k]:
+            assert view.col_norms(j).max() <= 1e-9 * scale
