@@ -86,13 +86,10 @@ class _ResidualRowView:
         vals = self.cached.gather(grids)
         if self.model is not None:
             vals = vals - model_gather(self.model, grids)
-        # flat, because a dense-Gram product over a grid with a length-1
-        # axis takes another BLAS path and can change the last bits
-        flat = vals.reshape(-1, vals.shape[-1])
-        sq = self.cached.ip.pair(flat, flat)
+        sq = self.cached.ip.pair(vals, vals)
         if sq.size:
             self.max_seen = max(self.max_seen, float(np.sqrt(max(sq.max(), 0.0))))
-        return sq.reshape(vals.shape[:-1])
+        return sq
 
     def col_norms(self, j):
         return _norms(self._sq_norms(

@@ -10,6 +10,7 @@ file.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -256,7 +257,7 @@ def _cmd_info(args):
     if head == MAGIC:
         A = load_fvt(path)
         print(f"FVT tensor: dims={A.dims} h={A.h} gram={A.ip.kind} "
-              f"entries={int(np.prod(A.dims))}")
+              f"entries={math.prod(A.dims)}")
         return 0
     with open(path) as f:
         doc = json.load(f)

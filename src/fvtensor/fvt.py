@@ -17,6 +17,7 @@ The entry payload is exactly the C-order bytes of the ``dims + (h,)``
 coefficient array, so a save/load round-trip is bitwise exact.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -116,8 +117,8 @@ def load_fvt(path):
     except InnerProductError as exc:
         raise NonSPDGram(str(exc)) from exc
 
-    n_entries = int(np.prod(dims, dtype=np.int64))
-    nbytes = 8 * n_entries * h
+    # exact ints: an int64 product of hostile dims can wrap to a small size
+    nbytes = 8 * math.prod(dims) * h
     raw, off = _take(buf, off, nbytes, "entry payload")
     if off != len(buf):
         raise TruncatedFile(f"{len(buf) - off} trailing bytes")

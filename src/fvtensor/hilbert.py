@@ -108,13 +108,22 @@ class InnerProduct:
         return x
 
     def apply(self, x):
-        """Apply the Gram matrix along the last axis of ``x``."""
+        """Apply the Gram matrix along the last axis of ``x``.
+
+        The dense product is one flat ``(N, h) @ G``: a stacked matmul
+        takes another BLAS path when the second-to-last axis has length
+        1, so the last bits of an entry would depend on its grid's shape.
+        """
         x = self._check(x)
         if self.kind == "identity":
             return x
         if self.kind == "diagonal":
             return x * self.weights
-        return x @ self.gram
+        # written into an array of x's shape, not returned as a reshaped
+        # view: numpy reuses an owning temporary in place in pair's product
+        out = np.empty(x.shape)
+        np.matmul(x.reshape(-1, self.h), self.gram, out=out.reshape(-1, self.h))
+        return out
 
     def whiten(self, x):
         """Apply ``L^T`` along the last axis of ``x``.

@@ -10,6 +10,7 @@ the model reproduces the stored solution exactly.
 """
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ BASIS_KINDS = ("hat", "lagrange")
 
 
 class DomainError(ValueError):
-    """Query point outside the grid span of a hat basis."""
+    """Query point not finite, or outside the grid span of a hat basis."""
 
 
 @dataclass
@@ -108,9 +109,12 @@ def basis_eval(basis, alpha):
     Hat bases are local, nonnegative, sum to one, and refuse points
     outside the grid span; the barycentric Lagrange basis reproduces
     polynomials up to the grid degree and extrapolates with a warning.
-    Both return an exact unit vector at grid nodes.
+    Both return an exact unit vector at grid nodes and refuse NaN or
+    infinite points.
     """
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError(f"parameter {alpha} is not finite")
     if basis.kind == "hat":
         return _hat_eval(basis.nodes, alpha)
     return _lagrange_eval(basis.nodes, alpha)

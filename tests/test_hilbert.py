@@ -108,3 +108,19 @@ def test_whiten_is_an_isometry(kind):
     assert np.allclose(ip.unwhiten(xw), x, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         ip.whiten(np.zeros((2, 4)))
+
+
+def test_dense_apply_is_the_flat_product():
+    # a stacked matmul with a length-1 second-to-last axis takes BLAS's
+    # matrix-vector path, which differed from the flat product in the
+    # last bits; apply must not depend on the shape of the grid
+    rng = np.random.default_rng(11)
+    ip = make_ip("dense", 144, rng)
+    for shape in [(4, 4, 1, 144), (3, 1, 144), (1, 144), (144,), (2, 5, 144)]:
+        x = rng.standard_normal(shape)
+        flat = (x.reshape(-1, 144) @ ip.gram).reshape(shape)
+        gx = ip.apply(x)
+        assert np.array_equal(gx, flat)
+        # an owning result lets pair's product reuse it in place; a view
+        # cost one more full-size allocation per dense pair
+        assert gx.base is None and gx.flags.c_contiguous

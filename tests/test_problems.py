@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,10 @@ def test_fvt_truncated(tmp_path, rng):
     with pytest.raises(TruncatedFile):
         load_fvt(path)
     path.write_bytes(raw + b"\x00" * 8)
+    with pytest.raises(TruncatedFile):
+        load_fvt(path)
+    # dims (2^62, 4): the int64 entry count wraps to 0, the exact one does not
+    path.write_bytes(b"FVT1" + struct.pack("<II2QQB", 1, 2, 2**62, 4, 2, 0))
     with pytest.raises(TruncatedFile):
         load_fvt(path)
 

@@ -74,6 +74,14 @@ def test_hat_out_of_domain():
         basis_eval(b, 1.1)
 
 
+@pytest.mark.parametrize("kind", ["hat", "lagrange"])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameter_out_of_domain(kind, alpha):
+    for nodes in ([0.0, 0.5, 1.0], [0.25]):
+        with pytest.raises(DomainError):
+            basis_eval(Basis1D(kind, np.array(nodes)), alpha)
+
+
 def test_lagrange_reproduces_quadratic():
     nodes = np.cos(np.array([2.0, 1.0, 0.0]) * np.pi / 2.0)  # -1, 0, 1 like
     b = Basis1D("lagrange", np.sort(nodes))

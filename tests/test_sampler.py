@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvtensor.aca import _ResidualRowView
 from fvtensor.btensor import BTensor, assemble, row_matrix, tucker_cross
@@ -26,12 +28,38 @@ def test_get_counts_distinct_only(rng):
     assert c.count == 12
 
 
-def test_get_out_of_range(rng):
+BAD_INDEX = {"negative": (0, -1), "past_end": (3, 0), "arity": (0, 1, 2)}
+READS = {
+    "get": lambda c, bad: c.get(bad),
+    "get_many": lambda c, bad: c.get_many([(0, 0), bad, (1, 1)]),
+    "gather": lambda c, bad: c.gather([[0, i] for i in bad]),
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("bad", sorted(BAD_INDEX))
+def test_get_out_of_range(rng, read, bad):
     _, c = counting_oracle(rng, (3, 4), 2)
+    calls = []
+    fn = c.oracle.fn
+    c.oracle.fn = lambda idx: calls.append(idx) or fn(idx)
     with pytest.raises(IndexError):
-        c.get((3, 0))
-    with pytest.raises(IndexError):
-        c.get((0, 1, 2))
+        READS[read](c, BAD_INDEX[bad])
+    assert calls == [] and c.count == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_oracle_value_rejected(rng, bad):
+    A, c = counting_oracle(rng, (3, 4), 2)
+    c.get((0, 0))
+    poisoned = A.data.copy()
+    poisoned[2, 1, 1] = bad
+    c.oracle.fn = lambda idx: poisoned[idx]
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        c.get_many([(0, 0), (1, 3), (2, 1), (0, 2)])
+    # nothing of the batch was cached, and the store still works
+    assert c.count == 1
+    assert np.array_equal(c.get((1, 3)), A.data[1, 3])
 
 
 def test_purity_repeated_gets(rng):
@@ -58,6 +86,33 @@ def test_get_many_threads_identical(rng):
     out4 = c4.get_many(idxs)
     assert np.array_equal(out1, out4)
     assert c1.count == c4.count == 36
+
+
+@st.composite
+def grids_on(draw):
+    """Dims plus one unsorted index list per mode, repeats allowed."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    grids = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+             for n in dims]
+    return dims, grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids_on(), st.integers(0, 2**32 - 1))
+def test_gather_property(case, seed):
+    dims, grids = case
+    A, c1 = counting_oracle(np.random.default_rng(seed), dims, 3)
+    c4 = CachedOracle(c1.oracle, threads=4)
+    want = A.gather(grids)
+    got1, got4 = c1.gather(grids), c4.gather(grids)
+    assert np.array_equal(got1, want)
+    assert got1.tobytes() == got4.tobytes()
+    distinct = 1
+    for g in grids:
+        distinct *= len(set(g))
+    assert c1.count == c4.count == distinct
+    # a second read is all hits
+    assert np.array_equal(c1.gather(grids), want) and c1.count == distinct
 
 
 def test_overflow_knob(rng):
