@@ -32,6 +32,7 @@ from .btensor import (
     error_norm,
     fro_norm,
     hosvd,
+    hosvd_error,
     hosvd_error_bound,
     mode_mul,
     refold,
@@ -42,7 +43,15 @@ from .btensor import (
     unfold,
 )
 from .sampler import CachedOracle, EntryOracle
-from .aca import AbcConfig, AbcReport, draw, leverage_scores, rook_pivot, tucker_abc
+from .aca import (
+    AbcConfig,
+    AbcReport,
+    abc_sweeps,
+    draw,
+    leverage_scores,
+    rook_pivot,
+    tucker_abc,
+)
 from .rom import (
     Basis1D,
     ParamGrid,

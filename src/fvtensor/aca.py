@@ -203,14 +203,20 @@ def _estimate_leverage(cached, aux, rng, tol_rel):
     return scores
 
 
-def tucker_abc(cached, cfg):
-    """Adaptive Tucker-cross approximation from sparse entry samples.
+def abc_sweeps(cached, cfg):
+    """Adaptive Tucker-cross approximation from sparse entry samples, one
+    sweep at a time.
 
-    Runs ``cfg.n_iter`` sweeps; in each sweep every mode receives one new
-    index found by rook pivoting on the residual restricted to the
-    auxiliary sets, and the Tucker-cross model is rebuilt at the enlarged
-    index sets.  Returns the final model and a report with per-iteration
-    ranks, budgets, and index-set snapshots.
+    A generator: it runs up to ``cfg.n_iter`` sweeps and yields
+    ``(model, report)`` after each one.  In each sweep every mode receives
+    one new index found by rook pivoting on the residual restricted to the
+    auxiliary index sets, and the Tucker-cross model is rebuilt at the
+    enlarged index sets.  ``report`` is one object, updated in place: at
+    each yield it holds the per-iteration ranks, budgets and index-set
+    snapshots so far, and the current index and auxiliary sets.  The
+    generator stops early once the largest residual seen in a sweep falls
+    to ``cfg.early_stop_tol`` times the largest core-entry norm.  Nothing
+    runs, and ``cfg`` is not checked, until the first ``next``.
 
     If a pivot lands on an index already in the set, a fresh start column
     is drawn up to five times; failing that, the unused column with the
@@ -221,8 +227,8 @@ def tucker_abc(cached, cfg):
     sets ``S[l]`` in all modes but at most one; it has
     ``prod(s_l) + sum_k (n_k - s_k) * prod_{l != k} s_l`` entries.
 
-    - The final model is :func:`tucker_cross` at ``report.index_sets``,
-      which reads all of cross(index_sets).
+    - The model of each sweep is :func:`tucker_cross` at
+      ``report.index_sets``, which reads all of cross(index_sets).
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
       the auxiliary sets.
@@ -278,13 +284,21 @@ def tucker_abc(cached, cfg):
         report.index_set_history.append(tuple(tuple(I) for I in sets))
         report.max_residual_by_iter.append(sweep_max)
         report.n_iter_run = s
+        report.index_sets = report.index_set_history[-1]
+        report.aux_sets = tuple(tuple(a) for a in aux)
 
         if cfg.early_stop_tol > 0.0 and scanned:
             core_scale = float(np.max(cached.ip.norms(model.core.data)))
             if sweep_max <= cfg.early_stop_tol * core_scale:
                 report.converged = True
-                break
+        yield model, report
+        if report.converged:
+            return
 
-    report.index_sets = tuple(tuple(I) for I in sets)
-    report.aux_sets = tuple(tuple(a) for a in aux)
+
+def tucker_abc(cached, cfg):
+    """Run :func:`abc_sweeps` to the end; return its last model and the
+    report, with the final index and auxiliary sets."""
+    for model, report in abc_sweeps(cached, cfg):
+        pass
     return model, report

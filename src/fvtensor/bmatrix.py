@@ -3,6 +3,7 @@
 A function-valued matrix stores one coefficient vector of length ``h`` per
 entry, as an ``(m, n, h)`` array.  Scalar matrices act on it from the left
 and right, and the adjoint contracts against the Hilbert-space inner product.
+A left product is one BLAS ``matmul`` on the ``(m, n*h)`` reshape.
 
 Whitening each entry (:meth:`~fvtensor.hilbert.InnerProduct.whiten`) maps
 an ``(m, n)`` function-valued matrix isometrically onto a real
@@ -10,8 +11,11 @@ an ``(m, n)`` function-valued matrix isometrically onto a real
 vectors.  SVD, numerical column-rank and the applied pseudoinverse are
 therefore each one LAPACK call on the whitened matrix, and numerical rank
 is everywhere the count of singular values above ``tol_rel`` times the
-largest one.  Cross approximation is built on the pseudoinverse.  A
-column-pivoted Gram-Schmidt QR is kept as a standalone factorization.
+largest one.  Singular values and right singular vectors alone are read
+off the triangular factor of the whitened matrix, which a matrix taller
+than ``TSQR_BLOCK`` rows gets by TSQR.  Cross approximation is built on
+the pseudoinverse.  A column-pivoted Gram-Schmidt QR is kept as a
+standalone factorization.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ import numpy as np
 from .hilbert import InnerProduct
 
 DEFAULT_TOL = 1e-12
+TSQR_BLOCK = 4096  # rows of the whitened matrix per TSQR block
 
 
 class BMatrix:
@@ -110,11 +115,13 @@ def transpose(A):
 
 
 def left_mul(B, A):
-    """Product of a scalar ``(k, m)`` matrix with a function-valued one."""
+    """Product of a scalar ``(k, m)`` matrix with a function-valued one:
+    one ``matmul`` on the ``(m, n*h)`` reshape of ``A``."""
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] != A.m:
         raise ValueError(f"cannot multiply {B.shape} with {A.m}x{A.n}")
-    return BMatrix(np.einsum("ik,kjh->ijh", B, A.data), A.ip)
+    out = B @ A.data.reshape(A.m, A.n * A.h)
+    return BMatrix(out.reshape(B.shape[0], A.n, A.h), A.ip)
 
 
 def right_mul(A, C):
@@ -239,15 +246,35 @@ def _truncated_scalar_svd(X, tol_rel):
     return Uh[:, :k], s[:k], Vh[:k]
 
 
+def _r_factor(X):
+    """Triangular factor of the QR factorization of a tall real ``X``.
+
+    A matrix taller than ``TSQR_BLOCK`` rows is factored by TSQR (Demmel,
+    Grigori, Hoemmen & Langou, SISC 34(1), 2012): every block of
+    ``TSQR_BLOCK`` rows is reduced to its triangular factor, and one QR
+    of the stacked factors gives ``R``.  Each block QR works in cache,
+    where a single tall QR streams the whole matrix once per reflector.
+    """
+    if X.shape[0] <= TSQR_BLOCK:
+        return np.linalg.qr(X, mode="r")
+    blocks = [np.linalg.qr(X[i:i + TSQR_BLOCK], mode="r")
+              for i in range(0, X.shape[0], TSQR_BLOCK)]
+    return np.linalg.qr(np.vstack(blocks), mode="r")
+
+
 def _sigma_v(A, tol_rel=DEFAULT_TOL):
     """Truncated singular values and right singular vectors of ``A``.
 
-    They are read off the triangular factor of the whitened matrix, so
-    the tall left singular factor is never formed.
+    They are read off the triangular factor of the whitened matrix
+    (:func:`_r_factor`), so the tall left singular factor is never
+    formed.  Singular vectors are fixed only up to sign, and the sign
+    LAPACK returns depends on how ``R`` was reached; each column of ``V``
+    is therefore turned so that its entry of largest magnitude (the
+    first such, on a tie) is positive.
     """
-    R = np.linalg.qr(_whitened(A), mode="r")
-    _, s, Vh = _truncated_scalar_svd(R, tol_rel)
-    return s, Vh.T
+    _, s, Vh = _truncated_scalar_svd(_r_factor(_whitened(A)), tol_rel)
+    lead = Vh[np.arange(s.size), np.argmax(np.abs(Vh), axis=1)]
+    return s, (Vh * np.sign(lead)[:, None]).T
 
 
 def svd(A, tol_rel=DEFAULT_TOL):

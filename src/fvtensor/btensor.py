@@ -236,12 +236,14 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
 
     Each mode's factor collects the leading right singular vectors of the
     transposed unfolding, taken with its singular values from the
-    triangular factor of the whitened unfolding (no left singular vectors
-    are formed); the core is the tensor contracted with the
-    transposed factors.  Requested ranks above the numerical rank are
-    clamped (and reported), never an error.  The full per-mode singular
-    value vectors are returned so the quasi-optimality bound can be
-    evaluated.
+    triangular factor of the whitened unfolding (TSQR for a tall one; no
+    left singular vectors are formed).  Each factor column has its entry
+    of largest magnitude positive, so the factors do not depend on the
+    QR path.  The core is the tensor contracted with the transposed
+    factors, one BLAS product per mode.  Requested ranks above the
+    numerical rank are clamped (and reported), never an error; a
+    negative rank is a ``ValueError``.  The full per-mode singular value
+    vectors are returned so the quasi-optimality bound can be evaluated.
     """
     d = A.d
     if ranks is None:
@@ -249,6 +251,8 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     ranks = [int(r) for r in ranks]
     if len(ranks) != d:
         raise ValueError(f"expected {d} ranks, got {len(ranks)}")
+    if any(r < 0 for r in ranks):
+        raise ValueError(f"ranks must be nonnegative, got {tuple(ranks)}")
 
     factors = []
     sigmas = []
@@ -260,7 +264,6 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
         rk = min(ranks[k], sigma.size)
         if rk < ranks[k]:
             clamped = True
-        rk = max(rk, 0)
         factors.append(V[:, :rk])
         achieved.append(rk)
 
@@ -271,6 +274,30 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     return HosvdResult(
         decomp=decomp, sigmas=sigmas, ranks=tuple(achieved), clamped=clamped
     )
+
+
+def hosvd_error(res, ranks):
+    """l2(H) error of the HOSVD ``res`` truncated to ``ranks``, from its core.
+
+    ``res`` is an untruncated HOSVD, ``hosvd(A)``.  Its factors are
+    orthonormal, so the error of keeping the leading ``ranks`` block is
+    the l2(H) norm of the core outside that block (De Lathauwer, De Moor
+    & Vandewalle, SIMAX 21(4), 2000): the sum of the squared entry norms
+    over the ``d`` disjoint slabs ``C[:r_1, ..., :r_(k-1), r_k:, ...]``.
+    It is exact up to the numerical-rank tail that ``hosvd`` drops, and
+    no entry of ``A`` is read.  Ranks above the core's size keep the
+    whole mode.
+    """
+    C = res.decomp.core
+    ranks = [int(r) for r in ranks]
+    if len(ranks) != C.d or any(r < 0 for r in ranks):
+        raise ValueError(f"need {C.d} nonnegative ranks, got {tuple(ranks)}")
+    sq = 0.0
+    for k in range(C.d):
+        kept = tuple(slice(r) for r in ranks[:k])
+        slab = C.data[kept + (slice(ranks[k], None),)]
+        sq += float(np.sum(C.ip.pair(slab, slab)))
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 def hosvd_error_bound(sigmas, ranks):

@@ -17,15 +17,14 @@ import sys
 import numpy as np
 
 from . import problems, rom
-from .aca import AbcConfig, tucker_abc
+from .aca import AbcConfig, abc_sweeps, tucker_abc
 from .btensor import (
     BTensor,
-    TuckerDecomp,
     error_norm,
     fro_norm,
     hosvd,
+    hosvd_error,
     hosvd_error_bound,
-    tucker_cross,
 )
 from .fvt import FvtError, MAGIC, load_fvt, save_fvt
 from .hilbert import InnerProduct, InnerProductError
@@ -120,17 +119,16 @@ def _draw_aux(dims, size, seed):
             for n in dims]
 
 
-def _run_abc(args, cached):
-    cfg = AbcConfig(
+def _abc_config(args, dims):
+    return AbcConfig(
         n_iter=int(args.iters),
-        init_aux=_draw_aux(cached.dims, int(args.aux), args.seed),
+        init_aux=_draw_aux(dims, int(args.aux), args.seed),
         n_rook=int(args.rook),
         draw={"uniform": "uniform", "roundrobin": "round_robin",
               "leverage": "leverage"}[args.draw],
         seed=int(args.seed),
         tol_rel=float(args.tol),
     )
-    return tucker_abc(cached, cfg)
 
 
 def _cmd_gen(args):
@@ -163,7 +161,7 @@ def _report_doc(report, cached, seed):
 
 def _cmd_build(args):
     _, cached, grids = _load_source(args, need_dense=False)
-    model, report = _run_abc(args, cached)
+    model, report = tucker_abc(cached, _abc_config(args, cached.dims))
     rm = rom.rom_from_parts(model, grids, ["hat"] * len(grids))
     base = args.out
     model_path = base if base.endswith(".json") else base + ".json"
@@ -202,35 +200,25 @@ def _cmd_hosvd(args):
     return 0
 
 
-def _hosvd_at_rank(full, ranks):
-    core = full.decomp.core
-    sl = tuple(slice(0, r) for r in ranks) + (slice(None),)
-    return TuckerDecomp(
-        core=BTensor(core.data[sl], core.ip),
-        factors=[V[:, :r] for V, r in zip(full.decomp.factors, ranks)],
-    )
-
-
 def _cmd_compare(args):
+    """Score each sweep's model as the sweep yields it; the HOSVD rows come
+    from the core of one full HOSVD, without reading ``A`` again."""
     A, cached, _ = _load_source(args, need_dense=True)
-    model, report = _run_abc(args, cached)
-    full = hosvd(A, None, float(args.tol))
     norm_a = fro_norm(A)
     if norm_a <= 0.0:
         raise ValueError("reference tensor is zero")
+    full = hosvd(A, None, float(args.tol))
 
     lines = ["iterations\trank\tabc_error\thosvd_error\thosvd_bound\tevals\n"]
-    for s, (sets, rk) in enumerate(
-            zip(report.index_set_history, report.rank_history), start=1):
-        m = tucker_cross(cached, sets, float(args.tol))
-        e_abc = error_norm(A, m) / norm_a
-        rk_cl = tuple(min(r, sig.size) for r, sig in zip(rk, full.sigmas))
-        e_h = error_norm(A, _hosvd_at_rank(full, rk_cl)) / norm_a
-        bound = hosvd_error_bound(full.sigmas, rk_cl) / norm_a
+    for model, report in abc_sweeps(cached, _abc_config(args, cached.dims)):
+        rk = report.rank_history[-1]
+        e_abc = error_norm(A, model) / norm_a
+        e_h = hosvd_error(full, rk) / norm_a
+        bound = hosvd_error_bound(full.sigmas, rk) / norm_a
         rank_str = "(" + ", ".join(str(r) for r in rk) + ")"
         lines.append(
-            f"{s}\t{rank_str}\t{_fmt(e_abc)}\t{_fmt(e_h)}\t{_fmt(bound)}"
-            f"\t{report.evals_by_iter[s - 1]}\n")
+            f"{report.n_iter_run}\t{rank_str}\t{_fmt(e_abc)}\t{_fmt(e_h)}"
+            f"\t{_fmt(bound)}\t{report.evals_by_iter[-1]}\n")
     with open(args.out, "w") as f:
         f.writelines(lines)
     print(f"wrote {args.out} ({report.n_iter_run} rows)")

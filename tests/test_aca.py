@@ -7,13 +7,20 @@ from fvtensor.aca import (
     AbcConfig,
     _ResidualRowView,
     _round_robin_stride,
+    abc_sweeps,
     draw,
     leverage_scores,
     rook_pivot,
     tucker_abc,
 )
 from fvtensor.bmatrix import BMatrix, svd
-from fvtensor.btensor import BTensor, assemble, fro_norm, tucker_rank
+from fvtensor.btensor import (
+    BTensor,
+    assemble,
+    fro_norm,
+    tucker_cross,
+    tucker_rank,
+)
 from fvtensor.hilbert import InnerProduct
 from fvtensor.sampler import CachedOracle, EntryOracle
 
@@ -216,6 +223,37 @@ def test_abc_interpolates_core_every_iteration(rng):
         assert np.array_equal(model.core.data, A.data[np.ix_(*sets)])
         diff = B.data[np.ix_(*sets)] - model.core.data
         assert A.ip.norms(diff).max() <= 1e-9 * A.ip.norms(A.data).max()
+
+
+def test_abc_sweeps_yield_each_sweep_model(rng):
+    A = BTensor(rng.standard_normal((7, 6, 5, 3)), make_ip("dense", 3, rng))
+    cfg = AbcConfig(n_iter=4, init_aux=[[0, 3], [1, 4], [2]], seed=6)
+    c = tensor_oracle(A)
+    yielded = 0
+    for model, report in abc_sweeps(c, cfg):
+        yielded += 1
+        assert report.n_iter_run == yielded
+        assert report.index_sets == report.index_set_history[-1]
+        ref = tucker_cross(c, report.index_set_history[yielded - 1])
+        assert model.index_sets == ref.index_sets
+        assert model.core.data.tobytes() == ref.core.data.tobytes()
+        for F, F_ref in zip(model.factors, ref.factors):
+            assert F.tobytes() == F_ref.tobytes()
+    assert yielded == 4
+    last, _ = tucker_abc(tensor_oracle(A), cfg)
+    assert last.core.data.tobytes() == model.core.data.tobytes()
+    for F, F_last in zip(model.factors, last.factors):
+        assert F.tobytes() == F_last.tobytes()
+
+
+def test_abc_sweeps_stop_at_early_convergence(rng):
+    ip = InnerProduct.identity(5)
+    A = exact_rank_tensor(rng, (6, 7, 5), (1, 1, 1), 5, ip)
+    cfg = AbcConfig(n_iter=4, init_aux=[[0], [0], [0]], n_rook=1, seed=1,
+                    early_stop_tol=1e-12)
+    converged = [r.converged for _, r in abc_sweeps(tensor_oracle(A), cfg)]
+    assert converged[-1] and not any(converged[:-1])
+    assert len(converged) <= 2
 
 
 def test_abc_determinism_across_threads(rng):

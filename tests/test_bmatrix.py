@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from fvtensor import bmatrix
 from fvtensor.bmatrix import (
+    TSQR_BLOCK,
     BMatrix,
+    _sigma_v,
     adjoint_apply,
     assemble_cross,
     column_rank,
@@ -50,6 +53,23 @@ def test_left_right_mul(rng):
     assert np.allclose(out2.data[:, :, 0], N @ M)
     with pytest.raises(ValueError):
         left_mul(np.eye(5), A)
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_left_mul_matches_entrywise_sum(kind):
+    # left_mul is one matmul on a reshape; the reference sums B[i, k] A[k, j]
+    # entry by entry, also for an operand that is a strided view
+    rng = np.random.default_rng(31)
+    ip = make_ip(kind, 4, rng)
+    A = BMatrix(np.swapaxes(rng.standard_normal((5, 3, 4)), 0, 1), ip)
+    B = rng.standard_normal((2, 3))
+    ref = np.zeros((2, 5, 4))
+    for i in range(2):
+        for k in range(3):
+            ref[i] += B[i, k] * A.data[k]
+    out = left_mul(B, A)
+    assert out.ip is ip
+    assert np.abs(out.data - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_adjoint_apply(rng):
@@ -163,6 +183,54 @@ def test_svd_invariants_seeded(kind):
         assert np.abs(fac.V.T @ fac.V - np.eye(r)).max() < 1e-10
         recon = right_mul(right_mul(fac.U, np.diag(fac.sigma)), fac.V.T)
         assert fro_norm(BMatrix(recon.data - A.data, ip)) <= 1e-9 * fro_norm(A)
+
+
+def _whitened_test_matrix(rng, ip, m, n, sigma):
+    """``(m, n)`` matrix over ``ip`` whose whitened ``(m*h, n)`` matrix
+    ``M_w`` has the singular values ``sigma``; returns ``(A, M_w)``."""
+    h = ip.h
+    L = np.linalg.cholesky(gram_matrix(ip))
+    Q, _ = np.linalg.qr(rng.standard_normal((m * h, sigma.size)))
+    P, _ = np.linalg.qr(rng.standard_normal((n, sigma.size)))
+    W = ((Q * sigma) @ P.T).reshape(m, h, n).transpose(0, 2, 1)
+    data = np.linalg.solve(L.T, W.reshape(-1, h).T).T.reshape(m, n, h)
+    return BMatrix(data, ip), (data @ L).transpose(0, 2, 1).reshape(m * h, n)
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_sigma_v_tsqr_matches_whitened_svd(kind):
+    # 700 entries of h = 7 make 4900 whitened rows: one full TSQR block
+    # and an uneven last one.  1e-11 lies above the 1e-12 cut, 1e-13 below.
+    rng = np.random.default_rng(37)
+    ip = make_ip(kind, 7, rng)
+    sigma = np.array([1.0, 0.5, 0.1, 1e-3, 1e-11, 1e-13])
+    A, M_w = _whitened_test_matrix(rng, ip, 700, 6, sigma)
+    assert TSQR_BLOCK < M_w.shape[0] < 2 * TSQR_BLOCK
+    s, V = _sigma_v(A)
+    _, s_ref, Vh_ref = np.linalg.svd(M_w, full_matrices=False)
+    assert s.size == whitened_rank(M_w) == 5
+    assert np.abs(s - s_ref[:5]).max() <= 1e-14 * s_ref[0]
+    # well-separated singular values pin their vectors up to sign
+    assert np.abs(np.abs(V[:, :4]) - np.abs(Vh_ref[:4].T)).max() <= 1e-10
+    # the 1e-11 vector is fixed only to about eps / 1e-11
+    assert abs(V[:, 4] @ Vh_ref[4]) >= 1.0 - 1e-6
+    assert np.abs(V.T @ V - np.eye(5)).max() <= 1e-12
+
+
+def test_sigma_v_sign_convention(monkeypatch):
+    # the entry of largest magnitude in each column of V is positive, so
+    # TSQR and a single tall QR give the same factor, not a sign-flipped one
+    rng = np.random.default_rng(41)
+    ip = make_ip("dense", 9, rng)
+    A, _ = _whitened_test_matrix(rng, ip, 600, 8, 0.7 ** np.arange(8))
+    s_tsqr, V_tsqr = _sigma_v(A)
+    monkeypatch.setattr(bmatrix, "TSQR_BLOCK", 10**9)
+    s_one, V_one = _sigma_v(A)
+    for V in (V_tsqr, V_one):
+        lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+        assert np.all(lead > 0.0)
+    assert np.abs(s_tsqr - s_one).max() <= 1e-14 * s_one[0]
+    assert np.abs(V_tsqr - V_one).max() <= 1e-10
 
 
 # --- pseudoinverse application ----------------------------------------------

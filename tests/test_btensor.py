@@ -10,6 +10,7 @@ from fvtensor.btensor import (
     error_norm,
     fro_norm,
     hosvd,
+    hosvd_error,
     hosvd_error_bound,
     mode_mul,
     model_gather,
@@ -367,6 +368,46 @@ def test_hosvd_clamps_requested_rank(rng):
     res = hosvd(A, (5, 5, 5))
     assert res.clamped
     assert res.ranks == (2, 2, 2)
+
+
+def test_hosvd_rejects_negative_ranks(rng):
+    A = rand_bt(rng, (4, 3, 5), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        hosvd(A, (-1, 2, 2))
+    res = hosvd(A, (0, 2, 2))
+    assert res.ranks == (0, 2, 2) and not res.clamped
+    assert res.decomp.core.dims == (0, 2, 2)
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 4), (4, 3, 5, 3)])
+def test_hosvd_error_matches_error_norm(kind, dims):
+    # the core outside the kept block carries the truncation error; compare
+    # with the full-tensor error of the HOSVD truncated to the same ranks
+    rng = np.random.default_rng(43)
+    ip = make_ip(kind, 3, rng)
+    A = rand_bt(rng, dims, 3, ip)
+    full = hosvd(A)
+    tol = 1e-12 * fro_norm(A)
+    cases = [full.ranks, tuple(max(1, r // 2) for r in full.ranks),
+             tuple(int(rng.integers(1, r + 1)) for r in full.ranks)]
+    cases += [full.ranks[:k] + (0,) + full.ranks[k + 1:]
+              for k in range(len(dims))]
+    for ranks in cases:
+        truncated = hosvd(A, ranks)
+        assert truncated.ranks == ranks
+        assert abs(hosvd_error(full, ranks)
+                   - error_norm(A, truncated.decomp)) <= tol
+    assert hosvd_error(full, full.ranks) == 0.0
+    zero_mode = (0,) + full.ranks[1:]
+    assert hosvd_error(full, zero_mode) == pytest.approx(fro_norm(A),
+                                                         rel=1e-12)
+    # ranks past the core keep the whole mode
+    assert hosvd_error(full, [r + 2 for r in full.ranks]) == 0.0
+    with pytest.raises(ValueError):
+        hosvd_error(full, full.ranks[:-1])
+    with pytest.raises(ValueError):
+        hosvd_error(full, (-1,) + full.ranks[1:])
 
 
 def test_fro_norm_cases(rng):

@@ -1,10 +1,14 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from fvtensor import aca, cli
+from fvtensor.btensor import BTensor
 from fvtensor.cli import main
-from fvtensor.fvt import load_fvt
+from fvtensor.fvt import load_fvt, save_fvt
+from fvtensor.hilbert import InnerProduct
 
 
 def run(argv, capsys=None):
@@ -156,6 +160,42 @@ def test_compare_table_and_bound(tmp_path):
         prev_evals = int(evals)
     # separable rank 3 family: exact recovery by the third sweep
     assert float(lines[3].split("\t")[2]) <= 1e-8
+
+
+def test_compare_builds_each_sweep_model_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    # count through every fvtensor module that binds the function
+    real = aca.tucker_cross
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("fvtensor")
+                and getattr(mod, "tucker_cross", None) is real):
+            monkeypatch.setattr(mod, "tucker_cross", counted)
+    out = str(tmp_path / "cmp.tsv")
+    assert main(["compare", "--family", "lowrank_plus_decay",
+                 "--dims", "8,7,6", "--h", "5", "--seed", "2",
+                 "--iters", "4", "--out", out]) == 0
+    assert len(open(out).read().splitlines()) == 1 + 4
+    assert len(calls) == 4
+
+
+def test_compare_zero_tensor_fails_first(tmp_path, capsys, monkeypatch):
+    # the zero check runs before the sweep and the HOSVD, and writes nothing
+    started = []
+    monkeypatch.setattr(cli, "abc_sweeps", lambda *a: started.append("sweep"))
+    monkeypatch.setattr(cli, "hosvd", lambda *a: started.append("hosvd"))
+    src = str(tmp_path / "zero.fvt")
+    save_fvt(BTensor(np.zeros((4, 5, 3, 2)), InnerProduct.identity(2)), src)
+    out = tmp_path / "cmp.tsv"
+    assert main(["compare", "--input", src, "--iters", "2",
+                 "--out", str(out)]) == 2
+    assert "reference tensor is zero" in capsys.readouterr().err
+    assert not out.exists()
+    assert started == []
 
 
 def test_compare_threads_byte_identical(tmp_path):
