@@ -2,9 +2,9 @@
 
 A function-valued matrix holds one Hilbert-space element per entry,
 represented by a coefficient vector; the geometry enters through a Gram
-specification.  This script walks through inner products, the pivoted
-QR, the SVD, the applied pseudoinverse, and cross approximation, and
-shows that changing the inner product changes the cross approximant.
+specification.  This script walks through inner products, the SVD, the
+applied pseudoinverse, and cross approximation, and shows that changing
+the inner product changes the cross approximant.
 """
 
 import numpy as np
@@ -38,12 +38,10 @@ A = fv.right_mul(fv.left_mul(Fl, K), Pr.T)
 print("\ncolumn rank:", fv.column_rank(A),
       " row rank:", fv.column_rank(fv.transpose(A)))
 
-qr = fv.mgs_qr(A)
-print("QR rank:", qr.rank)
-print("Q*Q - I max:", np.abs(fv.adjoint_apply(qr.Q, qr.Q) - np.eye(qr.rank)).max())
-
 fac = fv.svd(A)
 print("singular values:", fac.sigma)
+r = fac.sigma.size
+print("U*U - I max:", np.abs(fv.adjoint_apply(fac.U, fac.U) - np.eye(r)).max())
 
 # pseudoinverse is applied, never materialized: A^dagger A = V V^T
 P = fv.pinv_apply(A, A)

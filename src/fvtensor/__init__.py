@@ -3,7 +3,7 @@
 Arrays whose entries live in a finite-dimensional Hilbert space are
 represented by coefficient arrays with one trailing axis, paired with an
 :class:`~fvtensor.hilbert.InnerProduct` describing the geometry.  The
-package provides the linear algebra of such arrays (QR, SVD, pseudoinverse
+package provides the linear algebra of such arrays (SVD, pseudoinverse
 application, cross approximation, Tucker machinery, HOSVD), an adaptive
 cross-sampling algorithm driven by a cached entry oracle, and interpolatory
 reduced-order models built on top of the sampled decompositions.
@@ -12,13 +12,11 @@ reduced-order models built on top of the sampled decompositions.
 from .hilbert import InnerProduct, dot, norm, validate
 from .bmatrix import (
     BMatrix,
-    QRFactors,
     SVDFactors,
     adjoint_apply,
     column_rank,
     cross_matrix,
     left_mul,
-    mgs_qr,
     pinv_apply,
     right_mul,
     svd,

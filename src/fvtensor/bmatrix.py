@@ -14,15 +14,12 @@ is everywhere the count of singular values above ``tol_rel`` times the
 largest one.  Singular values and right singular vectors alone are read
 off the triangular factor of the whitened matrix, which a matrix taller
 than ``TSQR_BLOCK`` rows gets by TSQR.  Cross approximation is built on
-the pseudoinverse.  A column-pivoted Gram-Schmidt QR is kept as a
-standalone factorization.
+the pseudoinverse.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .hilbert import InnerProduct
 
 DEFAULT_TOL = 1e-12
 TSQR_BLOCK = 4096  # rows of the whitened matrix per TSQR block
@@ -64,31 +61,8 @@ class BMatrix:
     def shape(self):
         return self.data.shape[:2]
 
-    def entry(self, i, j):
-        return self.data[i, j]
-
-    @classmethod
-    def zeros(cls, m, n, ip):
-        return cls(np.zeros((m, n, ip.h)), ip)
-
     def __repr__(self):
         return f"BMatrix({self.m}x{self.n} over R^{self.h}, {self.ip.kind})"
-
-
-@dataclass
-class QRFactors:
-    """Pivoted thin QR of a function-valued matrix.
-
-    ``Q`` has ``rank`` H-orthonormal columns, ``R`` is ``rank x n`` in
-    pivoted column order (upper-trapezoidal on the accepted columns), and
-    ``perm`` lists original column indices in pivot order, accepted
-    columns first.
-    """
-
-    Q: BMatrix
-    R: np.ndarray
-    perm: np.ndarray
-    rank: int
 
 
 @dataclass
@@ -103,11 +77,6 @@ class SVDFactors:
     U: BMatrix
     sigma: np.ndarray
     V: np.ndarray
-
-
-def column_norms(A):
-    """H-norms of the columns of ``A`` as a length-``n`` vector."""
-    return np.sqrt(np.sum(A.ip.pair(A.data, A.data), axis=0).clip(min=0.0))
 
 
 def transpose(A):
@@ -143,80 +112,6 @@ def adjoint_apply(A, B):
     if A.m != B.m:
         raise ValueError(f"row mismatch: {A.m} vs {B.m}")
     return np.einsum("ijh,ilh->jl", A.data, A.ip.apply(B.data))
-
-
-def mgs_qr(A, tol_rel=DEFAULT_TOL):
-    """Column-pivoted modified Gram-Schmidt QR with rank detection.
-
-    At every step the remaining column of largest residual H-norm is
-    selected (ties go to the smallest index) and orthogonalized; one
-    reorthogonalization pass is run when the residual norm has dropped
-    below 1/sqrt(2) of the column's original norm.  The process stops
-    once the largest remaining residual norm falls to ``tol_rel`` times
-    the largest original column norm.
-
-    The process runs on whitened entries, where every H-inner product is
-    a Euclidean one, and maps the orthonormal columns back to coefficient
-    vectors at the end.  Accepted columns are swapped to the front of the
-    workspace, so the active block stays a contiguous slice.
-    """
-    ip = A.ip
-    m, n, h = A.data.shape
-    work = np.array(ip.whiten(A.data))
-    cols = np.arange(n)
-    orig = column_norms(A)
-    max_orig = float(orig.max()) if n else 0.0
-    cap = min(n, m * h)
-
-    Rfull = np.zeros((cap, n))
-    n_active = n  # columns in [t, n_active) are candidates; beyond, dropped
-    t = 0
-    drop = 1.0 / np.sqrt(2.0)
-
-    def _swap(a, b):
-        if a == b:
-            return
-        work[:, [a, b]] = work[:, [b, a]]
-        cols[[a, b]] = cols[[b, a]]
-
-    if max_orig > 0.0:
-        threshold = tol_rel * max_orig
-        while t < cap and t < n_active:
-            sq = np.einsum("mjh,mjh->j", work[:, t:n_active],
-                           work[:, t:n_active])
-            ties = np.flatnonzero(sq == sq.max())
-            p_rel = int(ties[np.argmin(cols[t:n_active][ties])])
-            vnorm = float(np.sqrt(sq[p_rel]))
-            if vnorm <= threshold:
-                break
-            _swap(t, t + p_rel)
-            v = work[:, t]
-            if vnorm < drop * orig[cols[t]]:
-                for i in range(t):
-                    c = float(np.sum(work[:, i] * v))
-                    v -= c * work[:, i]
-                    Rfull[i, cols[t]] += c
-                vnorm = float(np.sqrt(np.sum(v * v)))
-                if vnorm <= threshold:
-                    # dependent after reorthogonalization: keep the reduced
-                    # residual for reconstruction, never pivot on it again
-                    n_active -= 1
-                    _swap(t, n_active)
-                    continue
-            work[:, t] /= vnorm
-            Rfull[t, cols[t]] = vnorm
-            if t + 1 < n:
-                coef = np.einsum("mh,mjh->j", work[:, t], work[:, t + 1:])
-                Rfull[t, cols[t + 1:]] = coef
-                work[:, t + 1:] -= work[:, t][:, None, :] * coef[None, :, None]
-            t += 1
-
-    r = t
-    rejected = sorted(cols[r:].tolist())
-    perm = np.array(cols[:r].tolist() + rejected, dtype=int)
-    Q = BMatrix(ip.unwhiten(work[:, :r].copy()), ip)
-    R = Rfull[:r][:, perm] if n else np.zeros((0, 0))
-    return QRFactors(Q=Q, R=R, perm=perm, rank=r)
 
 
 def _whitened(A):

@@ -53,22 +53,12 @@ class BTensor:
     def h(self):
         return self.data.shape[-1]
 
-    def entry(self, idx):
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != self.d:
-            raise IndexError(f"expected {self.d} indices, got {len(idx)}")
-        return self.data[idx]
-
     def gather(self, grids):
         """Subtensor on the product of per-mode index lists."""
         arrs = [np.asarray(g, dtype=int) for g in grids]
         if len(arrs) != self.d:
             raise IndexError("need one index list per mode")
         return self.data[np.ix_(*arrs)]
-
-    @classmethod
-    def zeros(cls, dims, ip):
-        return cls(np.zeros(tuple(dims) + (ip.h,)), ip)
 
     def __repr__(self):
         return f"BTensor({'x'.join(map(str, self.dims))} over R^{self.h})"
@@ -171,10 +161,6 @@ class TuckerCrossModel:
     def ip(self):
         return self.core.ip
 
-    @property
-    def rank(self):
-        return tuple(len(I) for I in self.index_sets)
-
 
 def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL):
     """Tucker-cross approximation of ``source`` at the given index sets.
@@ -215,10 +201,8 @@ def model_gather(model, grids):
 
 def assemble(model):
     """Materialize a Tucker(-cross) model as a dense BTensor."""
-    out = model.core
-    for k, Fk in enumerate(model.factors):
-        out = mode_mul(out, k, Fk)
-    return out
+    full = [np.arange(F.shape[0]) for F in model.factors]
+    return BTensor(model_gather(model, full), model.core.ip)
 
 
 @dataclass

@@ -136,11 +136,8 @@ def _cmd_gen(args):
     if spec is None:
         raise UsageError("gen requires --family")
     A = problems.make_tensor(spec)
-    ip = _resolve_gram(args.gram, spec.h)
-    if ip is not None and args.gram != "identity":
-        A = BTensor(A.data, ip)
-    elif args.gram == "identity":
-        A = BTensor(A.data, InnerProduct.identity(spec.h))
+    if args.gram is not None and args.gram != "identity":
+        A = BTensor(A.data, _resolve_gram(args.gram, spec.h))
     save_fvt(A, args.out)
     print(f"wrote {args.out}: dims={A.dims} h={A.h} gram={A.ip.kind}")
     return 0

@@ -69,6 +69,7 @@ def save_fvt(A, path):
 
 
 def _take(buf, offset, nbytes, what):
+    """Slice of the memoryview ``buf``: a view, so no payload is copied."""
     if offset + nbytes > len(buf):
         raise TruncatedFile(f"file ends inside {what}")
     return buf[offset:offset + nbytes], offset + nbytes
@@ -81,11 +82,11 @@ def load_fvt(path):
     specification (a dense Gram must be SPD).
     """
     with open(path, "rb") as f:
-        buf = f.read()
+        buf = memoryview(f.read())
 
     raw, off = _take(buf, 0, 4, "magic")
     if raw != MAGIC:
-        raise BadMagic(f"bad magic {raw!r}")
+        raise BadMagic(f"bad magic {bytes(raw)!r}")
     raw, off = _take(buf, off, 8, "header")
     version, d = struct.unpack("<II", raw)
     if version != VERSION:
@@ -109,7 +110,8 @@ def load_fvt(path):
             ip = InnerProduct.identity(h)
         elif kind == "diagonal":
             raw, off = _take(buf, off, 8 * h, "gram payload")
-            ip = InnerProduct.diagonal(np.frombuffer(raw, dtype="<f8"))
+            # a copy: a view would keep the whole file's bytes alive
+            ip = InnerProduct.diagonal(np.frombuffer(raw, dtype="<f8").copy())
         else:
             raw, off = _take(buf, off, 8 * h * h, "gram payload")
             gram = np.frombuffer(raw, dtype="<f8").reshape(h, h)

@@ -25,10 +25,6 @@ class EntryOracle:
         self.ip = ip
         self.fn = fn
 
-    @property
-    def d(self):
-        return len(self.dims)
-
     @classmethod
     def from_tensor(cls, A):
         return cls(A.dims, A.ip, lambda idx: A.data[tuple(idx)])

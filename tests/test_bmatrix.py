@@ -11,7 +11,6 @@ from fvtensor.bmatrix import (
     column_rank,
     cross_matrix,
     left_mul,
-    mgs_qr,
     pinv_apply,
     right_mul,
     svd,
@@ -74,9 +73,8 @@ def test_left_mul_matches_entrywise_sum(kind):
 
 def test_adjoint_apply(rng):
     # orthonormal columns give the identity
-    A = rand_bm(rng, 6, 3, 4)
-    q = mgs_qr(A)
-    assert np.abs(adjoint_apply(q.Q, q.Q) - np.eye(q.rank)).max() < 1e-10
+    U = svd(rand_bm(rng, 6, 3, 4)).U
+    assert np.abs(adjoint_apply(U, U) - np.eye(3)).max() < 1e-10
     # h=1 identity reduces to A^T B
     ip1 = InnerProduct.identity(1)
     M = rng.standard_normal((4, 3))
@@ -89,50 +87,6 @@ def test_adjoint_apply(rng):
     assert np.allclose(out2, 2.0 * (M.T @ N))
     with pytest.raises(ValueError):
         adjoint_apply(BMatrix(M[:, :, None], ip1), BMatrix(N[:, :, None], ip2))
-
-
-# --- pivoted QR -------------------------------------------------------------
-
-def test_mgs_qr_zero():
-    ip = InnerProduct.identity(3)
-    q = mgs_qr(BMatrix(np.zeros((3, 3, 3)), ip))
-    assert q.rank == 0
-    assert q.Q.data.shape == (3, 0, 3)
-    assert sorted(q.perm.tolist()) == [0, 1, 2]
-
-
-def test_mgs_qr_proportional_columns(rng):
-    ip = InnerProduct.identity(3)
-    col = rng.standard_normal((4, 1, 3))
-    A = BMatrix(np.concatenate([col, -2.5 * col], axis=1), ip)
-    assert mgs_qr(A).rank == 1
-
-
-@pytest.mark.parametrize("kind", GRAM_KINDS)
-def test_mgs_qr_reconstruction(kind):
-    rng = np.random.default_rng(31)
-    ip = make_ip(kind, 8, rng)
-    A = rand_bm(rng, 6, 4, 8, ip)
-    q = mgs_qr(A)
-    assert q.rank == 4
-    assert np.abs(adjoint_apply(q.Q, q.Q) - np.eye(4)).max() < 1e-10
-    recon = right_mul(q.Q, q.R)
-    err = fro_norm(BMatrix(recon.data - A.data[:, q.perm], ip))
-    assert err <= 1e-9 * fro_norm(A)
-    # upper-trapezoidal in pivoted order
-    assert np.allclose(np.tril(q.R[:, :q.rank], k=-1), 0.0)
-
-
-def test_mgs_qr_rank_deficient_reconstruction(rng):
-    ip = InnerProduct.identity(5)
-    B = rand_bm(rng, 6, 2, 5, ip)
-    C = rng.standard_normal((2, 5))
-    A = right_mul(B, C)  # rank <= 2 with 5 columns
-    q = mgs_qr(A)
-    assert q.rank == 2
-    recon = right_mul(q.Q, q.R)
-    assert fro_norm(BMatrix(recon.data - A.data[:, q.perm], ip)) \
-        <= 1e-9 * fro_norm(A)
 
 
 # --- SVD ---------------------------------------------------------------------
@@ -163,7 +117,27 @@ def test_svd_zero():
     ip = InnerProduct.identity(2)
     fac = svd(BMatrix(np.zeros((3, 4, 2)), ip))
     assert fac.sigma.size == 0
+    assert fac.U.data.shape == (3, 0, 2)
     assert fac.V.shape == (4, 0)
+
+
+def test_proportional_columns_rank_one(rng):
+    ip = InnerProduct.identity(3)
+    col = rng.standard_normal((4, 1, 3))
+    A = BMatrix(np.concatenate([col, -2.5 * col], axis=1), ip)
+    assert svd(A).sigma.size == 1
+    assert column_rank(A) == 1
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_svd_rank_deficient_reconstruction(kind):
+    rng = np.random.default_rng(31)
+    ip = make_ip(kind, 5, rng)
+    A = right_mul(rand_bm(rng, 6, 2, 5, ip), rng.standard_normal((2, 5)))
+    fac = svd(A)  # rank 2 with 5 columns
+    assert fac.sigma.size == column_rank(A) == 2
+    recon = right_mul(right_mul(fac.U, np.diag(fac.sigma)), fac.V.T)
+    assert fro_norm(BMatrix(recon.data - A.data, ip)) <= 1e-9 * fro_norm(A)
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)

@@ -241,6 +241,22 @@ def test_gram_file_flags(tmp_path):
     assert np.array_equal(A.ip.weights, w)
 
 
+def test_gen_gram_overrides_family_default(tmp_path):
+    # gaussian_bump defaults to a diagonal Gram; --gram replaces it
+    M = np.random.default_rng(1).standard_normal((6, 6))
+    gfile = str(tmp_path / "g.f64")
+    ((M @ M.T + 6 * np.eye(6)) / 6).astype("<f8").tofile(gfile)
+    base = ["gen", "--family", "gaussian_bump", "--dims", "4,3,5", "--h", "6"]
+    kinds = {}
+    for tag, gram in (("default", []), ("identity", ["--gram", "identity"]),
+                      ("dense", ["--gram", f"dense:{gfile}"])):
+        out = str(tmp_path / f"{tag}.fvt")
+        assert main(base + gram + ["--out", out]) == 0
+        kinds[tag] = load_fvt(out).ip.kind
+    assert kinds == {"default": "diagonal", "identity": "identity",
+                     "dense": "dense"}
+
+
 def test_env_threads_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FVT_THREADS", "2")
     out = str(tmp_path / "cmp.tsv")
