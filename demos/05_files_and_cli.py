@@ -14,30 +14,31 @@ import numpy as np
 import fvtensor as fv
 from fvtensor.cli import main as fvt
 
-work = Path(tempfile.mkdtemp(prefix="fvt_demo_"))
-print("working in", work)
+with tempfile.TemporaryDirectory(prefix="fvt_demo_") as tmp:
+    work = Path(tmp)
+    print("working in", work)
 
-# binary round-trip is bitwise
-spec = fv.FamilySpec("gaussian_bump", (10, 10, 8), 36, seed=0)
-A = fv.make_tensor(spec)
-path = work / "bumps.fvt"
-fv.save_fvt(A, path)
-B = fv.load_fvt(path)
-print("round-trip bitwise identical:", A.data.tobytes() == B.data.tobytes())
+    # binary round-trip is bitwise
+    spec = fv.FamilySpec("gaussian_bump", (10, 10, 8), 36, seed=0)
+    A = fv.make_tensor(spec)
+    path = work / "bumps.fvt"
+    fv.save_fvt(A, path)
+    B = fv.load_fvt(path)
+    print("round-trip bitwise identical:", A.data.tobytes() == B.data.tobytes())
 
-# the same through the CLI; a plain FVT input carries no grid metadata,
-# so the stored model uses default unit grids per parameter
-fvt(["info", "--input", str(path)])
-fvt(["build", "--input", str(path), "--iters", "4", "--rook", "1",
-     "--aux", "2", "--seed", "3", "--out", str(work / "model.json")])
-fvt(["eval", "--model", str(work / "model.json"), "--params",
-     "0.1,0.3,0.55", "--raw", str(work / "value.f64")])
-print("evaluated coefficients:",
-      np.fromfile(work / "value.f64", dtype="<f8")[:4], "...")
+    # the same through the CLI; a plain FVT input carries no grid metadata,
+    # so the stored model uses default unit grids per parameter
+    fvt(["info", "--input", str(path)])
+    fvt(["build", "--input", str(path), "--iters", "4", "--rook", "1",
+         "--aux", "2", "--seed", "3", "--out", str(work / "model.json")])
+    fvt(["eval", "--model", str(work / "model.json"), "--params",
+         "0.1,0.3,0.55", "--raw", str(work / "value.f64")])
+    print("evaluated coefficients:",
+          np.fromfile(work / "value.f64", dtype="<f8")[:4], "...")
 
-# error table: adaptive sampling vs the HOSVD reference at equal rank
-fvt(["compare", "--family", "gaussian_bump", "--dims", "20,20,20",
-     "--h", "64", "--seed", "1", "--iters", "6", "--out",
-     str(work / "table.tsv")])
-print()
-print((work / "table.tsv").read_text())
+    # error table: adaptive sampling vs the HOSVD reference at equal rank
+    fvt(["compare", "--family", "gaussian_bump", "--dims", "20,20,20",
+         "--h", "64", "--seed", "1", "--iters", "6", "--out",
+         str(work / "table.tsv")])
+    print()
+    print((work / "table.tsv").read_text())

@@ -74,43 +74,33 @@ def _family_spec(args):
         return None
     if args.dims is None or args.h is None:
         raise UsageError("--family requires --dims and --h")
-    gram = None
-    if args.gram in ("identity",):
-        gram = "identity"
     return problems.FamilySpec(
         family=args.family, dims=_parse_dims(args.dims), h=int(args.h),
-        gram=gram, seed=int(args.seed),
+        seed=int(args.seed),
     )
 
 
 def _load_source(args, need_dense):
-    """Resolve --input / --family into (tensor or None, oracle, grids)."""
+    """Resolve --input / --family into (tensor or None, oracle, grids);
+    ``--gram``, when given, replaces the Gram of either source."""
     if args.input is not None:
         A = load_fvt(args.input)
-        ip = _resolve_gram(getattr(args, "gram", None), A.h)
-        if ip is not None:
-            A = BTensor(A.data, ip)
         grids = [np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
                  for n in A.dims]
-        return A, CachedOracle(EntryOracle.from_tensor(A),
-                               threads=args.threads), grids
-    spec = _family_spec(args)
-    if spec is None:
-        raise UsageError("give either --input or --family")
-    grids = problems.param_grids(spec)
-    override = None
-    if args.gram is not None and args.gram != "identity":
-        override = _resolve_gram(args.gram, spec.h)
-    if need_dense:
-        A = problems.make_tensor(spec)
-        if override is not None:
-            A = BTensor(A.data, override)
-        return A, CachedOracle(EntryOracle.from_tensor(A),
-                               threads=args.threads), grids
-    oracle = problems.make_oracle(spec)
-    if override is not None:
-        oracle = EntryOracle(oracle.dims, override, oracle.fn)
-    return None, CachedOracle(oracle, threads=args.threads), grids
+        oracle = EntryOracle.from_tensor(A)
+    else:
+        spec = _family_spec(args)
+        if spec is None:
+            raise UsageError("give either --input or --family")
+        grids = problems.param_grids(spec)
+        A = problems.make_tensor(spec) if need_dense else None
+        oracle = (EntryOracle.from_tensor(A) if need_dense
+                  else problems.make_oracle(spec))
+    ip = _resolve_gram(args.gram, oracle.ip.h)
+    if ip is not None:
+        A = None if A is None else BTensor(A.data, ip)
+        oracle = EntryOracle(oracle.dims, ip, oracle.fn)
+    return A, CachedOracle(oracle, threads=args.threads), grids
 
 
 def _draw_aux(dims, size, seed):
@@ -132,12 +122,9 @@ def _abc_config(args, dims):
 
 
 def _cmd_gen(args):
-    spec = _family_spec(args)
-    if spec is None:
-        raise UsageError("gen requires --family")
-    A = problems.make_tensor(spec)
-    if args.gram is not None and args.gram != "identity":
-        A = BTensor(A.data, _resolve_gram(args.gram, spec.h))
+    if args.family is None or args.input is not None:
+        raise UsageError("gen requires --family and takes no --input")
+    A, _, _ = _load_source(args, need_dense=True)
     save_fvt(A, args.out)
     print(f"wrote {args.out}: dims={A.dims} h={A.h} gram={A.ip.kind}")
     return 0
@@ -244,9 +231,13 @@ def _cmd_info(args):
         print(f"FVT tensor: dims={A.dims} h={A.h} gram={A.ip.kind} "
               f"entries={math.prod(A.dims)}")
         return 0
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") == "fvt-rom":
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ValueError(
+            f"{path} is neither an FVT tensor nor a JSON file") from None
+    if isinstance(doc, dict) and doc.get("format") == "fvt-rom":
         sets = doc["index_sets"]
         print(f"ROM model: dims={tuple(doc['dims'])} "
               f"rank={tuple(len(I) for I in sets)} basis={doc['basis']} "

@@ -11,10 +11,16 @@ a trapezoidal-quadrature Gram.  Space vectors and bump fields sample
 fixed analytic functions, so the same spec at two different ``h`` yields
 two discretizations of one family.
 
+Each family's entry formula is written once and accepts either one
+multi-index or broadcastable index arrays: :func:`make_oracle` evaluates
+it entry by entry, :func:`make_tensor` over the whole grid, and the two
+agree bit for bit, so the dense tensor is the oracle's exact reference.
+
 Externally computed snapshot tensors enter through the FVT format
 (:func:`fvtensor.fvt.load_fvt` / :func:`fvtensor.fvt.save_fvt`).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,16 +29,26 @@ from .btensor import BTensor
 from .hilbert import InnerProduct
 from .sampler import EntryOracle
 
-FAMILIES = ("separable", "lowrank_plus_decay", "gaussian_bump")
+# each family and the ``params`` keys it reads
+FAMILY_PARAMS = {
+    "separable": ("rank",),
+    "lowrank_plus_decay": ("rank", "rho", "n_noise"),
+    "gaussian_bump": (),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
-GAUSSIAN_ALPHA_RANGE = (-0.8, 0.8)
-GAUSSIAN_BETA_RANGE = (-0.8, 0.8)
-GAUSSIAN_GAMMA_RANGE = (0.001, 0.1)
+GAUSSIAN_RANGES = ((-0.8, 0.8), (-0.8, 0.8), (0.001, 0.1))  # alpha, beta, gamma
+GAUSSIAN_SMOOTHING = 0.2  # heat-kernel width added to each gamma
 
 
 @dataclass
 class FamilySpec:
-    """Recipe for a synthetic parametric family."""
+    """Recipe for a synthetic parametric family.
+
+    ``params`` may set only the keys its family reads: ``rank`` (default
+    3) for ``separable``; ``rank``, ``rho`` (0.5) and ``n_noise`` (6) for
+    ``lowrank_plus_decay``; none for ``gaussian_bump``.
+    """
 
     family: str
     dims: tuple
@@ -49,6 +65,9 @@ class FamilySpec:
             raise ValueError("dims and h must be positive")
         if self.family == "gaussian_bump" and len(self.dims) != 3:
             raise ValueError("gaussian_bump is a three-parameter family")
+        for key in self.params:
+            if key not in FAMILY_PARAMS[self.family]:
+                raise ValueError(f"{self.family} reads no params key {key!r}")
 
 
 def _trapezoid_weights(x):
@@ -98,17 +117,13 @@ def _mode_profiles(rng, dims, n_terms):
 
 
 def _gram_for(spec, default_weights=None):
-    rng = np.random.default_rng([int(spec.seed), 7919])
     kind = spec.gram
-    if kind is None:
-        if default_weights is not None:
-            return InnerProduct.diagonal(default_weights)
-        kind = "identity"
-    if kind == "identity":
+    if kind in (None, "diagonal") and default_weights is not None:
+        return InnerProduct.diagonal(default_weights)
+    if kind in (None, "identity"):
         return InnerProduct.identity(spec.h)
+    rng = np.random.default_rng([int(spec.seed), 7919])
     if kind == "diagonal":
-        if default_weights is not None:
-            return InnerProduct.diagonal(default_weights)
         return InnerProduct.diagonal(0.5 + rng.random(spec.h))
     if kind == "dense":
         M = rng.standard_normal((spec.h, spec.h))
@@ -117,12 +132,21 @@ def _gram_for(spec, default_weights=None):
     raise ValueError(f"unknown gram kind {kind!r}")
 
 
-def _sum_of_terms(spec, amplitudes):
+def _sum_of_terms(spec):
+    """Inner product and entry formula ``terms(idx)`` of a sum-of-terms
+    family; ``idx`` is one multi-index or broadcastable index arrays."""
+    amplitudes = _amplitudes(spec)
     rng = np.random.default_rng([int(spec.seed), 0])
-    n_terms = len(amplitudes)
-    profiles = _mode_profiles(rng, spec.dims, n_terms)
-    V = _space_vectors(rng, n_terms, spec.h) * np.asarray(amplitudes)
-    return profiles, V
+    profiles = _mode_profiles(rng, spec.dims, len(amplitudes))
+    V = _space_vectors(rng, len(amplitudes), spec.h) * amplitudes
+
+    def terms(idx):
+        W = profiles[0][idx[0]]
+        for C, i in zip(profiles[1:], idx[1:]):
+            W = W * C[i]
+        return np.einsum("...t,ht->...h", W, V)
+
+    return _gram_for(spec), terms
 
 
 def _amplitudes(spec):
@@ -141,112 +165,75 @@ def _amplitudes(spec):
     return np.concatenate([np.ones(R), rho ** np.arange(1, n_noise + 1)])
 
 
-def _gaussian_setup(spec):
-    n1, n2, n3 = spec.dims
-    grids = [
-        np.linspace(*GAUSSIAN_ALPHA_RANGE, n1),
-        np.linspace(*GAUSSIAN_BETA_RANGE, n2),
-        np.linspace(*GAUSSIAN_GAMMA_RANGE, n3),
-    ]
-    spatial_dim = int(spec.params.get("spatial_dim", 2 if _is_square(spec.h) else 1))
-    grid_kind = spec.params.get("spatial_grid", "chebyshev")
-    tau = float(spec.params.get("smoothing", 0.2))
-    if tau < 0.0:
-        raise ValueError("smoothing width must be nonnegative")
-    if spatial_dim == 2:
-        side = int(round(np.sqrt(spec.h)))
-        if side * side != spec.h:
-            raise ValueError("2-D spatial grid needs a square h")
-        x = _spatial_axis(side, grid_kind)
-        y = x
+def _bump(spec):
+    """Inner product, center grids and field formula ``bump(a, b, k)`` of
+    gaussian_bump; the centers ``a``, ``b`` may be broadcastable arrays.
+
+    A square ``h`` >= 4 samples the plane on a tensor-product grid, any
+    other ``h`` samples a line.
+    """
+    alpha, beta, gamma = param_grids(spec)
+    side = math.isqrt(spec.h)
+    if spec.h >= 4 and side * side == spec.h:
+        x = _spatial_axis(side)
         wx = _trapezoid_weights(x)
         weights = np.kron(wx, wx)
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        points = (X.ravel(), Y.ravel())
-    elif spatial_dim == 1:
-        x = _spatial_axis(spec.h, grid_kind)
-        weights = _trapezoid_weights(x)
-        points = (x, np.zeros_like(x))
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        px, py, sdim = X.ravel(), Y.ravel(), 2
     else:
-        raise ValueError("spatial_dim must be 1 or 2")
-    return grids, points, weights, tau, spatial_dim
+        px = _spatial_axis(spec.h)
+        weights = _trapezoid_weights(px)
+        py, sdim = np.zeros_like(px), 1
+
+    def bump(a, b, k):
+        ge = gamma[k] + GAUSSIAN_SMOOTHING
+        amp = (gamma[k] / ge) ** (0.5 * sdim)
+        return amp * np.exp(-((px - a) ** 2 + (py - b) ** 2) / ge)
+
+    return _gram_for(spec, weights), alpha, beta, bump
 
 
-def _is_square(h):
-    side = int(round(np.sqrt(h)))
-    return side * side == h and h >= 4
-
-
-def _spatial_axis(n, kind):
+def _spatial_axis(n):
+    """Chebyshev-Lobatto points on [-1, 1]."""
     if n == 1:
         return np.zeros(1)
-    if kind == "uniform":
-        return np.linspace(-1.0, 1.0, n)
-    if kind == "chebyshev":
-        return -np.cos(np.linspace(0.0, np.pi, n))
-    raise ValueError(f"unknown spatial grid {kind!r}")
+    return -np.cos(np.linspace(0.0, np.pi, n))
 
 
 def param_grids(spec):
     """Per-mode parameter node vectors associated with a family."""
     if spec.family == "gaussian_bump":
-        return _gaussian_setup(spec)[0]
+        return [np.linspace(*r, n) for r, n in zip(GAUSSIAN_RANGES, spec.dims)]
     return [np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
             for n in spec.dims]
 
 
 def make_oracle(spec):
-    """Entry oracle for a family: pure, seed-deterministic, uncounted."""
-    if spec.family in ("separable", "lowrank_plus_decay"):
-        profiles, V = _sum_of_terms(spec, _amplitudes(spec))
-        ip = _gram_for(spec)
+    """Entry oracle for a family: pure, seed-deterministic, uncounted.
 
-        def fn(idx):
-            w = np.ones(V.shape[1])
-            for k, i in enumerate(idx):
-                w = w * profiles[k][int(i)]
-            return V @ w
-
-        return EntryOracle(spec.dims, ip, fn)
-
-    grids, (px, py), weights, tau, sdim = _gaussian_setup(spec)
-    ip = _gram_for(spec, default_weights=weights) if spec.gram in (None, "diagonal") \
-        else _gram_for(spec)
-    alpha, beta, gamma = grids
+    ``fn`` is the family's entry formula at one multi-index, so it agrees
+    bit for bit with :func:`make_tensor`.
+    """
+    if spec.family != "gaussian_bump":
+        ip, terms = _sum_of_terms(spec)
+        return EntryOracle(spec.dims, ip, terms)
+    ip, alpha, beta, bump = _bump(spec)
 
     def fn(idx):
-        i, j, k = (int(t) for t in idx)
-        ge = gamma[k] + tau
-        amp = (gamma[k] / ge) ** (0.5 * sdim)
-        return amp * np.exp(-((px - alpha[i]) ** 2 + (py - beta[j]) ** 2) / ge)
+        i, j, k = idx
+        return bump(alpha[i], beta[j], k)
 
     return EntryOracle(spec.dims, ip, fn)
 
 
 def make_tensor(spec):
-    """Materialize a family densely (vectorized), mainly for testing."""
-    if spec.family in ("separable", "lowrank_plus_decay"):
-        profiles, V = _sum_of_terms(spec, _amplitudes(spec))
-        ip = _gram_for(spec)
-        d = len(spec.dims)
-        term_ax, space_ax = d, d + 1
-        operands = []
-        for k, C in enumerate(profiles):
-            operands.extend([C, [k, term_ax]])
-        operands.extend([V, [space_ax, term_ax]])
-        out = np.einsum(*operands, [*range(d), space_ax])
-        return BTensor(out, ip)
-
-    grids, (px, py), weights, tau, sdim = _gaussian_setup(spec)
-    ip = _gram_for(spec, default_weights=weights) if spec.gram in (None, "diagonal") \
-        else _gram_for(spec)
-    alpha, beta, gamma = grids
-    n1, n2, n3 = spec.dims
-    out = np.empty((n1, n2, n3, spec.h))
-    for k in range(n3):
-        ge = gamma[k] + tau
-        amp = (gamma[k] / ge) ** (0.5 * sdim)
-        Ax = np.exp(-np.subtract.outer(alpha, px) ** 2 / ge)
-        Ay = np.exp(-np.subtract.outer(beta, py) ** 2 / ge)
-        out[:, :, k, :] = amp * (Ax[:, None, :] * Ay[None, :, :])
+    """Materialize a family densely: its entry formula over the whole grid,
+    so every entry is bitwise equal to ``make_oracle(spec).fn`` there."""
+    if spec.family != "gaussian_bump":
+        ip, terms = _sum_of_terms(spec)
+        return BTensor(terms(np.indices(spec.dims, sparse=True)), ip)
+    ip, alpha, beta, bump = _bump(spec)
+    out = np.empty(spec.dims + (spec.h,))
+    for k in range(spec.dims[2]):
+        out[:, :, k] = bump(alpha[:, None, None], beta[None, :, None], k)
     return BTensor(out, ip)

@@ -30,10 +30,6 @@ class EntryOracle:
         return cls(A.dims, A.ip, lambda idx: A.data[tuple(idx)])
 
 
-class CacheOverflowError(RuntimeError):
-    """Raised when a bounded cache would exceed its entry budget."""
-
-
 class CachedOracle:
     """Memoizing wrapper around an :class:`EntryOracle`.
 
@@ -44,14 +40,11 @@ class CachedOracle:
     equals the number of distinct multi-indices ever evaluated.
     Concurrent first evaluations of the same index are permitted; the
     cache keeps a single winner, so repeated reads are bitwise identical.
-    An optional ``max_entries`` bound never evicts -- it raises, to make
-    runaway sampling loud instead of silently corrupting the budget.
     """
 
-    def __init__(self, oracle, max_entries=None, threads=1):
+    def __init__(self, oracle, threads=1):
         self.oracle = oracle
         self.cache = {}
-        self.max_entries = max_entries
         self.threads = max(1, int(threads))
         self._lock = threading.Lock()
 
@@ -116,8 +109,6 @@ class CachedOracle:
                     v = np.asarray(v, dtype=float)
                     v.flags.writeable = False
                     self.cache.setdefault(k, v)
-                if self.max_entries is not None and len(self.cache) > self.max_entries:
-                    raise CacheOverflowError(f"cache exceeded {self.max_entries} entries")
         out = np.array([self.cache[k] for k in keys], dtype=float)
         return out.reshape(len(keys), self.ip.h)
 

@@ -25,6 +25,11 @@ def test_gen_and_info(tmp_path, capsys):
     assert main(["info", "--input", out]) == 0
     text = capsys.readouterr().out
     assert "dims=(5, 4, 6)" in text
+    # a JSON file that is not a model is printed as it is
+    other = tmp_path / "list.json"
+    other.write_text("[1, 2]")
+    assert main(["info", "--input", str(other)]) == 0
+    assert json.loads(capsys.readouterr().out) == [1, 2]
 
 
 def test_gen_deterministic(tmp_path):
@@ -60,16 +65,43 @@ def test_full_pipeline_byte_deterministic(tmp_path, capsys):
 def test_usage_errors_exit_1(tmp_path):
     assert main(["gen", "--family", "separable", "--out",
                  str(tmp_path / "x.fvt")]) == 1
+    assert main(["gen", "--input", str(tmp_path / "x.fvt"), "--out",
+                 str(tmp_path / "y.fvt")]) == 1
     assert main(["build", "--family", "separable", "--dims", "bad",
                  "--h", "4", "--iters", "2", "--out", str(tmp_path / "m")]) == 1
     assert main(["compare", "--iters", "2", "--out", str(tmp_path / "c")]) == 1
 
 
-def test_data_errors_exit_2(tmp_path):
+def test_data_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.fvt"
-    bad.write_bytes(b"NOPE" + b"\x00" * 32)
-    assert main(["info", "--input", str(bad)]) == 2
+    for blob in (b"NOPE" + b"\x00" * 32, b"NOPE1234", b"\xff\xfe\x00"):
+        bad.write_bytes(blob)
+        assert main(["info", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad} is neither an FVT tensor nor a JSON file\n"
     assert main(["info", "--input", str(tmp_path / "missing.fvt")]) == 2
+
+
+def test_gen_then_build_input_matches_build_family(tmp_path):
+    # the dense tensor is the oracle on the whole grid, so a model built
+    # from the generated file equals the one built from the family; only
+    # the stored parameter grids differ (unit grids for a plain FVT input)
+    fam = ["--family", "gaussian_bump", "--dims", "9,8,7", "--h", "16",
+           "--seed", "2"]
+    fvt = str(tmp_path / "t.fvt")
+    assert main(["gen", *fam, "--out", fvt]) == 0
+    abc = ["--iters", "4", "--aux", "2", "--seed", "2"]
+    models = []
+    for tag, src in (("input", ["--input", fvt]), ("family", fam)):
+        out = str(tmp_path / f"{tag}.json")
+        assert main(["build", *src, *abc, "--out", out]) == 0
+        doc = json.load(open(out))
+        factors = doc["factors"]
+        core = open(tmp_path / doc["core_file"], "rb").read()
+        models.append((factors, core, doc["grids"]))
+    assert models[0][0] == models[1][0]
+    assert models[0][1] == models[1][1]
+    assert models[0][2] != models[1][2]
 
 
 def test_build_eval_pipeline(tmp_path, capsys):

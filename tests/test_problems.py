@@ -16,6 +16,11 @@ def test_family_spec_validation():
         FamilySpec("separable", (0, 3), 2)
     with pytest.raises(ValueError):
         FamilySpec("gaussian_bump", (3, 3), 4)  # needs three modes
+    # a params key its family does not read would otherwise be ignored
+    for family, key in (("gaussian_bump", "smoothing"), ("separable", "rnak"),
+                        ("separable", "rho")):
+        with pytest.raises(ValueError, match=repr(key)):
+            FamilySpec(family, (3, 3, 3), 4, params={key: 0.5})
 
 
 def test_separable_rank_one():
@@ -31,19 +36,20 @@ def test_separable_rank_two_generic():
 
 
 def test_oracle_matches_dense_and_is_pure():
-    spec = FamilySpec("lowrank_plus_decay", (5, 6, 4), 3, seed=5)
-    A = make_tensor(spec)
-    oracle = make_oracle(spec)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        idx = tuple(int(rng.integers(n)) for n in spec.dims)
-        v1 = oracle.fn(idx)
-        v2 = oracle.fn(idx)
-        assert np.array_equal(v1, v2)
-        assert np.allclose(v1, A.data[idx], atol=1e-12)
-    # same seed, fresh objects: identical
-    again = make_oracle(FamilySpec("lowrank_plus_decay", (5, 6, 4), 3, seed=5))
-    assert np.array_equal(again.fn((1, 2, 3)), oracle.fn((1, 2, 3)))
+    # gaussian_bump at a square h (2-D spatial grid) and a non-square h (1-D)
+    for family, h in (("separable", 5), ("lowrank_plus_decay", 3),
+                      ("gaussian_bump", 16), ("gaussian_bump", 7)):
+        spec = FamilySpec(family, (5, 6, 4), h, seed=5)
+        A = make_tensor(spec)
+        oracle = make_oracle(spec)
+        assert oracle.ip.kind == A.ip.kind
+        for idx in np.ndindex(*spec.dims):
+            v = oracle.fn(idx)
+            assert np.array_equal(v, A.data[idx]), (family, h, idx)
+            assert np.array_equal(oracle.fn(idx), v)
+        # same seed, fresh objects: identical
+        again = make_oracle(FamilySpec(family, (5, 6, 4), h, seed=5))
+        assert np.array_equal(again.fn((1, 2, 3)), oracle.fn((1, 2, 3)))
 
 
 def test_two_resolution_consistency():

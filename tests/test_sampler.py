@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fvtensor.aca import _ResidualRowView
 from fvtensor.btensor import BTensor, assemble, row_matrix, tucker_cross
 from fvtensor.hilbert import InnerProduct
-from fvtensor.sampler import CacheOverflowError, CachedOracle, EntryOracle
+from fvtensor.sampler import CachedOracle, EntryOracle
 
 
 def counting_oracle(rng, dims, h):
@@ -113,15 +113,6 @@ def test_gather_property(case, seed):
     assert c1.count == c4.count == distinct
     # a second read is all hits
     assert np.array_equal(c1.gather(grids), want) and c1.count == distinct
-
-
-def test_overflow_knob(rng):
-    A, _ = counting_oracle(rng, (3, 3), 2)
-    c = CachedOracle(EntryOracle.from_tensor(A), max_entries=4)
-    for t, idx in enumerate([(0, 0), (0, 1), (0, 2), (1, 0)]):
-        c.get(idx)
-    with pytest.raises(CacheOverflowError):
-        c.get((1, 1))
 
 
 def test_residual_row_view_norms(rng):
