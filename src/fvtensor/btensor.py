@@ -21,6 +21,8 @@ from .bmatrix import (
     transpose,
 )
 
+ERROR_CHUNK = 1 << 20  # floats of A per error_norm chunk
+
 
 class BTensor:
     """Dense d-way array of Hilbert-space elements.
@@ -296,19 +298,24 @@ def hosvd_error_bound(sigmas, ranks):
 def error_norm(A, model):
     """l2(H) norm of ``A`` minus a Tucker(-cross) model.
 
-    The difference is accumulated slice by slice along the first mode, so
-    the approximant is never materialized at full size.
+    The difference is formed for ``ERROR_CHUNK`` floats of ``A`` at a
+    time, a slice along the first mode, so the approximant is never
+    materialized at full size.  Each chunk adds ``w @ w`` for its
+    whitened difference ``w``: one BLAS dot, and no Gram product once
+    the Gram is the identity.
     """
     n0 = A.dims[0]
     rest = int(np.prod(A.dims[1:], dtype=np.int64)) * A.h
-    chunk = max(1, int(8_000_000 // max(rest, 1)))
+    chunk = max(1, ERROR_CHUNK // max(rest, 1))
     tail_grids = [np.arange(n) for n in A.dims[1:]]
     sq = 0.0
     for start in range(0, n0, chunk):
-        rows = np.arange(start, min(start + chunk, n0))
-        diff = A.data[rows] - model_gather(model, [rows] + tail_grids)
-        sq += float(np.sum(A.ip.pair(diff, diff)))
-    return float(np.sqrt(max(sq, 0.0)))
+        stop = min(start + chunk, n0)
+        diff = A.data[start:stop] - model_gather(
+            model, [np.arange(start, stop)] + tail_grids)
+        w = A.ip.whiten(diff).reshape(-1)
+        sq += float(w @ w)
+    return float(np.sqrt(sq))
 
 
 def relative_error(A, model):

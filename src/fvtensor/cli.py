@@ -55,18 +55,25 @@ def _parse_dims(text):
 
 
 def _resolve_gram(spec_text, h):
+    """The ``--gram`` inner product for a source of coefficient length
+    ``h``; a Gram file of another length is a ``ValueError``."""
     if spec_text is None:
         return None
     if spec_text == "identity":
         return InnerProduct.identity(h)
     if spec_text.startswith("diagonal:"):
         w = np.fromfile(spec_text.split(":", 1)[1], dtype="<f8")
-        return InnerProduct.diagonal(w)
-    if spec_text.startswith("dense:"):
+        ip = InnerProduct.diagonal(w)
+    elif spec_text.startswith("dense:"):
         g = np.fromfile(spec_text.split(":", 1)[1], dtype="<f8")
         h_file = int(round(np.sqrt(g.size)))
-        return InnerProduct.dense(g.reshape(h_file, h_file))
-    raise UsageError(f"cannot parse gram spec {spec_text!r}")
+        ip = InnerProduct.dense(g.reshape(h_file, h_file))
+    else:
+        raise UsageError(f"cannot parse gram spec {spec_text!r}")
+    if ip.h != h:
+        raise ValueError(f"--gram {spec_text} has length {ip.h}, "
+                         f"but the source has h={h}")
+    return ip
 
 
 def _family_spec(args):
@@ -186,8 +193,17 @@ def _cmd_hosvd(args):
 
 def _cmd_compare(args):
     """Score each sweep's model as the sweep yields it; the HOSVD rows come
-    from the core of one full HOSVD, without reading ``A`` again."""
+    from the core of one full HOSVD, without reading ``A`` again.
+
+    Whitening is an isometry from H onto Euclidean R^h, so norms, HOSVD
+    spectra, rook pivots and cross factors are the same in whitened
+    coordinates.  ``A`` is replaced by its whitened image under the
+    identity Gram, and the sweep samples that, so no later pass over the
+    tensor pays a Gram product.
+    """
     A, cached, _ = _load_source(args, need_dense=True)
+    A = BTensor(A.ip.whiten(A.data), InnerProduct.identity(A.h))
+    cached = CachedOracle(EntryOracle.from_tensor(A), threads=args.threads)
     norm_a = fro_norm(A)
     if norm_a <= 0.0:
         raise ValueError("reference tensor is zero")

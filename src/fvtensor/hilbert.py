@@ -107,34 +107,44 @@ class InnerProduct:
             )
         return x
 
-    def apply(self, x):
-        """Apply the Gram matrix along the last axis of ``x``.
+    def _flat(self, x, M):
+        """``x @ M`` along the last axis as one flat ``(N, h) @ M``.
 
-        The dense product is one flat ``(N, h) @ G``: a stacked matmul
-        takes another BLAS path when the second-to-last axis has length
-        1, so the last bits of an entry would depend on its grid's shape.
+        A stacked matmul takes another BLAS path when the second-to-last
+        axis has length 1, so the last bits of an entry would depend on
+        its grid's shape.  The product is written into an array of
+        ``x``'s shape, not returned as a reshaped view: numpy reuses an
+        owning temporary in place in :meth:`pair`'s product.
         """
+        out = np.empty(x.shape)
+        np.matmul(x.reshape(-1, self.h), M, out=out.reshape(-1, self.h))
+        return out
+
+    def apply(self, x):
+        """Apply the Gram matrix along the last axis of ``x``; the dense
+        product is one flat ``(N, h) @ G``."""
         x = self._check(x)
         if self.kind == "identity":
             return x
         if self.kind == "diagonal":
             return x * self.weights
-        # written into an array of x's shape, not returned as a reshaped
-        # view: numpy reuses an owning temporary in place in pair's product
-        out = np.empty(x.shape)
-        np.matmul(x.reshape(-1, self.h), self.gram, out=out.reshape(-1, self.h))
-        return out
+        return self._flat(x, self.gram)
 
     def whiten(self, x):
         """Apply ``L^T`` along the last axis of ``x``.
 
         Euclidean inner products of whitened vectors are the H-inner
-        products of the originals.
+        products of the originals.  The identity returns ``x`` itself,
+        so whitening costs nothing once the Gram is the identity; the
+        dense product is one flat ``(N, h) @ L``, whose bits do not
+        depend on the shape of ``x``.
         """
         x = self._check(x)
         if self.kind == "identity":
             return x
-        return x * self.chol if self.kind == "diagonal" else x @ self.chol
+        if self.kind == "diagonal":
+            return x * self.chol
+        return self._flat(x, self.chol)
 
     def unwhiten(self, y):
         """Inverse of :meth:`whiten`: solve ``L^T x = y`` along the last axis."""

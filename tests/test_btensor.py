@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fvtensor import btensor
 from fvtensor.bmatrix import BMatrix, column_rank, left_mul, right_mul, transpose
 from fvtensor.btensor import (
     BTensor,
@@ -421,16 +422,29 @@ def test_fro_norm_cases(rng):
     assert fro_norm(A) == pytest.approx(np.linalg.norm(M.ravel()))
 
 
-def test_relative_error_matches_direct(rng):
-    ip = make_ip("diagonal", 4, rng)
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_relative_error_matches_direct(rng, kind, monkeypatch):
+    ip = make_ip(kind, 4, rng)
     A = rand_bt(rng, (6, 5, 7), 4, ip)
     model = tucker_cross(A, [[0, 2], [1, 3], [2, 4]])
     B = assemble(model)
     direct = direct_rel_error(A, B)
     assert relative_error(A, model) == pytest.approx(direct, rel=1e-10)
     diff = fro_norm(BTensor(A.data - B.data, ip))
+    whole = error_norm(A, model)
+    assert whole == pytest.approx(diff, rel=1e-10)
+    assert whole / fro_norm(A) == relative_error(A, model)
+    # 4 first-mode slices of 5 * 7 * 4 floats per chunk: chunks of 4 and 2
+    chunks = []
+
+    def counted(m, grids):
+        chunks.append(len(grids[0]))
+        return model_gather(m, grids)
+
+    monkeypatch.setattr(btensor, "ERROR_CHUNK", 4 * 5 * 7 * 4)
+    monkeypatch.setattr(btensor, "model_gather", counted)
     assert error_norm(A, model) == pytest.approx(diff, rel=1e-10)
-    assert error_norm(A, model) / fro_norm(A) == relative_error(A, model)
+    assert chunks == [4, 2]
     with pytest.raises(ValueError):
         relative_error(BTensor(np.zeros_like(A.data), ip), model)
 

@@ -5,15 +5,29 @@ import numpy as np
 import pytest
 
 from fvtensor import aca, cli
-from fvtensor.btensor import BTensor
+from fvtensor.btensor import (
+    BTensor,
+    error_norm,
+    fro_norm,
+    hosvd,
+    hosvd_error,
+    hosvd_error_bound,
+)
 from fvtensor.cli import main
 from fvtensor.fvt import load_fvt, save_fvt
 from fvtensor.hilbert import InnerProduct
+from fvtensor.sampler import CachedOracle, EntryOracle
 
 
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+def write_dense_gram(path, h, seed):
+    M = np.random.default_rng(seed).standard_normal((h, h))
+    ((M @ M.T + h * np.eye(h)) / h).astype("<f8").tofile(path)
+    return str(path)
 
 
 def test_gen_and_info(tmp_path, capsys):
@@ -231,15 +245,54 @@ def test_compare_zero_tensor_fails_first(tmp_path, capsys, monkeypatch):
 
 
 def test_compare_threads_byte_identical(tmp_path):
-    outs = []
-    for t in (1, 4):
-        out = str(tmp_path / f"cmp{t}.tsv")
-        assert main(["compare", "--family", "lowrank_plus_decay",
-                     "--dims", "8,8,8", "--h", "6", "--seed", "6",
-                     "--iters", "3", "--threads", str(t),
-                     "--out", out]) == 0
-        outs.append(open(out, "rb").read())
-    assert outs[0] == outs[1]
+    gram = write_dense_gram(tmp_path / "g.f64", 6, 5)
+    for tag, extra in (("default", []), ("dense", ["--gram", f"dense:{gram}"])):
+        outs = []
+        for t in (1, 4):
+            out = str(tmp_path / f"{tag}{t}.tsv")
+            assert main(["compare", "--family", "lowrank_plus_decay",
+                         "--dims", "8,8,8", "--h", "6", "--seed", "6",
+                         "--iters", "3", "--threads", str(t), *extra,
+                         "--out", out]) == 0
+            outs.append(open(out, "rb").read())
+        assert outs[0] == outs[1]
+
+
+def test_compare_whitened_matches_coefficient_space(tmp_path):
+    # compare runs on the whitened tensor under the identity Gram; the
+    # library run in coefficient space under the dense Gram must print
+    # the same table
+    gram = write_dense_gram(tmp_path / "g.f64", 12, 3)
+    src = str(tmp_path / "t.fvt")
+    assert main(["gen", "--family", "gaussian_bump", "--dims", "10,9,8",
+                 "--h", "12", "--seed", "1", "--gram", f"dense:{gram}",
+                 "--out", src]) == 0
+    out = str(tmp_path / "cmp.tsv")
+    argv = ["compare", "--input", src, "--iters", "5", "--aux", "2",
+            "--seed", "1", "--out", out]
+    assert main(argv) == 0
+    got = [row.split("\t") for row in open(out).read().splitlines()[1:]]
+
+    A = load_fvt(src)
+    assert A.ip.kind == "dense"
+    cached = CachedOracle(EntryOracle.from_tensor(A))
+    cfg = cli._abc_config(cli.build_parser().parse_args(argv), A.dims)
+    full = hosvd(A)
+    norm_a = fro_norm(A)
+    want = []
+    for model, report in aca.abc_sweeps(cached, cfg):
+        rk = report.rank_history[-1]
+        want.append((str(report.n_iter_run),
+                     "(" + ", ".join(str(r) for r in rk) + ")",
+                     error_norm(A, model) / norm_a,
+                     hosvd_error(full, rk) / norm_a,
+                     hosvd_error_bound(full.sigmas, rk) / norm_a,
+                     str(report.evals_by_iter[-1])))
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert (g[0], g[1], g[5]) == (w[0], w[1], w[5])
+        for col in (2, 3, 4):
+            assert float(g[col]) == pytest.approx(w[col], rel=1e-8)
 
 
 def test_draw_rule_flags(tmp_path):
@@ -273,11 +326,38 @@ def test_gram_file_flags(tmp_path):
     assert np.array_equal(A.ip.weights, w)
 
 
+@pytest.mark.parametrize("command", ["build", "compare"])
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_gram_length_mismatch_exit_2_before_sampling(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     kind):
+    reads = []
+    real = CachedOracle.get_many
+
+    def counted(self, indices):
+        reads.append(len(indices))
+        return real(self, indices)
+
+    monkeypatch.setattr(CachedOracle, "get_many", counted)
+    gfile = tmp_path / "g.f64"
+    if kind == "diagonal":
+        np.full(8, 1.5).astype("<f8").tofile(gfile)
+    else:
+        write_dense_gram(gfile, 8, 2)
+    out = tmp_path / "out.json"
+    assert main([command, "--family", "separable", "--dims", "5,5,5",
+                 "--h", "4", "--gram", f"{kind}:{gfile}", "--iters", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: --gram {kind}:{gfile} has length 8, "
+                   f"but the source has h=4\n")
+    assert reads == []
+    assert not out.exists()
+
+
 def test_gen_gram_overrides_family_default(tmp_path):
     # gaussian_bump defaults to a diagonal Gram; --gram replaces it
-    M = np.random.default_rng(1).standard_normal((6, 6))
-    gfile = str(tmp_path / "g.f64")
-    ((M @ M.T + 6 * np.eye(6)) / 6).astype("<f8").tofile(gfile)
+    gfile = write_dense_gram(tmp_path / "g.f64", 6, 1)
     base = ["gen", "--family", "gaussian_bump", "--dims", "4,3,5", "--h", "6"]
     kinds = {}
     for tag, gram in (("default", []), ("identity", ["--gram", "identity"]),

@@ -110,17 +110,28 @@ def test_whiten_is_an_isometry(kind):
         ip.whiten(np.zeros((2, 4)))
 
 
-def test_dense_apply_is_the_flat_product():
+def _assert_dense_flat_product(method, factor):
     # a stacked matmul with a length-1 second-to-last axis takes BLAS's
     # matrix-vector path, which differed from the flat product in the
-    # last bits; apply must not depend on the shape of the grid
+    # last bits; the result must not depend on the shape of the grid
     rng = np.random.default_rng(11)
     ip = make_ip("dense", 144, rng)
+    M = getattr(ip, factor)
     for shape in [(4, 4, 1, 144), (3, 1, 144), (1, 144), (144,), (2, 5, 144)]:
         x = rng.standard_normal(shape)
-        flat = (x.reshape(-1, 144) @ ip.gram).reshape(shape)
-        gx = ip.apply(x)
+        flat = (x.reshape(-1, 144) @ M).reshape(shape)
+        gx = getattr(ip, method)(x)
         assert np.array_equal(gx, flat)
         # an owning result lets pair's product reuse it in place; a view
         # cost one more full-size allocation per dense pair
         assert gx.base is None and gx.flags.c_contiguous
+
+
+def test_dense_apply_is_the_flat_product():
+    _assert_dense_flat_product("apply", "gram")
+
+
+def test_dense_whiten_is_the_flat_product():
+    # error_norm whitens grid-shaped chunks, so its bits would otherwise
+    # depend on the chunk shape
+    _assert_dense_flat_product("whiten", "chol")
