@@ -3,8 +3,9 @@
 The tensor is only touched through a memoizing index-to-value map, which
 is how an expensive parameter-to-solution map would be wrapped.  Each
 sweep draws a start column per mode, refines it by rook pivoting on the
-lazily evaluated residual, and rebuilds the Tucker-cross model; the
-counter shows how little of the tensor the run actually looked at.
+lazily evaluated residual, and folds the new fibers into the
+Tucker-cross model; the counter shows how little of the tensor the run
+actually looked at.
 """
 
 import numpy as np

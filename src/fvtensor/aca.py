@@ -3,8 +3,9 @@
 Grows one index per mode per iteration: a start column is drawn (uniform,
 round-robin, or leverage-score weighted), refined by rook pivoting on a
 lazily evaluated residual row matrix restricted to auxiliary index sets,
-and the Tucker-cross model is rebuilt from the enlarged sets.  The
-residual matrices are never materialized beyond the scanned entries.
+and the Tucker-cross model is updated to the enlarged sets by folding in
+the new fibers only.  The residual matrices are never materialized beyond
+the scanned entries.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +16,8 @@ import numpy as np
 
 from .bmatrix import BMatrix, DEFAULT_TOL, _canonical_index_set, _sigma_v
 from .btensor import model_gather, tucker_cross, tucker_rank
+
+TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 
 
 @dataclass
@@ -126,7 +129,9 @@ def rook_pivot(view, j_start, n_rook):
 
     Starting from column ``j_start``, each round finds the largest entry
     of the current column, then the largest entry of that row; ties go to
-    the smallest index.  With ``n_rook = 0`` no entry is inspected and
+    the smallest index, and norms within ``TIE_RTOL`` of the largest
+    count as ties, so a tie that holds in exact arithmetic is not broken
+    by round-off.  With ``n_rook = 0`` no entry is inspected and
     ``(None, j_start)`` is returned.
     """
     m, n = view.shape
@@ -137,9 +142,20 @@ def rook_pivot(view, j_start, n_rook):
         raise IndexError(f"start column {j} out of range")
     i = None
     for _ in range(int(n_rook)):
-        i = int(np.argmax(view.col_norms(j)))
-        j = int(np.argmax(view.row_norms(i)))
+        i = _first_max(view.col_norms(j))
+        j = _first_max(view.row_norms(i))
     return i, j
+
+
+def _first_max(norms):
+    """Smallest index whose norm is within ``TIE_RTOL`` of the largest.
+
+    Entries that tie in exact arithmetic (symmetric tensors have them)
+    may differ in their last bits by how they were computed; this rule
+    still sends such a tie to the smallest index.
+    """
+    top = norms.max()
+    return int(np.flatnonzero(norms >= top * (1.0 - TIE_RTOL))[0])
 
 
 def _round_robin_stride(n):
@@ -210,25 +226,30 @@ def abc_sweeps(cached, cfg):
     A generator: it runs up to ``cfg.n_iter`` sweeps and yields
     ``(model, report)`` after each one.  In each sweep every mode receives
     one new index found by rook pivoting on the residual restricted to the
-    auxiliary index sets, and the Tucker-cross model is rebuilt at the
-    enlarged index sets.  ``report`` is one object, updated in place: at
-    each yield it holds the per-iteration ranks, budgets and index-set
-    snapshots so far, and the current index and auxiliary sets.  The
-    generator stops early once the largest residual seen in a sweep falls
-    to ``cfg.early_stop_tol`` times the largest core-entry norm.  Nothing
+    auxiliary index sets.  The model at the enlarged index sets is
+    :func:`tucker_cross` with the last sweep's model as ``prev``: only the
+    fibers new at the enlarged sets are read, and they are folded into the
+    last model's triangular factors, so the model updates read each fiber
+    once.  ``report`` is one object, updated in place: at each yield it
+    holds the per-iteration ranks, budgets and index-set snapshots so far,
+    and the current index and auxiliary sets.  The generator stops early
+    once the largest residual seen in a sweep falls to
+    ``cfg.early_stop_tol`` times the largest core-entry norm.  Nothing
     runs, and ``cfg`` is not checked, until the first ``next``.
 
     If a pivot lands on an index already in the set, a fresh start column
     is drawn up to five times; failing that, the unused column with the
-    largest residual norm over the auxiliary rows is taken, and a mode
-    with every column used is skipped for the sweep.
+    largest residual norm over the auxiliary rows is taken (ties as in
+    :func:`rook_pivot`), and a mode with every column used is skipped for
+    the sweep.
 
     Sampling footprint.  Let cross(S) be the multi-indices that lie in the
     sets ``S[l]`` in all modes but at most one; it has
     ``prod(s_l) + sum_k (n_k - s_k) * prod_{l != k} s_l`` entries.
 
     - The model of each sweep is :func:`tucker_cross` at
-      ``report.index_sets``, which reads all of cross(index_sets).
+      ``report.index_sets``; over the sweeps so far it has read each
+      entry of cross(index_sets) once, and each sweep reads the core.
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
       the auxiliary sets.
@@ -272,13 +293,13 @@ def abc_sweeps(cached, cfg):
                 norms = view.all_col_norms()
                 scanned = True
                 norms[sorted(used)] = -1.0
-                chosen = int(np.argmax(norms))
+                chosen = _first_max(norms)
             sets[k] = sorted(used | {chosen})
             if chosen not in aux[k]:
                 aux[k] = sorted(aux[k] + [chosen])
             sweep_max = max(sweep_max, view.max_seen)
 
-        model = tucker_cross(cached, sets, cfg.tol_rel)
+        model = tucker_cross(cached, sets, cfg.tol_rel, prev=model)
         report.rank_history.append(tucker_rank(model.core, cfg.tol_rel))
         report.evals_by_iter.append(cached.count)
         report.index_set_history.append(tuple(tuple(I) for I in sets))

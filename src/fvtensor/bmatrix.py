@@ -199,8 +199,15 @@ def pinv_apply(A, B, tol_rel=DEFAULT_TOL):
         raise ValueError("operands use different inner products")
     if A.m != B.m:
         raise ValueError(f"row mismatch: {A.m} vs {B.m}")
-    Uw, s, Vh = _truncated_scalar_svd(_whitened(A), tol_rel)
-    return Vh.T @ ((Uw.T @ _whitened(B)) / s[:, None])
+    return _pinv_solve(_whitened(A), _whitened(B), tol_rel)
+
+
+def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):
+    """``pinv(X) @ Y`` for real matrices, with ``pinv`` truncated as in
+    :func:`svd`: singular values at or below ``tol_rel`` times the
+    largest one are dropped."""
+    Uw, s, Vh = _truncated_scalar_svd(X, tol_rel)
+    return Vh.T @ ((Uw.T @ Y) / s[:, None])
 
 
 def column_rank(A, tol_rel=DEFAULT_TOL):

@@ -7,7 +7,7 @@ the first tensor index varies slowest, which is numpy's C order, so
 unfoldings are plain reshapes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,8 +16,9 @@ from .bmatrix import (
     BMatrix,
     DEFAULT_TOL,
     _canonical_index_set,
+    _pinv_solve,
+    _r_factor,
     column_rank,
-    pinv_apply,
     transpose,
 )
 
@@ -152,38 +153,104 @@ class TuckerCrossModel:
     subtensor at those sets and ``factors[k]`` has shape
     ``(n_k, len(index_sets[k]))`` with the sampled rows pinned to unit
     vectors, so the assembled approximant interpolates the core exactly.
+
+    ``r_factors[k]`` is the triangular factor of the whitened mode-``k``
+    fiber slab that :func:`tucker_cross` folded in, at most
+    ``n_k x n_k``; a later call given this model as ``prev`` folds only
+    the new fibers into it.  It is ``None`` on a model built otherwise
+    (e.g. loaded from disk), is not saved, and takes no part in
+    comparisons.
     """
 
     index_sets: tuple
     core: BTensor
     factors: list
     dims: tuple
+    r_factors: list = field(default=None, repr=False, compare=False)
 
     @property
     def ip(self):
         return self.core.ip
 
 
-def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL):
+def _fresh_fiber_grids(sets, old, k, n_k):
+    """Disjoint product grids of the mode-``k`` fibers over ``sets`` that
+    are not fibers over ``old``.
+
+    ``old is None`` stands for no fibers, so the one grid is the whole
+    slab.  Otherwise the grids are, for each other mode ``m``, the product
+    of ``old`` before ``m``, ``sets[m] - old[m]`` at ``m`` and ``sets``
+    after it; a mode whose set did not grow contributes none.
+    """
+    full = np.arange(n_k)
+    if old is None:
+        return [[full if l == k else I for l, I in enumerate(sets)]]
+    grids = []
+    for m in range(len(sets)):
+        fresh = sorted(set(sets[m]) - set(old[m]))
+        if m == k or not fresh:
+            continue
+        grids.append([full if l == k else old[l] if l < m else
+                      fresh if l == m else sets[l]
+                      for l in range(len(sets))])
+    return grids
+
+
+def _old_sets(prev, source, sets):
+    """Index sets of ``prev``, checked to be foldable into ``sets``."""
+    if prev is None:
+        return None
+    if prev.r_factors is None:
+        raise ValueError("prev carries no folded R factors; pass a model "
+                         "tucker_cross returned")
+    if tuple(prev.dims) != tuple(source.dims) or prev.ip != source.ip:
+        raise ValueError("prev was built on a different tensor or geometry")
+    for k, (I0, I) in enumerate(zip(prev.index_sets, sets)):
+        if not set(I0) <= set(I):
+            raise ValueError(f"prev mode-{k} index set is not a subset "
+                             "of the new one")
+    return prev.index_sets
+
+
+def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     """Tucker-cross approximation of ``source`` at the given index sets.
 
-    The core is the sampled subtensor; every factor solves the transposed
-    core unfolding against the corresponding fiber slab through the
-    applied pseudoinverse.  Only entries inside the cross (the core and
-    the per-mode slabs) are accessed, so ``source`` may be a lazy oracle.
+    The core is the sampled subtensor.  Factor ``k`` solves the
+    transposed core unfolding against the mode-``k`` fiber slab through
+    the applied pseudoinverse.  In whitened coordinates the core
+    unfolding is the slab's own columns at ``index_sets[k]``, so with the
+    slab ``Q R`` the factor is ``pinv(R[:, I_k]) R`` (truncated as in
+    :func:`~fvtensor.bmatrix.pinv_apply`), and only the triangular factor
+    ``R`` is kept.  Each fiber is read once: given the model ``prev`` of
+    smaller index sets, only the fibers that are new at ``index_sets``
+    are gathered, whitened and folded into ``prev``'s ``R`` by one QR of
+    the stacked rows (as in TSQR).  Without ``prev`` every fiber is
+    folded into an empty ``R``.  Only entries inside the cross (the core
+    and the per-mode slabs) are accessed, so ``source`` may be a lazy
+    oracle.  A ``prev`` whose sets are not subsets of ``index_sets``, or
+    that carries no ``R``, is a ``ValueError``.
     """
     dims = tuple(source.dims)
     sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
                  for k, I in enumerate(index_sets))
+    old = _old_sets(prev, source, sets)
     core = BTensor(source.gather([np.asarray(I) for I in sets]), source.ip)
     factors = []
-    for k in range(len(dims)):
-        Rk = row_matrix(source, sets, k)
-        Gk_t = transpose(unfold(core, k))
-        Fk = np.ascontiguousarray(pinv_apply(Gk_t, Rk, tol_rel).T)
-        Fk[list(sets[k])] = np.eye(len(sets[k]))
+    r_factors = []
+    for k, n_k in enumerate(dims):
+        R = np.empty((0, n_k)) if prev is None else prev.r_factors[k]
+        slabs = [np.moveaxis(source.ip.whiten(source.gather(grids)), k, -1)
+                 .reshape(-1, n_k)
+                 for grids in _fresh_fiber_grids(sets, old, k, n_k)]
+        if slabs:
+            R = _r_factor(np.vstack([R] + slabs))
+        I = list(sets[k])
+        Fk = np.ascontiguousarray(_pinv_solve(R[:, I], R, tol_rel).T)
+        Fk[I] = np.eye(len(I))
         factors.append(Fk)
-    return TuckerCrossModel(index_sets=sets, core=core, factors=factors, dims=dims)
+        r_factors.append(R)
+    return TuckerCrossModel(index_sets=sets, core=core, factors=factors,
+                            dims=dims, r_factors=r_factors)
 
 
 def model_gather(model, grids):

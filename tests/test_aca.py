@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fvtensor.aca import (
+    TIE_RTOL,
     AbcConfig,
     _ResidualRowView,
     _round_robin_stride,
@@ -85,6 +86,21 @@ def test_rook_tie_break_smallest_index():
     ip = InnerProduct.identity(1)
     i, j = rook_pivot(matrix_view(np.ones((3, 4, 1)), ip), 0, 1)
     assert (i, j) == (0, 0)
+
+
+def test_rook_tie_within_round_off_goes_to_smallest_index():
+    # two column norms 1 ulp apart tie under TIE_RTOL, so the smaller
+    # row index wins although plain argmax would take the larger norm
+    ip = InnerProduct.identity(1)
+    M = np.full((4, 3), 0.5)
+    M[1, 0] = 2.0
+    M[3, 0] = np.nextafter(2.0, 3.0)
+    view = matrix_view(M[:, :, None], ip)
+    norms = view.col_norms(0)
+    assert norms[3] == np.nextafter(norms[1], 3.0)
+    assert norms[3] - norms[1] <= TIE_RTOL * norms[3]
+    i, _ = rook_pivot(view, 0, 1)
+    assert i == 1
 
 
 def test_rook_final_row_argmax_contract(rng):
@@ -226,19 +242,31 @@ def test_abc_interpolates_core_every_iteration(rng):
 
 
 def test_abc_sweeps_yield_each_sweep_model(rng):
+    # each sweep's model folds the new fibers into the last one's R, so
+    # (a) a replay of that chain on a fresh oracle gives the same bytes,
+    # and (b) the from-scratch model at the same sets agrees to round-off
     A = BTensor(rng.standard_normal((7, 6, 5, 3)), make_ip("dense", 3, rng))
     cfg = AbcConfig(n_iter=4, init_aux=[[0, 3], [1, 4], [2]], seed=6)
     c = tensor_oracle(A)
+    replay_oracle = tensor_oracle(A)
+    replay = None
     yielded = 0
     for model, report in abc_sweeps(c, cfg):
         yielded += 1
         assert report.n_iter_run == yielded
         assert report.index_sets == report.index_set_history[-1]
-        ref = tucker_cross(c, report.index_set_history[yielded - 1])
-        assert model.index_sets == ref.index_sets
-        assert model.core.data.tobytes() == ref.core.data.tobytes()
-        for F, F_ref in zip(model.factors, ref.factors):
+        sets = report.index_set_history[yielded - 1]
+        replay = tucker_cross(replay_oracle, sets, prev=replay)
+        assert model.index_sets == replay.index_sets
+        assert model.core.data.tobytes() == replay.core.data.tobytes()
+        for F, F_ref in zip(model.factors, replay.factors):
             assert F.tobytes() == F_ref.tobytes()
+        scratch = tucker_cross(tensor_oracle(A), sets)
+        assert model.index_sets == scratch.index_sets
+        assert model.core.data.tobytes() == scratch.core.data.tobytes()
+        B, B_ref = assemble(model), assemble(scratch)
+        diff = BTensor(B.data - B_ref.data, A.ip)
+        assert fro_norm(diff) <= 1e-10 * fro_norm(B_ref)
     assert yielded == 4
     last, _ = tucker_abc(tensor_oracle(A), cfg)
     assert last.core.data.tobytes() == model.core.data.tobytes()
@@ -260,12 +288,14 @@ def test_abc_determinism_across_threads(rng):
     A = BTensor(rng.standard_normal((8, 8, 8, 4)), InnerProduct.identity(4))
     cfg = AbcConfig(n_iter=4, init_aux=[[0, 4], [1, 5], [2, 6]],
                     n_rook=2, seed=11, draw="round_robin")
-    m1, r1 = tucker_abc(tensor_oracle(A, threads=1), cfg)
-    m4, r4 = tucker_abc(tensor_oracle(A, threads=4), cfg)
-    assert r1.index_sets == r4.index_sets
-    assert np.array_equal(m1.core.data, m4.core.data)
-    for F1, F4 in zip(m1.factors, m4.factors):
-        assert np.array_equal(F1, F4)
+    sweeps1 = abc_sweeps(tensor_oracle(A, threads=1), cfg)
+    sweeps4 = abc_sweeps(tensor_oracle(A, threads=4), cfg)
+    for (m1, r1), (m4, r4) in zip(sweeps1, sweeps4):
+        assert r1.index_sets == r4.index_sets
+        assert m1.core.data.tobytes() == m4.core.data.tobytes()
+        for F1, F4 in zip(m1.factors, m4.factors):
+            assert F1.tobytes() == F4.tobytes()
+    assert r1.n_iter_run == r4.n_iter_run == 4
 
 
 def test_abc_budget_accounting(rng):

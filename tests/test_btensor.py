@@ -287,6 +287,63 @@ def test_slab_reproduction_and_exactness_conditions(rng):
     assert slab_gap > 1e-6
 
 
+class CountingOracle(CachedOracle):
+    """Cached oracle that counts every entry requested, hit or miss."""
+
+    requested = 0
+
+    def get_many(self, indices):
+        self.requested += len(indices)
+        return super().get_many(indices)
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+@pytest.mark.parametrize("dims, h, S0, S", [
+    # mode 1's set does not grow
+    ((7, 6, 8), 4, [[0, 3], [1], [2, 5]], [[0, 3, 5], [1], [2, 4, 5, 7]]),
+    # h < n_k and few fibers: every R is wide
+    ((9, 8, 10), 2, [[1], [2], [3]], [[1, 4], [2], [3, 6]]),
+])
+def test_tucker_cross_prev_matches_from_scratch(rng, kind, dims, h, S0, S):
+    A = rand_bt(rng, dims, h, make_ip(kind, h, rng))
+    ref = assemble(tucker_cross(A, S))
+    model = tucker_cross(A, S, prev=tucker_cross(A, S0))
+    assert model.index_sets == tuple(tuple(I) for I in S)
+    assert np.array_equal(model.core.data, A.data[np.ix_(*S)])
+    assert direct_rel_error(ref, assemble(model)) <= 1e-12
+
+
+def test_tucker_cross_prev_reads_only_new_fibers(rng):
+    A = rand_bt(rng, (7, 6, 8), 3)
+    S0 = [[0, 3], [1], [2, 5]]
+    S = [[0, 3, 5], [1], [2, 4, 5, 7]]
+    c = CountingOracle(EntryOracle.from_tensor(A))
+    prev = tucker_cross(c, S0)
+    c.requested = 0
+    tucker_cross(c, S, prev=prev)
+    s0 = [len(I) for I in S0]
+    s = [len(I) for I in S]
+    new_fibers = [int(np.prod(s[:k] + s[k + 1:]))
+                  - int(np.prod(s0[:k] + s0[k + 1:])) for k in range(3)]
+    assert c.requested == int(np.prod(s)) + sum(
+        n * f for n, f in zip(A.dims, new_fibers))
+
+
+def test_tucker_cross_rejects_unfoldable_prev(rng):
+    A = rand_bt(rng, (6, 5, 4), 2)
+    c = CachedOracle(EntryOracle.from_tensor(A))
+    prev = tucker_cross(c, [[0, 2], [1], [3]])
+    count = c.count
+    with pytest.raises(ValueError):
+        # mode 0 drops index 2
+        tucker_cross(c, [[0, 1], [1, 2], [3]], prev=prev)
+    loaded = TuckerCrossModel(index_sets=prev.index_sets, core=prev.core,
+                              factors=prev.factors, dims=prev.dims)
+    with pytest.raises(ValueError):
+        tucker_cross(c, [[0, 2, 4], [1], [3]], prev=loaded)
+    assert c.count == count
+
+
 # --- assemble / entry ---------------------------------------------------------
 
 def test_model_gather_entry_matches_assemble(rng):

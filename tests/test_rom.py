@@ -237,3 +237,8 @@ def test_model_roundtrip_bit_exact(tmp_path, rng):
     I = rm.model.index_sets
     node = tuple(rm.grid.nodes[k][I[k][0]] for k in range(3))
     assert np.array_equal(rom_eval(back, node), rm.model.core.data[0, 0, 0])
+    # the folded R factors are not saved, so a loaded model cannot be
+    # grown incrementally
+    assert back.model.r_factors is None
+    with pytest.raises(ValueError):
+        tucker_cross(c, I, prev=back.model)
