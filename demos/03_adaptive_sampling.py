@@ -3,9 +3,10 @@
 The tensor is only touched through a memoizing index-to-value map, which
 is how an expensive parameter-to-solution map would be wrapped.  Each
 sweep draws a start column per mode, refines it by rook pivoting on the
-lazily evaluated residual, and folds the new fibers into the
-Tucker-cross model; the counter shows how little of the tensor the run
-actually looked at.
+lazily evaluated residual, adds the index found unless the mode's chosen
+columns already carry the rank of every fiber it has seen, and folds the
+new fibers into the Tucker-cross model; the counter shows how little of
+the tensor the run actually looked at.
 """
 
 import numpy as np

@@ -1,9 +1,11 @@
 """Adaptive cross sampling of function-valued tensors.
 
-Grows one index per mode per iteration: a start column is drawn (uniform,
-round-robin, or leverage-score weighted), refined by rook pivoting on a
-lazily evaluated residual row matrix restricted to auxiliary index sets,
-and the Tucker-cross model is updated to the enlarged sets by folding in
+Grows one index per iteration in each mode that is not saturated: a start
+column is drawn (uniform, round-robin, or leverage-score weighted), refined
+by rook pivoting on a lazily evaluated residual row matrix restricted to
+auxiliary index sets, and the index found joins the mode's set unless the
+chosen columns already carry the rank of the mode's fiber slab and of the
+fibers the scan read.  The Tucker-cross model is updated to the enlarged sets by folding in
 the new fibers only.  The residual matrices are never materialized beyond
 the scanned entries.
 """
@@ -14,7 +16,13 @@ from math import ceil, gcd
 
 import numpy as np
 
-from .bmatrix import BMatrix, DEFAULT_TOL, _canonical_index_set, _sigma_v
+from .bmatrix import (
+    BMatrix,
+    DEFAULT_TOL,
+    _canonical_index_set,
+    _rank,
+    _sigma_v,
+)
 from .btensor import model_gather, tucker_cross, tucker_rank
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
@@ -26,7 +34,9 @@ class AbcConfig:
 
     ``init_aux`` holds one non-empty auxiliary index set per mode.  The
     early-stop tolerance is relative to the largest core-entry norm and
-    is disabled at 0, which keeps the fixed-iteration semantics exact.
+    is disabled at 0.  Either way a run also ends after a sweep in which
+    no mode grows (see :func:`abc_sweeps`), so it may run fewer than
+    ``n_iter`` sweeps.
     """
 
     n_iter: int
@@ -72,7 +82,8 @@ class _ResidualRowView:
     columns the full mode-``k`` range.  Entries are evaluated on demand:
     the tensor side goes through the cache, the model side through factor
     contractions.  The largest entry norm seen so far is tracked for the
-    early-stopping test.
+    early-stopping test, and the fibers that :meth:`row_norms` read are
+    kept for the saturation test.
     """
 
     def __init__(self, cached, model, aux, k):
@@ -83,10 +94,13 @@ class _ResidualRowView:
         other = [len(a) for l, a in enumerate(aux) if l != k]
         self.shape = (int(np.prod(other, dtype=np.int64)), cached.dims[k])
         self.max_seen = 0.0
+        self.fibers = []
 
-    def _sq_norms(self, grids):
-        """Squared residual entry H-norms on a product grid, grid-shaped."""
-        vals = self.cached.gather(grids)
+    def _sq_norms(self, grids, vals=None):
+        """Squared residual entry H-norms on a product grid, grid-shaped;
+        ``vals`` are the tensor's entries there, if already read."""
+        if vals is None:
+            vals = self.cached.gather(grids)
         if self.model is not None:
             vals = vals - model_gather(self.model, grids)
         sq = self.cached.ip.pair(vals, vals)
@@ -99,8 +113,9 @@ class _ResidualRowView:
             [[int(j)] if l == self.k else a for l, a in enumerate(self.aux)]))
 
     def row_norms(self, i):
-        return _norms(self._sq_norms(
-            _fiber_grids(self.cached.dims, self.aux, self.k, i)))
+        grids = _fiber_grids(self.cached.dims, self.aux, self.k, i)
+        self.fibers.append(self.cached.gather(grids))
+        return _norms(self._sq_norms(grids, self.fibers[-1]))
 
     def all_col_norms(self):
         dims = self.cached.dims
@@ -219,29 +234,69 @@ def _estimate_leverage(cached, aux, rng, tol_rel):
     return scores
 
 
+def _carried(R, I, tol_rel):
+    """Whether the columns ``I`` of the row matrix ``R`` carry its rank,
+    ranks counting singular values above ``tol_rel`` times the largest."""
+    return _rank(np.linalg.svd(R, compute_uv=False), tol_rel) <= _rank(
+        np.linalg.svd(R[:, I], compute_uv=False), tol_rel)
+
+
+def _scan_carried(view, R, I, tol_rel):
+    """Whether the columns ``I`` carry the rank of the slab with
+    triangular factor ``R`` extended by the fibers the scan read; never,
+    if it read none."""
+    if not view.fibers:
+        return False
+    k = view.k
+    n_k = R.shape[1]
+    rows = [np.moveaxis(view.cached.ip.whiten(f), k, -1).reshape(-1, n_k)
+            for f in view.fibers]
+    return _carried(np.vstack([R] + rows), I, tol_rel)
+
+
 def abc_sweeps(cached, cfg):
     """Adaptive Tucker-cross approximation from sparse entry samples, one
     sweep at a time.
 
     A generator: it runs up to ``cfg.n_iter`` sweeps and yields
-    ``(model, report)`` after each one.  In each sweep every mode receives
-    one new index found by rook pivoting on the residual restricted to the
-    auxiliary index sets.  The model at the enlarged index sets is
+    ``(model, report)`` after each one.  In each sweep every mode is
+    scanned by rook pivoting on the residual restricted to the auxiliary
+    index sets, and every mode that is not saturated receives the index
+    the scan found.  The model at the enlarged index sets is
     :func:`tucker_cross` with the last sweep's model as ``prev``: only the
-    fibers new at the enlarged sets are read, and they are folded into the
-    last model's triangular factors, so the model updates read each fiber
-    once.  ``report`` is one object, updated in place: at each yield it
-    holds the per-iteration ranks, budgets and index-set snapshots so far,
-    and the current index and auxiliary sets.  The generator stops early
-    once the largest residual seen in a sweep falls to
-    ``cfg.early_stop_tol`` times the largest core-entry norm.  Nothing
-    runs, and ``cfg`` is not checked, until the first ``next``.
+    fibers and core entries new at the enlarged sets are read, and the
+    fibers are folded into the last model's triangular factors, so the
+    model updates read each entry once.  ``report`` is one object,
+    updated in place: at each yield it holds the per-iteration ranks,
+    budgets and index-set snapshots so far, and the current index and
+    auxiliary sets.  Nothing runs, and ``cfg`` is not checked, until the
+    first ``next``.
+
+    Saturation.  Mode ``k`` is saturated in a sweep when its chosen
+    columns ``I_k`` carry the rank of its fiber slab and of the
+    mode-``k`` fibers its rook scan read: the rank of ``M[:, I_k]``
+    reaches that of ``M``, for ``M`` the slab's triangular factor ``R_k``
+    stacked on the whitened scanned fibers (ranks count singular values
+    above ``cfg.tol_rel`` times the largest).  The slab alone only bounds
+    the rank of the mode's unfolding from below; a scanned fiber that the
+    chosen columns do not carry raises the rank of ``M``, so the mode
+    grows.  The test reads no entry beyond the scan's, and it runs only
+    for a mode whose ``R_k`` alone passes it; a scan that read no fiber
+    (``n_rook = 0``) never saturates a mode.  A saturated mode gets no
+    index in that sweep, and a mode with every column used is not
+    scanned.
+
+    Stopping.  After a sweep in which no mode grows, the model is the
+    last sweep's, so the generator sets ``report.converged`` and stops.
+    Like the early-stop test, this sees only what the scans read.  The
+    generator also stops, converged, once the largest residual seen in a
+    sweep falls to ``cfg.early_stop_tol`` times the largest core-entry
+    norm.
 
     If a pivot lands on an index already in the set, a fresh start column
     is drawn up to five times; failing that, the unused column with the
     largest residual norm over the auxiliary rows is taken (ties as in
-    :func:`rook_pivot`), and a mode with every column used is skipped for
-    the sweep.
+    :func:`rook_pivot`).
 
     Sampling footprint.  Let cross(S) be the multi-indices that lie in the
     sets ``S[l]`` in all modes but at most one; it has
@@ -249,7 +304,7 @@ def abc_sweeps(cached, cfg):
 
     - The model of each sweep is :func:`tucker_cross` at
       ``report.index_sets``; over the sweeps so far it has read each
-      entry of cross(index_sets) once, and each sweep reads the core.
+      entry of cross(index_sets), the core included, once.
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
       the auxiliary sets.
@@ -271,9 +326,11 @@ def abc_sweeps(cached, cfg):
         scores = _estimate_leverage(cached, aux, rng, cfg.tol_rel)
 
     report = AbcReport(index_sets=(), aux_sets=())
+    carried = [False] * d
     for s in range(1, cfg.n_iter + 1):
         sweep_max = 0.0
         scanned = False
+        grown = False
         for k in range(d):
             used = set(sets[k])
             if len(used) == dims[k]:
@@ -294,12 +351,18 @@ def abc_sweeps(cached, cfg):
                 scanned = True
                 norms[sorted(used)] = -1.0
                 chosen = _first_max(norms)
+            sweep_max = max(sweep_max, view.max_seen)
+            if carried[k] and _scan_carried(view, model.r_factors[k],
+                                            sets[k], cfg.tol_rel):
+                continue
+            grown = True
             sets[k] = sorted(used | {chosen})
             if chosen not in aux[k]:
                 aux[k] = sorted(aux[k] + [chosen])
-            sweep_max = max(sweep_max, view.max_seen)
 
         model = tucker_cross(cached, sets, cfg.tol_rel, prev=model)
+        carried = [_carried(R, I, cfg.tol_rel)
+                   for R, I in zip(model.r_factors, sets)]
         report.rank_history.append(tucker_rank(model.core, cfg.tol_rel))
         report.evals_by_iter.append(cached.count)
         report.index_set_history.append(tuple(tuple(I) for I in sets))
@@ -308,7 +371,9 @@ def abc_sweeps(cached, cfg):
         report.index_sets = report.index_set_history[-1]
         report.aux_sets = tuple(tuple(a) for a in aux)
 
-        if cfg.early_stop_tol > 0.0 and scanned:
+        if not grown:
+            report.converged = True
+        elif cfg.early_stop_tol > 0.0 and scanned:
             core_scale = float(np.max(cached.ip.norms(model.core.data)))
             if sweep_max <= cfg.early_stop_tol * core_scale:
                 report.converged = True

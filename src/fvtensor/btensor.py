@@ -173,27 +173,38 @@ class TuckerCrossModel:
         return self.core.ip
 
 
-def _fresh_fiber_grids(sets, old, k, n_k):
-    """Disjoint product grids of the mode-``k`` fibers over ``sets`` that
-    are not fibers over ``old``.
+def _fresh_grids(sets, old):
+    """Disjoint product grids covering the product of ``sets`` minus the
+    product of ``old``.
 
-    ``old is None`` stands for no fibers, so the one grid is the whole
-    slab.  Otherwise the grids are, for each other mode ``m``, the product
-    of ``old`` before ``m``, ``sets[m] - old[m]`` at ``m`` and ``sets``
-    after it; a mode whose set did not grow contributes none.
+    ``old is None`` stands for the empty product, so the one grid is the
+    whole of ``sets``.  Otherwise the grids are, for each mode ``m``, the
+    product of ``old`` before ``m``, ``sets[m] - old[m]`` at ``m`` and
+    ``sets`` after it; a mode whose set did not grow contributes none.
+    With the whole mode-``k`` range at ``k`` in both, the grids hold the
+    mode-``k`` fibers over ``sets`` that are not fibers over ``old``.
     """
-    full = np.arange(n_k)
     if old is None:
-        return [[full if l == k else I for l, I in enumerate(sets)]]
+        return [list(sets)]
     grids = []
     for m in range(len(sets)):
         fresh = sorted(set(sets[m]) - set(old[m]))
-        if m == k or not fresh:
-            continue
-        grids.append([full if l == k else old[l] if l < m else
-                      fresh if l == m else sets[l]
-                      for l in range(len(sets))])
+        if fresh:
+            grids.append([old[l] if l < m else fresh if l == m else sets[l]
+                          for l in range(len(sets))])
     return grids
+
+
+def _grown_core(source, sets, prev, old):
+    """Core subtensor at ``sets``: ``prev``'s core where it lies inside,
+    and one gather per :func:`_fresh_grids` grid elsewhere."""
+    blocks = [] if prev is None else [(old, prev.core.data)]
+    blocks += [(g, source.gather(g)) for g in _fresh_grids(sets, old)]
+    data = np.empty(tuple(len(I) for I in sets) + (source.ip.h,))
+    for grids, block in blocks:
+        at = [np.searchsorted(I, g) for I, g in zip(sets, grids)]
+        data[np.ix_(*at)] = block
+    return BTensor(data, source.ip)
 
 
 def _old_sets(prev, source, sets):
@@ -221,27 +232,32 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     unfolding is the slab's own columns at ``index_sets[k]``, so with the
     slab ``Q R`` the factor is ``pinv(R[:, I_k]) R`` (truncated as in
     :func:`~fvtensor.bmatrix.pinv_apply`), and only the triangular factor
-    ``R`` is kept.  Each fiber is read once: given the model ``prev`` of
+    ``R`` is kept.  Each entry is read once: given the model ``prev`` of
     smaller index sets, only the fibers that are new at ``index_sets``
     are gathered, whitened and folded into ``prev``'s ``R`` by one QR of
-    the stacked rows (as in TSQR).  Without ``prev`` every fiber is
-    folded into an empty ``R``.  Only entries inside the cross (the core
-    and the per-mode slabs) are accessed, so ``source`` may be a lazy
-    oracle.  A ``prev`` whose sets are not subsets of ``index_sets``, or
-    that carries no ``R``, is a ``ValueError``.
+    the stacked rows (as in TSQR), and the core is ``prev``'s core plus
+    the entries with a new index in some mode.  Without ``prev`` every
+    fiber is folded into an empty ``R``.  Only entries inside the cross
+    (the core and the per-mode slabs) are accessed, so ``source`` may be
+    a lazy oracle.  A ``prev`` whose sets are not subsets of
+    ``index_sets``, or that carries no ``R``, is a ``ValueError``.
     """
     dims = tuple(source.dims)
     sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
                  for k, I in enumerate(index_sets))
     old = _old_sets(prev, source, sets)
-    core = BTensor(source.gather([np.asarray(I) for I in sets]), source.ip)
+    core = _grown_core(source, sets, prev, old)
     factors = []
     r_factors = []
     for k, n_k in enumerate(dims):
         R = np.empty((0, n_k)) if prev is None else prev.r_factors[k]
+        full = (range(n_k),)
+        fibers = _fresh_grids(
+            sets[:k] + full + sets[k + 1:],
+            None if old is None else old[:k] + full + old[k + 1:])
         slabs = [np.moveaxis(source.ip.whiten(source.gather(grids)), k, -1)
                  .reshape(-1, n_k)
-                 for grids in _fresh_fiber_grids(sets, old, k, n_k)]
+                 for grids in fibers]
         if slabs:
             R = _r_factor(np.vstack([R] + slabs))
         I = list(sets[k])

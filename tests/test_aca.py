@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fvtensor import aca
 from fvtensor.aca import (
     TIE_RTOL,
     AbcConfig,
@@ -288,14 +289,20 @@ def test_abc_determinism_across_threads(rng):
     A = BTensor(rng.standard_normal((8, 8, 8, 4)), InnerProduct.identity(4))
     cfg = AbcConfig(n_iter=4, init_aux=[[0, 4], [1, 5], [2, 6]],
                     n_rook=2, seed=11, draw="round_robin")
-    sweeps1 = abc_sweeps(tensor_oracle(A, threads=1), cfg)
-    sweeps4 = abc_sweeps(tensor_oracle(A, threads=4), cfg)
-    for (m1, r1), (m4, r4) in zip(sweeps1, sweeps4):
-        assert r1.index_sets == r4.index_sets
-        assert m1.core.data.tobytes() == m4.core.data.tobytes()
-        for F1, F4 in zip(m1.factors, m4.factors):
-            assert F1.tobytes() == F4.tobytes()
-    assert r1.n_iter_run == r4.n_iter_run == 4
+    # mode 0 of B has rank 2, so it saturates while the others grow
+    B = exact_rank_tensor(rng, (8, 8, 8), (2, 8, 8), 4)
+    for T in (A, B):
+        sweeps1 = abc_sweeps(tensor_oracle(T, threads=1), cfg)
+        sweeps4 = abc_sweeps(tensor_oracle(T, threads=4), cfg)
+        for (m1, r1), (m4, r4) in zip(sweeps1, sweeps4):
+            assert r1.index_sets == r4.index_sets
+            assert m1.core.data.tobytes() == m4.core.data.tobytes()
+            for F1, F4 in zip(m1.factors, m4.factors):
+                assert F1.tobytes() == F4.tobytes()
+        assert r1.index_set_history == r4.index_set_history
+        assert r1.converged == r4.converged
+        assert r1.n_iter_run == r4.n_iter_run == 4
+    assert len(r1.index_sets[0]) == 2 < len(r1.index_sets[1])
 
 
 def test_abc_budget_accounting(rng):
@@ -336,14 +343,84 @@ def test_abc_leverage_footprint(rng):
     assert c.count <= cross
 
 
-def test_abc_mode_saturation_skips(rng):
-    # one mode of size 2 saturates; later sweeps skip it without error
-    A = BTensor(rng.standard_normal((2, 8, 8, 3)), InnerProduct.identity(3))
-    c = tensor_oracle(A)
-    cfg = AbcConfig(n_iter=4, init_aux=[[0], [1, 3], [2, 4]], seed=4)
-    model, report = tucker_abc(c, cfg)
+def test_abc_mode_saturation_skips(rng, monkeypatch):
+    # one mode of size 2 uses both columns after two sweeps; later sweeps
+    # never scan it again
+    views = []
+
+    class RecordingView(_ResidualRowView):
+        def __init__(self, cached, model, aux, k):
+            views.append(k)
+            super().__init__(cached, model, aux, k)
+
+    monkeypatch.setattr(aca, "_ResidualRowView", RecordingView)
+    for n in (8, 6):
+        A = BTensor(rng.standard_normal((2, n, n, 3)), InnerProduct.identity(3))
+        cfg = AbcConfig(n_iter=4, init_aux=[[0], [1, 3], [2, 4]], seed=4)
+        scanned = []
+        for _, report in abc_sweeps(tensor_oracle(A), cfg):
+            scanned.append(sorted(set(views)))
+            views.clear()
+        assert len(report.index_set_history[1][0]) == 2
+        assert len(report.index_sets[1]) == 4
+        assert scanned == [[0, 1, 2], [0, 1, 2], [1, 2], [1, 2]]
+        assert report.n_iter_run == 4 and not report.converged
+
+
+def test_abc_sets_stop_at_exact_rank(rng):
+    # a mode stops growing once its chosen columns carry the rank of its
+    # slab and of the fibers its scans read, and the run stops after a
+    # sweep in which no mode grows
+    ranks = (1, 3, 2)
+    aux = [[0, 5], [2, 7], [1, 4]]
+    for kind in GRAM_KINDS:
+        ip = make_ip(kind, 5, rng)
+        A = exact_rank_tensor(rng, (9, 10, 8), ranks, 5, ip)
+        cfg = AbcConfig(n_iter=10, init_aux=aux, seed=3)
+        model, report = tucker_abc(tensor_oracle(A), cfg)
+        assert tuple(len(I) for I in report.index_sets) == ranks
+        assert report.converged
+        assert report.n_iter_run < 10
+        err = fro_norm(BTensor(assemble(model).data - A.data, ip)) / fro_norm(A)
+        assert err <= 1e-10
+    # without rook scans no fiber is read, so nothing saturates a mode
+    report = tucker_abc(tensor_oracle(A),
+                        AbcConfig(n_iter=4, init_aux=aux, n_rook=0))[1]
+    assert tuple(len(I) for I in report.index_sets) == (4, 4, 4)
+    assert not report.converged
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_abc_slab_rank_below_unfolding_rank_does_not_saturate(rng, h):
+    # g (x) w with g of Tucker rank (2, 2, 2): each first-sweep slab is h
+    # proportional rows, whose rank one column carries although the
+    # unfoldings have rank 2; the fibers the next scans read show it
+    g = exact_rank_tensor(rng, (9, 8, 7), (2, 2, 2), 1).data
+    ip = InnerProduct.identity(h)
+    A = BTensor(g * rng.standard_normal(h), ip)
+    model, report = tucker_abc(
+        tensor_oracle(A), AbcConfig(n_iter=6, init_aux=[[0], [1], [2]]))
+    assert tuple(len(I) for I in report.index_sets) == (2, 2, 2)
+    assert report.converged and 1 < report.n_iter_run < 6
+    err = fro_norm(BTensor(assemble(model).data - A.data, ip)) / fro_norm(A)
+    assert err <= 1e-10
+
+
+def test_abc_scanned_fiber_off_the_cross_keeps_mode_growing(rng):
+    # rank one plus a small term on the auxiliary fiber (:, 7, 4), off the
+    # first sweep's cross through (3, 2, 1): every slab then has rank one,
+    # but mode 0's next scan reads that fiber, which the one chosen column
+    # does not carry, so mode 0 still grows
+    u, v, x = (rng.uniform(0.5, 1.0, 9) for _ in range(3))
+    u[3], v[2], x[1] = 2.0, 2.0, 2.0
+    w = rng.standard_normal((2, 2))
+    data = np.einsum("i,j,l,c->ijlc", u, v, x, w[0])
+    data[:, 7, 4] += 1e-3 * np.outer(rng.standard_normal(9), w[1])
+    A = BTensor(data, InnerProduct.identity(2))
+    cfg = AbcConfig(n_iter=2, init_aux=[[0, 5], [2, 7], [1, 4]])
+    report = tucker_abc(tensor_oracle(A), cfg)[1]
+    assert report.index_set_history[0] == ((3,), (2,), (1,))
     assert len(report.index_sets[0]) == 2
-    assert len(report.index_sets[1]) == 4
 
 
 def test_abc_config_validation(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvtensor import btensor
 from fvtensor.bmatrix import BMatrix, column_rank, left_mul, right_mul, transpose
@@ -297,6 +299,18 @@ class CountingOracle(CachedOracle):
         return super().get_many(indices)
 
 
+def grown_reads(dims, S0, S):
+    """Entries ``tucker_cross`` at ``S`` reads given the model at ``S0``:
+    the core entries with a new index in some mode, and per mode the full
+    fibers that are new at ``S``."""
+    s0 = [len(I) for I in S0]
+    s = [len(I) for I in S]
+    new_fibers = [int(np.prod(s[:k] + s[k + 1:]))
+                  - int(np.prod(s0[:k] + s0[k + 1:])) for k in range(len(s))]
+    return int(np.prod(s)) - int(np.prod(s0)) + sum(
+        n * f for n, f in zip(dims, new_fibers))
+
+
 @pytest.mark.parametrize("kind", GRAM_KINDS)
 @pytest.mark.parametrize("dims, h, S0, S", [
     # mode 1's set does not grow
@@ -321,12 +335,52 @@ def test_tucker_cross_prev_reads_only_new_fibers(rng):
     prev = tucker_cross(c, S0)
     c.requested = 0
     tucker_cross(c, S, prev=prev)
-    s0 = [len(I) for I in S0]
-    s = [len(I) for I in S]
-    new_fibers = [int(np.prod(s[:k] + s[k + 1:]))
-                  - int(np.prod(s0[:k] + s0[k + 1:])) for k in range(3)]
-    assert c.requested == int(np.prod(s)) + sum(
-        n * f for n, f in zip(A.dims, new_fibers))
+    # the core grows from prev's: only its entries at a new index are read
+    assert c.requested == grown_reads(A.dims, S0, S)
+
+
+@st.composite
+def set_growth(draw):
+    """Dims, ``h``, a Gram kind and nested index sets ``S0 <= S``; a mode's
+    set may not grow at all."""
+    dims = draw(st.lists(st.integers(2, 6), min_size=2, max_size=3))
+    S0, S = [], []
+    for n in dims:
+        I = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                          unique=True))
+        cut = draw(st.integers(1, len(I)))
+        S0.append(sorted(I[:cut]))
+        S.append(sorted(I))
+    h = draw(st.integers(1, 4))
+    return dims, h, draw(st.sampled_from(GRAM_KINDS)), S0, S
+
+
+@settings(max_examples=40, deadline=None)
+@given(set_growth(), st.integers(0, 2**32 - 1))
+# no set grows
+@example(((5, 4, 3), 2, "dense", [[0, 3], [1], [2]], [[0, 3], [1], [2]]), 0)
+# mode 1's set does not grow
+@example(((5, 4, 3), 3, "diagonal", [[1], [0, 2], [1]],
+          [[1, 4], [0, 2], [0, 1]]), 1)
+def test_tucker_cross_prev_property(case, seed):
+    dims, h, kind, S0, S = case
+    rng = np.random.default_rng(seed)
+    A = rand_bt(rng, dims, h, make_ip(kind, h, rng))
+    c = CountingOracle(EntryOracle.from_tensor(A))
+    prev = tucker_cross(c, S0)
+    c.requested = 0
+    model = tucker_cross(c, S, prev=prev)
+    scratch = tucker_cross(A, S)
+    assert model.index_sets == scratch.index_sets
+    assert model.core.data.tobytes() == scratch.core.data.tobytes()
+    ref = assemble(scratch)
+    assert fro_norm(BTensor(assemble(model).data - ref.data, A.ip)) <= (
+        1e-10 * max(fro_norm(ref), fro_norm(A)))
+    assert c.requested == grown_reads(dims, S0, S)
+    if S == S0:
+        # nothing is read and no R changes
+        assert c.requested == 0
+        assert all(R is R0 for R, R0 in zip(model.r_factors, prev.r_factors))
 
 
 def test_tucker_cross_rejects_unfoldable_prev(rng):

@@ -142,6 +142,18 @@ def test_build_eval_pipeline(tmp_path, capsys):
     assert np.array_equal(got, stored)
 
 
+def test_build_stops_once_every_mode_is_saturated(tmp_path):
+    # the separable family has exact Tucker rank (3, 3, 3): once each set
+    # carries it, a further sweep would read nothing, so the build stops
+    model = str(tmp_path / "sep.json")
+    assert main(["build", "--family", "separable", "--dims", "12,10,8",
+                 "--h", "4", "--iters", "20", "--out", model]) == 0
+    report = json.load(open(model[:-5] + ".report.json"))
+    assert report["converged"] is True
+    assert report["iterations_run"] < 20
+    assert report["total_evals"] == report["evals_by_iter"][-1] < 12 * 10 * 8
+
+
 def test_eval_raw_roundtrip(tmp_path, capsys):
     model = str(tmp_path / "m.json")
     assert main(["build", "--family", "lowrank_plus_decay", "--dims", "6,5,4",
