@@ -1,13 +1,14 @@
 """Adaptive cross sampling of function-valued tensors.
 
-Grows one index per iteration in each mode that is not saturated: a start
+Grows one index per sweep in each mode that is not saturated: a start
 column is drawn (uniform, round-robin, or leverage-score weighted), refined
 by rook pivoting on a lazily evaluated residual row matrix restricted to
 auxiliary index sets, and the index found joins the mode's set unless the
 chosen columns already carry the rank of the mode's fiber slab and of the
-fibers the scan read.  The Tucker-cross model is updated to the enlarged sets by folding in
-the new fibers only.  The residual matrices are never materialized beyond
-the scanned entries.
+fibers the scan read.  The run stops after a sweep in which no mode grows.
+The Tucker-cross model is updated to the enlarged sets by folding in the
+new fibers only.  The residual matrices are never materialized beyond the
+scanned entries.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .bmatrix import (
     _rank,
     _sigma_v,
 )
-from .btensor import model_gather, tucker_cross, tucker_rank
+from .btensor import _fiber_rows, model_gather, tucker_cross, tucker_rank
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 
@@ -32,11 +33,11 @@ TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 class AbcConfig:
     """Knobs of the adaptive run.
 
-    ``init_aux`` holds one non-empty auxiliary index set per mode.  The
-    early-stop tolerance is relative to the largest core-entry norm and
-    is disabled at 0.  Either way a run also ends after a sweep in which
-    no mode grows (see :func:`abc_sweeps`), so it may run fewer than
-    ``n_iter`` sweeps.
+    ``init_aux`` holds one non-empty auxiliary index set per mode.
+    ``tol_rel``, in ``[0, 1)``, truncates the pseudoinverses and the ranks
+    of the saturation test.  A run ends after a sweep in which no mode
+    grows (see :func:`abc_sweeps`), so it may run fewer than ``n_iter``
+    sweeps.
     """
 
     n_iter: int
@@ -45,7 +46,6 @@ class AbcConfig:
     draw: str = "uniform"
     seed: int = 0
     tol_rel: float = DEFAULT_TOL
-    early_stop_tol: float = 0.0
 
     def validate(self, dims):
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
@@ -55,6 +55,8 @@ class AbcConfig:
             raise ValueError("n_rook must be nonnegative")
         if self.draw not in ("uniform", "round_robin", "leverage"):
             raise ValueError(f"unknown draw rule {self.draw!r}")
+        if not 0.0 <= self.tol_rel < 1.0:
+            raise ValueError(f"tol_rel must lie in [0, 1), got {self.tol_rel}")
         if len(self.init_aux) != len(dims):
             raise ValueError("need one auxiliary index set per mode")
         return [_canonical_index_set(aux, n, f"mode-{k} auxiliary")
@@ -70,7 +72,6 @@ class AbcReport:
     rank_history: list = field(default_factory=list)
     evals_by_iter: list = field(default_factory=list)
     index_set_history: list = field(default_factory=list)
-    max_residual_by_iter: list = field(default_factory=list)
     converged: bool = False
     n_iter_run: int = 0
 
@@ -81,9 +82,8 @@ class _ResidualRowView:
     Rows are big-endian combinations of the other modes' auxiliary sets,
     columns the full mode-``k`` range.  Entries are evaluated on demand:
     the tensor side goes through the cache, the model side through factor
-    contractions.  The largest entry norm seen so far is tracked for the
-    early-stopping test, and the fibers that :meth:`row_norms` read are
-    kept for the saturation test.
+    contractions.  The fibers that :meth:`row_norms` read are kept for
+    the saturation test.
     """
 
     def __init__(self, cached, model, aux, k):
@@ -93,7 +93,6 @@ class _ResidualRowView:
         self.k = k
         other = [len(a) for l, a in enumerate(aux) if l != k]
         self.shape = (int(np.prod(other, dtype=np.int64)), cached.dims[k])
-        self.max_seen = 0.0
         self.fibers = []
 
     def _sq_norms(self, grids, vals=None):
@@ -103,10 +102,7 @@ class _ResidualRowView:
             vals = self.cached.gather(grids)
         if self.model is not None:
             vals = vals - model_gather(self.model, grids)
-        sq = self.cached.ip.pair(vals, vals)
-        if sq.size:
-            self.max_seen = max(self.max_seen, float(np.sqrt(max(sq.max(), 0.0))))
-        return sq
+        return self.cached.ip.pair(vals, vals)
 
     def col_norms(self, j):
         return _norms(self._sq_norms(
@@ -234,24 +230,21 @@ def _estimate_leverage(cached, aux, rng, tol_rel):
     return scores
 
 
-def _carried(R, I, tol_rel):
-    """Whether the columns ``I`` of the row matrix ``R`` carry its rank,
-    ranks counting singular values above ``tol_rel`` times the largest."""
-    return _rank(np.linalg.svd(R, compute_uv=False), tol_rel) <= _rank(
-        np.linalg.svd(R[:, I], compute_uv=False), tol_rel)
-
-
-def _scan_carried(view, R, I, tol_rel):
+def _carried(view, R, I, tol_rel):
     """Whether the columns ``I`` carry the rank of the slab with
-    triangular factor ``R`` extended by the fibers the scan read; never,
-    if it read none."""
+    triangular factor ``R`` stacked on the whitened fibers the scan read,
+    ranks counting singular values above ``tol_rel`` times the largest;
+    never, if the scan read none.  Columns that carry the stack carry
+    ``R``, so ``R`` alone is tested first."""
     if not view.fibers:
         return False
-    k = view.k
-    n_k = R.shape[1]
-    rows = [np.moveaxis(view.cached.ip.whiten(f), k, -1).reshape(-1, n_k)
-            for f in view.fibers]
-    return _carried(np.vstack([R] + rows), I, tol_rel)
+
+    def carries(M):
+        return _rank(np.linalg.svd(M, compute_uv=False), tol_rel) <= _rank(
+            np.linalg.svd(M[:, I], compute_uv=False), tol_rel)
+
+    rows = (_fiber_rows(view.cached.ip.whiten(f), view.k) for f in view.fibers)
+    return carries(R) and carries(np.vstack([R, *rows]))
 
 
 def abc_sweeps(cached, cfg):
@@ -280,18 +273,15 @@ def abc_sweeps(cached, cfg):
     above ``cfg.tol_rel`` times the largest).  The slab alone only bounds
     the rank of the mode's unfolding from below; a scanned fiber that the
     chosen columns do not carry raises the rank of ``M``, so the mode
-    grows.  The test reads no entry beyond the scan's, and it runs only
-    for a mode whose ``R_k`` alone passes it; a scan that read no fiber
-    (``n_rook = 0``) never saturates a mode.  A saturated mode gets no
-    index in that sweep, and a mode with every column used is not
-    scanned.
+    grows.  The test reads no entry beyond the scan's; a scan that read
+    no fiber (``n_rook = 0``) never saturates a mode.  A saturated mode
+    gets no index in that sweep, and a mode with every column used is
+    not scanned.
 
     Stopping.  After a sweep in which no mode grows, the model is the
     last sweep's, so the generator sets ``report.converged`` and stops.
-    Like the early-stop test, this sees only what the scans read.  The
-    generator also stops, converged, once the largest residual seen in a
-    sweep falls to ``cfg.early_stop_tol`` times the largest core-entry
-    norm.
+    This is the only stopping rule besides ``cfg.n_iter``, and it sees
+    only what the scans read.
 
     If a pivot lands on an index already in the set, a fresh start column
     is drawn up to five times; failing that, the unused column with the
@@ -326,10 +316,7 @@ def abc_sweeps(cached, cfg):
         scores = _estimate_leverage(cached, aux, rng, cfg.tol_rel)
 
     report = AbcReport(index_sets=(), aux_sets=())
-    carried = [False] * d
     for s in range(1, cfg.n_iter + 1):
-        sweep_max = 0.0
-        scanned = False
         grown = False
         for k in range(d):
             used = set(sets[k])
@@ -342,18 +329,15 @@ def abc_sweeps(cached, cfg):
                          scores=None if scores is None else scores[k])
                 if cfg.n_rook > 0:
                     _, j = rook_pivot(view, j, cfg.n_rook)
-                    scanned = True
                 if j not in used:
                     chosen = j
                     break
             if chosen is None:
                 norms = view.all_col_norms()
-                scanned = True
                 norms[sorted(used)] = -1.0
                 chosen = _first_max(norms)
-            sweep_max = max(sweep_max, view.max_seen)
-            if carried[k] and _scan_carried(view, model.r_factors[k],
-                                            sets[k], cfg.tol_rel):
+            if model is not None and _carried(view, model.r_factors[k],
+                                              sets[k], cfg.tol_rel):
                 continue
             grown = True
             sets[k] = sorted(used | {chosen})
@@ -361,22 +345,13 @@ def abc_sweeps(cached, cfg):
                 aux[k] = sorted(aux[k] + [chosen])
 
         model = tucker_cross(cached, sets, cfg.tol_rel, prev=model)
-        carried = [_carried(R, I, cfg.tol_rel)
-                   for R, I in zip(model.r_factors, sets)]
         report.rank_history.append(tucker_rank(model.core, cfg.tol_rel))
         report.evals_by_iter.append(cached.count)
         report.index_set_history.append(tuple(tuple(I) for I in sets))
-        report.max_residual_by_iter.append(sweep_max)
         report.n_iter_run = s
         report.index_sets = report.index_set_history[-1]
         report.aux_sets = tuple(tuple(a) for a in aux)
-
-        if not grown:
-            report.converged = True
-        elif cfg.early_stop_tol > 0.0 and scanned:
-            core_scale = float(np.max(cached.ip.norms(model.core.data)))
-            if sweep_max <= cfg.early_stop_tol * core_scale:
-                report.converged = True
+        report.converged = not grown
         yield model, report
         if report.converged:
             return

@@ -223,6 +223,14 @@ def _old_sets(prev, source, sets):
     return prev.index_sets
 
 
+def _fiber_rows(w, k):
+    """Mode-``k`` fibers of the whitened array ``w`` (shape ``dims +
+    (h,)``) as the rows of a real matrix with ``dims[k]`` columns: the
+    rows they add to a mode-``k`` triangular factor.  The caller
+    whitens, so a gathered array is freed before the reshape copies."""
+    return np.moveaxis(w, k, -1).reshape(-1, w.shape[k])
+
+
 def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     """Tucker-cross approximation of ``source`` at the given index sets.
 
@@ -255,8 +263,7 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
         fibers = _fresh_grids(
             sets[:k] + full + sets[k + 1:],
             None if old is None else old[:k] + full + old[k + 1:])
-        slabs = [np.moveaxis(source.ip.whiten(source.gather(grids)), k, -1)
-                 .reshape(-1, n_k)
+        slabs = [_fiber_rows(source.ip.whiten(source.gather(grids)), k)
                  for grids in fibers]
         if slabs:
             R = _r_factor(np.vstack([R] + slabs))

@@ -54,6 +54,17 @@ def _parse_dims(text):
     return dims
 
 
+def _parse_tol(text):
+    """``--tol``: a finite relative tolerance in [0, 1)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1)")
+    return tol
+
+
 def _resolve_gram(spec_text, h):
     """The ``--gram`` inner product for a source of coefficient length
     ``h``; a Gram file of another length is a ``ValueError``."""
@@ -88,8 +99,8 @@ def _family_spec(args):
 
 
 def _load_source(args, need_dense):
-    """Resolve --input / --family into (tensor or None, oracle, grids);
-    ``--gram``, when given, replaces the Gram of either source."""
+    """Resolve --input / --family into (tensor or None, entry oracle,
+    grids); ``--gram``, when given, replaces the Gram of either source."""
     if args.input is not None:
         A = load_fvt(args.input)
         grids = [np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
@@ -107,7 +118,7 @@ def _load_source(args, need_dense):
     if ip is not None:
         A = None if A is None else BTensor(A.data, ip)
         oracle = EntryOracle(oracle.dims, ip, oracle.fn)
-    return A, CachedOracle(oracle, threads=args.threads), grids
+    return A, oracle, grids
 
 
 def _draw_aux(dims, size, seed):
@@ -124,7 +135,7 @@ def _abc_config(args, dims):
         draw={"uniform": "uniform", "roundrobin": "round_robin",
               "leverage": "leverage"}[args.draw],
         seed=int(args.seed),
-        tol_rel=float(args.tol),
+        tol_rel=args.tol,
     )
 
 
@@ -151,7 +162,8 @@ def _report_doc(report, cached, seed):
 
 
 def _cmd_build(args):
-    _, cached, grids = _load_source(args, need_dense=False)
+    _, oracle, grids = _load_source(args, need_dense=False)
+    cached = CachedOracle(oracle, threads=args.threads)
     model, report = tucker_abc(cached, _abc_config(args, cached.dims))
     rm = rom.rom_from_parts(model, grids, ["hat"] * len(grids))
     base = args.out
@@ -169,7 +181,7 @@ def _cmd_build(args):
 def _cmd_hosvd(args):
     A, _, _ = _load_source(args, need_dense=True)
     ranks = _parse_dims(args.rank) if args.rank else None
-    res = hosvd(A, ranks, float(args.tol))
+    res = hosvd(A, ranks, args.tol)
     base = args.out
     save_fvt(res.decomp.core, base + ".core.fvt")
     with open(base + ".factors.json", "w") as f:
@@ -201,13 +213,13 @@ def _cmd_compare(args):
     identity Gram, and the sweep samples that, so no later pass over the
     tensor pays a Gram product.
     """
-    A, cached, _ = _load_source(args, need_dense=True)
+    A, _, _ = _load_source(args, need_dense=True)
     A = BTensor(A.ip.whiten(A.data), InnerProduct.identity(A.h))
     cached = CachedOracle(EntryOracle.from_tensor(A), threads=args.threads)
     norm_a = fro_norm(A)
     if norm_a <= 0.0:
         raise ValueError("reference tensor is zero")
-    full = hosvd(A, None, float(args.tol))
+    full = hosvd(A, None, args.tol)
 
     lines = ["iterations\trank\tabc_error\thosvd_error\thosvd_bound\tevals\n"]
     for model, report in abc_sweeps(cached, _abc_config(args, cached.dims)):
@@ -276,9 +288,9 @@ def build_parser():
         p.add_argument("--gram",
                        help="identity | diagonal:FILE | dense:FILE")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=_parse_tol, default=1e-12)
         p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("FVT_THREADS", "1")))
+                       default=os.environ.get("FVT_THREADS", "1"))
 
     def add_abc(p):
         p.add_argument("--iters", type=int, required=True)

@@ -80,7 +80,6 @@ def test_rook_zero_rounds():
     view = matrix_view(np.ones((3, 4, 1)), ip)
     i, j = rook_pivot(view, 2, 0)
     assert i is None and j == 2
-    assert view.max_seen == 0.0
 
 
 def test_rook_tie_break_smallest_index():
@@ -215,15 +214,18 @@ def test_abc_rank_bound_and_growth(rng):
             assert set(I) <= set(aux)
 
 
-def test_abc_rank_one_early_stop(rng):
-    ip = InnerProduct.identity(5)
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_abc_rank_one_stops_once_saturated(rng, kind):
+    # the first sweep's one column per mode carries a rank-one tensor, so
+    # no mode grows in the second sweep and the run stops there
+    ip = make_ip(kind, 5, rng)
     A = exact_rank_tensor(rng, (6, 7, 5), (1, 1, 1), 5, ip)
-    c = tensor_oracle(A)
-    cfg = AbcConfig(n_iter=4, init_aux=[[0], [0], [0]], n_rook=1, seed=1,
-                    early_stop_tol=1e-12)
-    model, report = tucker_abc(c, cfg)
-    assert report.converged
-    assert report.n_iter_run <= 2
+    cfg = AbcConfig(n_iter=4, init_aux=[[0], [0], [0]], n_rook=1, seed=1)
+    converged = []
+    for model, report in abc_sweeps(tensor_oracle(A), cfg):
+        converged.append(report.converged)
+    assert converged[-1] and not any(converged[:-1])
+    assert len(converged) <= 2
     err = fro_norm(BTensor(assemble(model).data - A.data, ip)) / fro_norm(A)
     assert err <= 1e-10
 
@@ -273,16 +275,6 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
     assert last.core.data.tobytes() == model.core.data.tobytes()
     for F, F_last in zip(model.factors, last.factors):
         assert F.tobytes() == F_last.tobytes()
-
-
-def test_abc_sweeps_stop_at_early_convergence(rng):
-    ip = InnerProduct.identity(5)
-    A = exact_rank_tensor(rng, (6, 7, 5), (1, 1, 1), 5, ip)
-    cfg = AbcConfig(n_iter=4, init_aux=[[0], [0], [0]], n_rook=1, seed=1,
-                    early_stop_tol=1e-12)
-    converged = [r.converged for _, r in abc_sweeps(tensor_oracle(A), cfg)]
-    assert converged[-1] and not any(converged[:-1])
-    assert len(converged) <= 2
 
 
 def test_abc_determinism_across_threads(rng):
@@ -432,3 +424,8 @@ def test_abc_config_validation(rng):
         tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[], [0]]))
     with pytest.raises(ValueError):
         tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]], draw="magic"))
+    for tol in (float("nan"), -1.0, 1.0):
+        with pytest.raises(ValueError, match="tol_rel"):
+            tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]],
+                                    tol_rel=tol))
+    assert c.count == 0

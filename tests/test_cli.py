@@ -386,3 +386,41 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
     out = str(tmp_path / "cmp.tsv")
     assert main(["compare", "--family", "separable", "--dims", "6,6,6",
                  "--h", "4", "--iters", "2", "--out", out]) == 0
+
+
+def test_bad_env_threads_is_a_usage_error_where_threads_is_taken(
+        tmp_path, monkeypatch):
+    doc = tmp_path / "doc.json"
+    doc.write_text("{}")
+    monkeypatch.setenv("FVT_THREADS", "x")
+    assert main(["info", "--input", str(doc)]) == 0
+    assert main(["build", "--family", "separable", "--dims", "4,4,4",
+                 "--h", "2", "--iters", "1",
+                 "--out", str(tmp_path / "m.json")]) == 1
+
+
+@pytest.mark.parametrize("command", ["build", "hosvd", "compare"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "1"])
+def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
+                                        command, tol):
+    reads = []
+    real_get_many = CachedOracle.get_many
+    real_make_tensor = cli.problems.make_tensor
+
+    def counted(self, indices):
+        reads.append(len(indices))
+        return real_get_many(self, indices)
+
+    def made(spec):
+        reads.append(spec)
+        return real_make_tensor(spec)
+
+    monkeypatch.setattr(CachedOracle, "get_many", counted)
+    monkeypatch.setattr(cli.problems, "make_tensor", made)
+    abc = [] if command == "hosvd" else ["--iters", "2"]
+    out = tmp_path / "out"
+    assert main([command, "--family", "separable", "--dims", "5,5,5",
+                 "--h", "4", "--tol", tol, *abc, "--out", str(out)]) == 1
+    assert "argument --tol" in capsys.readouterr().err
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
