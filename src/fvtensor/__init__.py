@@ -35,7 +35,6 @@ from .btensor import (
     mode_mul,
     refold,
     relative_error,
-    row_matrix,
     tucker_cross,
     tucker_rank,
     unfold,

@@ -21,10 +21,12 @@ from .bmatrix import (
     BMatrix,
     DEFAULT_TOL,
     _canonical_index_set,
-    _rank,
+    _fiber_rows,
+    _matrix_rank,
     _sigma_v,
+    _whitened,
 )
-from .btensor import _fiber_rows, model_gather, tucker_cross, tucker_rank
+from .btensor import model_gather, tucker_cross, tucker_rank
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 
@@ -67,13 +69,21 @@ class AbcConfig:
 class AbcReport:
     """What the adaptive run did, iteration by iteration."""
 
-    index_sets: tuple
-    aux_sets: tuple
+    aux_sets: tuple = ()
     rank_history: list = field(default_factory=list)
     evals_by_iter: list = field(default_factory=list)
     index_set_history: list = field(default_factory=list)
     converged: bool = False
-    n_iter_run: int = 0
+
+    @property
+    def index_sets(self):
+        """The last sweep's index sets; ``()`` before the first sweep."""
+        return self.index_set_history[-1] if self.index_set_history else ()
+
+    @property
+    def n_iter_run(self):
+        """Sweeps run so far."""
+        return len(self.rank_history)
 
 
 class _ResidualRowView:
@@ -201,7 +211,7 @@ def leverage_scores(slab, tol_rel=DEFAULT_TOL):
     function-valued matrix with ``n_k`` columns; the scores are the
     squared row norms of the right singular factor, divided by the rank.
     """
-    sigma, V = _sigma_v(slab, tol_rel)
+    sigma, V = _sigma_v(_whitened(slab), tol_rel)
     if sigma.size == 0:
         raise ValueError("cannot compute leverage scores of a zero slab")
     p = np.sum(V**2, axis=1) / sigma.size
@@ -240,8 +250,7 @@ def _carried(view, R, I, tol_rel):
         return False
 
     def carries(M):
-        return _rank(np.linalg.svd(M, compute_uv=False), tol_rel) <= _rank(
-            np.linalg.svd(M[:, I], compute_uv=False), tol_rel)
+        return _matrix_rank(M, tol_rel) <= _matrix_rank(M[:, I], tol_rel)
 
     rows = (_fiber_rows(view.cached.ip.whiten(f), view.k) for f in view.fibers)
     return carries(R) and carries(np.vstack([R, *rows]))
@@ -315,7 +324,7 @@ def abc_sweeps(cached, cfg):
     if cfg.draw == "leverage":
         scores = _estimate_leverage(cached, aux, rng, cfg.tol_rel)
 
-    report = AbcReport(index_sets=(), aux_sets=())
+    report = AbcReport()
     for s in range(1, cfg.n_iter + 1):
         grown = False
         for k in range(d):
@@ -327,8 +336,7 @@ def abc_sweeps(cached, cfg):
             for _ in range(6):
                 j = draw(cfg.draw, dims[k], rng, iteration=s,
                          scores=None if scores is None else scores[k])
-                if cfg.n_rook > 0:
-                    _, j = rook_pivot(view, j, cfg.n_rook)
+                _, j = rook_pivot(view, j, cfg.n_rook)
                 if j not in used:
                     chosen = j
                     break
@@ -348,8 +356,6 @@ def abc_sweeps(cached, cfg):
         report.rank_history.append(tucker_rank(model.core, cfg.tol_rel))
         report.evals_by_iter.append(cached.count)
         report.index_set_history.append(tuple(tuple(I) for I in sets))
-        report.n_iter_run = s
-        report.index_sets = report.index_set_history[-1]
         report.aux_sets = tuple(tuple(a) for a in aux)
         report.converged = not grown
         yield model, report

@@ -6,15 +6,15 @@ and right, and the adjoint contracts against the Hilbert-space inner product.
 A left product is one BLAS ``matmul`` on the ``(m, n*h)`` reshape.
 
 Whitening each entry (:meth:`~fvtensor.hilbert.InnerProduct.whiten`) maps
-an ``(m, n)`` function-valued matrix isometrically onto a real
-``(m*h, n)`` matrix with the same singular values and right singular
-vectors.  SVD, numerical column-rank and the applied pseudoinverse are
-therefore each one LAPACK call on the whitened matrix, and numerical rank
-is everywhere the count of singular values above ``tol_rel`` times the
+a function-valued array isometrically onto a real one, whose mode-``k``
+matrix (:func:`_fiber_rows`) has the singular values and right singular
+vectors of the transposed mode-``k`` unfolding.  Every factorization, here
+and in the tensor layer, reads that one matrix: SVD, numerical column-rank
+and the applied pseudoinverse are each one LAPACK call on it, and
+numerical rank counts the singular values above ``tol_rel`` times the
 largest one.  Singular values and right singular vectors alone are read
-off the triangular factor of the whitened matrix, which a matrix taller
-than ``TSQR_BLOCK`` rows gets by TSQR.  Cross approximation is built on
-the pseudoinverse.
+off its triangular factor, by TSQR above ``TSQR_BLOCK`` rows.  Cross
+approximation is built on the pseudoinverse.
 """
 
 from dataclasses import dataclass
@@ -114,18 +114,18 @@ def adjoint_apply(A, B):
     return np.einsum("ijh,ilh->jl", A.data, A.ip.apply(B.data))
 
 
-def _whitened(A):
-    """``A`` as a real ``(m*h, n)`` matrix whose Euclidean geometry is its
-    H-geometry: the column ``j`` stacks the whitened entries of column
-    ``j`` of ``A``, so both have the same singular values and right
-    singular vectors.
+def _fiber_rows(w, k):
+    """Mode-``k`` matrix of the whitened array ``w`` (shape ``dims + (h,)``):
+    column ``j`` stacks the entries at mode-``k`` index ``j``, big-endian
+    over the other indices and then ``h``.  It is column-major, the layout
+    LAPACK reads, and the reshape copies nothing at ``k = 0``."""
+    return np.moveaxis(w, k, 0).reshape(w.shape[k], -1).T
 
-    The result is column-major, the layout LAPACK reads; the reshape
-    copies nothing when ``A`` is the transpose of a contiguous matrix, as
-    unfoldings are.
-    """
-    m, n, h = A.data.shape
-    return A.ip.whiten(np.swapaxes(A.data, 0, 1)).reshape(n, m * h).T
+
+def _whitened(A):
+    """``A`` as the real ``(m*h, n)`` matrix of its whitened columns, whose
+    Euclidean geometry is its H-geometry."""
+    return _fiber_rows(A.ip.whiten(A.data), 1)
 
 
 def _rank(s, tol_rel):
@@ -133,6 +133,11 @@ def _rank(s, tol_rel):
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol_rel * s[0]))
+
+
+def _matrix_rank(X, tol_rel):
+    """Numerical rank of a real matrix under the rule of :func:`_rank`."""
+    return _rank(np.linalg.svd(X, compute_uv=False), tol_rel)
 
 
 def _truncated_scalar_svd(X, tol_rel):
@@ -157,17 +162,16 @@ def _r_factor(X):
     return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
-def _sigma_v(A, tol_rel=DEFAULT_TOL):
-    """Truncated singular values and right singular vectors of ``A``.
+def _sigma_v(X, tol_rel=DEFAULT_TOL):
+    """Truncated singular values and right singular vectors of a real ``X``.
 
-    They are read off the triangular factor of the whitened matrix
-    (:func:`_r_factor`), so the tall left singular factor is never
-    formed.  Singular vectors are fixed only up to sign, and the sign
-    LAPACK returns depends on how ``R`` was reached; each column of ``V``
-    is therefore turned so that its entry of largest magnitude (the
-    first such, on a tie) is positive.
+    They are read off the triangular factor of ``X`` (:func:`_r_factor`),
+    so the tall left singular factor is never formed.  Singular vectors
+    are fixed only up to sign, and the sign LAPACK returns depends on how
+    ``R`` was reached; each column of ``V`` is therefore turned so that
+    its entry of largest magnitude (the first such, on a tie) is positive.
     """
-    _, s, Vh = _truncated_scalar_svd(_r_factor(_whitened(A)), tol_rel)
+    _, s, Vh = _truncated_scalar_svd(_r_factor(X), tol_rel)
     lead = Vh[np.arange(s.size), np.argmax(np.abs(Vh), axis=1)]
     return s, (Vh * np.sign(lead)[:, None]).T
 
@@ -213,7 +217,7 @@ def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):
 def column_rank(A, tol_rel=DEFAULT_TOL):
     """Numerical column-rank: the number of singular values of ``A``
     above ``tol_rel`` times the largest one."""
-    return _rank(np.linalg.svd(_whitened(A), compute_uv=False), tol_rel)
+    return _matrix_rank(_whitened(A), tol_rel)
 
 
 def _canonical_index_set(I, size, what):

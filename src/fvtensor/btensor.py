@@ -11,15 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bmatrix
 from .bmatrix import (
     BMatrix,
     DEFAULT_TOL,
     _canonical_index_set,
+    _fiber_rows,
+    _matrix_rank,
     _pinv_solve,
     _r_factor,
-    column_rank,
-    transpose,
+    _sigma_v,
 )
 
 ERROR_CHUNK = 1 << 20  # floats of A per error_norm chunk
@@ -99,42 +99,29 @@ def refold(M, k, dims):
     return BTensor(np.moveaxis(cube, 0, k), M.ip)
 
 
+def _mode_dot(T, k, B):
+    """Mode-``k`` product of the array ``T`` with the scalar matrix ``B``:
+    one ``tensordot``, the new axis put back at ``k``."""
+    return np.moveaxis(np.tensordot(B, T, axes=(1, k)), 0, k)
+
+
 def mode_mul(A, k, B):
     """Mode-``k`` product with a scalar matrix ``B`` of shape ``(p, n_k)``."""
     B = np.asarray(B, dtype=float)
+    if not 0 <= k < A.d:
+        raise IndexError(f"mode {k} out of range for order {A.d}")
     if B.ndim != 2 or B.shape[1] != A.dims[k]:
         raise ValueError(
             f"matrix of shape {B.shape} cannot act on mode {k} of size {A.dims[k]}"
         )
-    new_dims = list(A.dims)
-    new_dims[k] = B.shape[0]
-    return refold(bmatrix.left_mul(B, unfold(A, k)), k, new_dims)
+    return BTensor(_mode_dot(A.data, k, B), A.ip)
 
 
 def tucker_rank(A, tol_rel=DEFAULT_TOL):
-    """Tuple of row-ranks of the mode unfoldings."""
-    return tuple(
-        column_rank(transpose(unfold(A, k)), tol_rel) for k in range(A.d)
-    )
-
-
-def row_matrix(source, index_sets, k):
-    """Residual-style row matrix: mode-``k`` fibers over the other sets.
-
-    Rows are indexed by the big-endian composite over the retained modes'
-    index-set positions, columns by the full mode-``k`` range.  ``source``
-    may be a :class:`BTensor` or any object with ``dims``, ``ip`` and a
-    ``gather`` method (e.g. a cached oracle).
-    """
-    dims = source.dims
-    d = len(dims)
-    if not 0 <= k < d:
-        raise IndexError(f"mode {k} out of range for order {d}")
-    grids = [np.arange(n) if l == k
-             else _canonical_index_set(index_sets[l], n, f"mode-{l}")
-             for l, n in enumerate(dims)]
-    slab = BTensor(source.gather(grids), source.ip)
-    return transpose(unfold(slab, k))
+    """Tuple of row-ranks of the mode unfoldings: the ranks of the mode
+    matrices of the tensor, whitened once."""
+    w = A.ip.whiten(A.data)
+    return tuple(_matrix_rank(_fiber_rows(w, k), tol_rel) for k in range(A.d))
 
 
 @dataclass
@@ -223,14 +210,6 @@ def _old_sets(prev, source, sets):
     return prev.index_sets
 
 
-def _fiber_rows(w, k):
-    """Mode-``k`` fibers of the whitened array ``w`` (shape ``dims +
-    (h,)``) as the rows of a real matrix with ``dims[k]`` columns: the
-    rows they add to a mode-``k`` triangular factor.  The caller
-    whitens, so a gathered array is freed before the reshape copies."""
-    return np.moveaxis(w, k, -1).reshape(-1, w.shape[k])
-
-
 def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     """Tucker-cross approximation of ``source`` at the given index sets.
 
@@ -286,8 +265,7 @@ def model_gather(model, grids):
     d = T.ndim - 1
     for k in range(d):
         rows = np.asarray(grids[k], dtype=int)
-        Fk = model.factors[k][rows]
-        T = np.moveaxis(np.tensordot(Fk, T, axes=(1, k)), 0, k)
+        T = _mode_dot(T, k, model.factors[k][rows])
     return T
 
 
@@ -320,6 +298,7 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     numerical rank are clamped (and reported), never an error; a
     negative rank is a ``ValueError``.  The full per-mode singular value
     vectors are returned so the quasi-optimality bound can be evaluated.
+    The tensor is whitened once, and every mode is factored from it.
     """
     d = A.d
     if ranks is None:
@@ -334,14 +313,16 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     sigmas = []
     achieved = []
     clamped = False
+    w = A.ip.whiten(A.data)
     for k in range(d):
-        sigma, V = bmatrix._sigma_v(transpose(unfold(A, k)), tol_rel)
+        sigma, V = _sigma_v(_fiber_rows(w, k), tol_rel)
         sigmas.append(sigma)
         rk = min(ranks[k], sigma.size)
         if rk < ranks[k]:
             clamped = True
         factors.append(V[:, :rk])
         achieved.append(rk)
+    del w  # free the whitened copy before the core products allocate
 
     core = A
     for k in range(d):

@@ -65,6 +65,13 @@ def _parse_tol(text):
     return tol
 
 
+def _parse_threads(text):
+    """``--threads``: a positive integer."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _resolve_gram(spec_text, h):
     """The ``--gram`` inner product for a source of coefficient length
     ``h``; a Gram file of another length is a ``ValueError``."""
@@ -280,7 +287,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_common(p, dense_input=True):
+    def add_common(p):
         p.add_argument("--input", help="FVT tensor file")
         p.add_argument("--family", choices=problems.FAMILIES)
         p.add_argument("--dims", help="comma-separated sizes, e.g. 50,50,50")
@@ -289,10 +296,10 @@ def build_parser():
                        help="identity | diagonal:FILE | dense:FILE")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=_parse_tol, default=1e-12)
-        p.add_argument("--threads", type=int,
-                       default=os.environ.get("FVT_THREADS", "1"))
 
     def add_abc(p):
+        p.add_argument("--threads", type=_parse_threads,
+                       default=os.environ.get("FVT_THREADS", "1"))
         p.add_argument("--iters", type=int, required=True)
         p.add_argument("--rook", type=int, default=1)
         p.add_argument("--aux", type=int, default=3)

@@ -45,6 +45,16 @@ def scalar_unfold(T, k):
     return np.moveaxis(T, k, 0).reshape(T.shape[k], -1)
 
 
+def fiber_slab(T, sets, k):
+    """Mode-``k`` fibers of ``T`` (shape ``dims + (h,)``) whose other
+    indices lie in ``sets``, as an ``(m, n_k, h)`` array: row ``i`` is the
+    fiber at the ``i``-th big-endian combination of the other sets."""
+    grids = [list(s) for s in sets]
+    grids[k] = list(range(T.shape[k]))
+    return np.moveaxis(T[np.ix_(*grids)], k, -2).reshape(
+        -1, T.shape[k], T.shape[-1])
+
+
 def scalar_mode_mul(T, k, B):
     return np.moveaxis(np.tensordot(B, T, axes=(1, k)), 0, k)
 

@@ -6,6 +6,7 @@ from fvtensor.bmatrix import (
     TSQR_BLOCK,
     BMatrix,
     _sigma_v,
+    _whitened,
     adjoint_apply,
     assemble_cross,
     column_rank,
@@ -180,7 +181,8 @@ def test_sigma_v_tsqr_matches_whitened_svd(kind):
     sigma = np.array([1.0, 0.5, 0.1, 1e-3, 1e-11, 1e-13])
     A, M_w = _whitened_test_matrix(rng, ip, 700, 6, sigma)
     assert TSQR_BLOCK < M_w.shape[0] < 2 * TSQR_BLOCK
-    s, V = _sigma_v(A)
+    assert np.allclose(_whitened(A), M_w, rtol=0.0, atol=1e-12)
+    s, V = _sigma_v(M_w)
     _, s_ref, Vh_ref = np.linalg.svd(M_w, full_matrices=False)
     assert s.size == whitened_rank(M_w) == 5
     assert np.abs(s - s_ref[:5]).max() <= 1e-14 * s_ref[0]
@@ -196,10 +198,10 @@ def test_sigma_v_sign_convention(monkeypatch):
     # TSQR and a single tall QR give the same factor, not a sign-flipped one
     rng = np.random.default_rng(41)
     ip = make_ip("dense", 9, rng)
-    A, _ = _whitened_test_matrix(rng, ip, 600, 8, 0.7 ** np.arange(8))
-    s_tsqr, V_tsqr = _sigma_v(A)
+    _, M_w = _whitened_test_matrix(rng, ip, 600, 8, 0.7 ** np.arange(8))
+    s_tsqr, V_tsqr = _sigma_v(M_w)
     monkeypatch.setattr(bmatrix, "TSQR_BLOCK", 10**9)
-    s_one, V_one = _sigma_v(A)
+    s_one, V_one = _sigma_v(M_w)
     for V in (V_tsqr, V_one):
         lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
         assert np.all(lead > 0.0)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvtensor import btensor
-from fvtensor.bmatrix import BMatrix, column_rank, left_mul, right_mul, transpose
+from fvtensor.bmatrix import BMatrix, left_mul, right_mul
 from fvtensor.btensor import (
     BTensor,
     TuckerCrossModel,
@@ -19,7 +19,6 @@ from fvtensor.btensor import (
     model_gather,
     refold,
     relative_error,
-    row_matrix,
     tucker_cross,
     tucker_rank,
     unfold,
@@ -29,6 +28,7 @@ from fvtensor.sampler import CachedOracle, EntryOracle
 
 from conftest import (
     GRAM_KINDS,
+    fiber_slab,
     gram_matrix,
     make_ip,
     scalar_hosvd,
@@ -107,6 +107,9 @@ def test_mode_mul_identity_and_commutativity(rng):
     assert np.abs(X.data - Y.data).max() < 1e-12
     with pytest.raises(ValueError):
         mode_mul(A, 0, np.eye(5))
+    # a negative mode must not reach the coefficient axis
+    with pytest.raises(IndexError):
+        mode_mul(rand_bt(rng, (3, 2), 2), -1, np.eye(2))
 
 
 def test_mode_unfolding_kronecker_identity(rng):
@@ -178,49 +181,30 @@ def test_tucker_rank_is_whitened_matrix_rank(kind):
             assert ranks[k] == expected
 
 
-# --- row matrices ------------------------------------------------------------
-
-def test_row_matrix_matrix_case(rng):
-    A = rand_bt(rng, (5, 6), 2)
-    J = [1, 4]
-    R1 = row_matrix(A, [None, J], 0)
-    assert R1.shape == (2, 5)
-    assert np.array_equal(R1.data, np.swapaxes(A.data[:, J], 0, 1))
-
-
-def test_row_matrix_singletons_and_core_slice(rng):
-    A = rand_bt(rng, (4, 5, 6), 3)
-    R2 = row_matrix(A, [[2], None, [3]], 1)
-    assert R2.shape == (1, 5)
-    assert np.array_equal(R2.data[0], A.data[2, :, 3])
-    # R_k at the sampled columns is the transposed core unfolding
-    sets = [[0, 2], [1, 3], [2, 5]]
-    core = BTensor(A.data[np.ix_(*sets)], A.ip)
-    for k in range(3):
-        Rk = row_matrix(A, sets, k)
-        lhs = Rk.data[:, sets[k]]
-        rhs = transpose(unfold(core, k)).data
-        assert np.array_equal(lhs, rhs)
-    with pytest.raises(ValueError):
-        row_matrix(A, [[], None, [0]], 1)
-
+# --- Tucker-cross ------------------------------------------------------------
 
 @pytest.mark.parametrize("source", ["tensor", "oracle"])
-def test_row_matrix_rejects_out_of_range_sets(rng, source):
-    # a negative index must not wrap round to the end of the mode, and an
-    # index past the end fails the way tucker_cross does, before any read
+def test_tucker_cross_rejects_out_of_range_sets(rng, monkeypatch, source):
+    # an empty set, a negative index (which must not wrap round to the end
+    # of the mode) and an index past the end all fail before any read
     A = rand_bt(rng, (4, 5, 6), 3)
     src = A if source == "tensor" else CachedOracle(EntryOracle.from_tensor(A))
-    for sets in ([[-1], [0], [0]], [[4], [0], [0]], [[0], [0], [6]]):
-        with pytest.raises(ValueError):
-            row_matrix(src, sets, 1)
+    reads = []
+    real_gather = type(src).gather
+
+    def gather(self, grids):
+        reads.append(grids)
+        return real_gather(self, grids)
+
+    monkeypatch.setattr(type(src), "gather", gather)
+    for sets in ([[], [0], [0]], [[-1], [0], [0]], [[4], [0], [0]],
+                 [[0], [0], [6]]):
         with pytest.raises(ValueError):
             tucker_cross(src, sets)
+    assert reads == []
     if source == "oracle":
         assert src.count == 0
 
-
-# --- Tucker-cross ------------------------------------------------------------
 
 def test_tucker_cross_matches_matrix_cross(rng):
     from fvtensor.bmatrix import assemble_cross, cross_matrix
@@ -270,12 +254,11 @@ def test_slab_reproduction_and_exactness_conditions(rng):
     model = tucker_cross(A, sets)
     B = assemble(model)
     for k in range(3):
-        Rk_a = row_matrix(A, sets, k)
-        Rk_b = row_matrix(B, sets, k)
-        core_unf = unfold(model.core, k)
-        assert column_rank(transpose(core_unf)) == column_rank(Rk_a)
-        assert fro_norm(BMatrix(Rk_a.data - Rk_b.data, ip)) \
-            <= 1e-9 * fro_norm(Rk_a)
+        Rk_a = fiber_slab(A.data, sets, k)
+        Rk_b = fiber_slab(B.data, sets, k)
+        assert whitened_rank(scalar_unfold(model.core.data, k)) \
+            == whitened_rank(scalar_unfold(Rk_a, 1))
+        assert np.linalg.norm(Rk_a - Rk_b) <= 1e-9 * np.linalg.norm(Rk_a)
     assert direct_rel_error(A, B) <= 1e-8
     # negative: undersized sets leave rank behind, slabs not reproduced
     small = [I[:1] for I in sets]
@@ -283,8 +266,8 @@ def test_slab_reproduction_and_exactness_conditions(rng):
     B2 = assemble(m2)
     assert direct_rel_error(A, B2) > 1e-3
     slab_gap = max(
-        fro_norm(BMatrix(row_matrix(A, small, k).data
-                         - row_matrix(B2, small, k).data, ip))
+        np.linalg.norm(fiber_slab(A.data, small, k)
+                       - fiber_slab(B2.data, small, k))
         for k in range(3))
     assert slab_gap > 1e-6
 
@@ -489,6 +472,38 @@ def test_hosvd_rejects_negative_ranks(rng):
     res = hosvd(A, (0, 2, 2))
     assert res.ranks == (0, 2, 2) and not res.clamped
     assert res.decomp.core.dims == (0, 2, 2)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_hosvd_and_tucker_rank_whiten_once(monkeypatch, kind):
+    # both factor every mode of one whitened copy of the tensor; the
+    # reference whitens with the Cholesky factor and takes each mode's SVD
+    rng = np.random.default_rng(53)
+    ranks = (2, 3, 2)
+    ip = make_ip(kind, 4, rng)
+    A, _ = exact_rank_tensor(rng, (7, 6, 8), ranks, 4, ip)
+    calls = []
+    real_whiten = InnerProduct.whiten
+
+    def whiten(self, x):
+        calls.append(x.shape)
+        return real_whiten(self, x)
+
+    monkeypatch.setattr(InnerProduct, "whiten", whiten)
+    res = hosvd(A)
+    assert calls == [A.data.shape]
+    assert tucker_rank(A) == res.ranks == ranks
+    assert calls == [A.data.shape] * 2
+    T_w = A.data @ np.linalg.cholesky(gram_matrix(ip))
+    for k, r in enumerate(ranks):
+        M_w = scalar_unfold(T_w, k)
+        U, s, _ = np.linalg.svd(M_w, full_matrices=False)
+        assert whitened_rank(M_w) == r == res.sigmas[k].size
+        assert np.abs(res.sigmas[k] - s[:r]).max() <= 1e-12 * s[0]
+        # each column's entry of largest magnitude is positive
+        U = U[:, :r] * np.sign(U[np.argmax(np.abs(U[:, :r]), axis=0),
+                                 np.arange(r)])
+        assert np.abs(res.decomp.factors[k] - U).max() <= 1e-10
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)

@@ -19,11 +19,6 @@ from fvtensor.hilbert import InnerProduct
 from fvtensor.sampler import CachedOracle, EntryOracle
 
 
-def run(argv, capsys=None):
-    code = main(argv)
-    return code
-
-
 def write_dense_gram(path, h, seed):
     M = np.random.default_rng(seed).standard_normal((h, h))
     ((M @ M.T + h * np.eye(h)) / h).astype("<f8").tofile(path)
@@ -389,14 +384,25 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
 
 
 def test_bad_env_threads_is_a_usage_error_where_threads_is_taken(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text("{}")
+    source = ["--family", "separable", "--dims", "4,4,4", "--h", "2"]
+    build = ["build", *source, "--iters", "1",
+             "--out", str(tmp_path / "m.json")]
     monkeypatch.setenv("FVT_THREADS", "x")
+    # info, gen and hosvd take no --threads, so the variable is not read
     assert main(["info", "--input", str(doc)]) == 0
-    assert main(["build", "--family", "separable", "--dims", "4,4,4",
-                 "--h", "2", "--iters", "1",
-                 "--out", str(tmp_path / "m.json")]) == 1
+    assert main(["gen", *source, "--out", str(tmp_path / "t.fvt")]) == 0
+    assert main(["hosvd", *source, "--out", str(tmp_path / "h")]) == 0
+    capsys.readouterr()
+    assert main(build) == 1
+    assert "argument --threads" in capsys.readouterr().err
+    monkeypatch.delenv("FVT_THREADS")
+    for bad in ("0", "-3"):
+        assert main(build + ["--threads", bad]) == 1
+        assert "argument --threads" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("command", ["build", "hosvd", "compare"])

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvtensor.aca import _ResidualRowView
-from fvtensor.btensor import BTensor, assemble, row_matrix, tucker_cross
+from fvtensor.btensor import BTensor, assemble, tucker_cross
 from fvtensor.hilbert import InnerProduct
 from fvtensor.sampler import CachedOracle, EntryOracle
+
+from conftest import fiber_slab
 
 
 def counting_oracle(rng, dims, h):
@@ -119,12 +121,12 @@ def test_residual_row_view_norms(rng):
     A, c = counting_oracle(rng, (5, 4, 6), 3)
     sets = [[0, 2, 4], [0, 1, 3], [1, 2, 5]]
     model = tucker_cross(A, sets)
-    resid = BTensor(A.data - assemble(model).data, A.ip)
+    resid = A.data - assemble(model).data
     scale = A.ip.norms(A.data.reshape(-1, 3)).max()
     for k in range(3):
         # empty model: the view's norms are the tensor's own fiber norms
         view = _ResidualRowView(c, None, sets, k)
-        fibers = row_matrix(A, sets, k).data
+        fibers = fiber_slab(A.data, sets, k)
         assert view.shape == fibers.shape[:2]
         for i in range(view.shape[0]):
             assert np.array_equal(view.row_norms(i), A.ip.norms(fibers[i]))
@@ -133,7 +135,7 @@ def test_residual_row_view_norms(rng):
         # Tucker-cross model at the same sets: the residual of the assembled
         # model, which vanishes on the core fibers
         view = _ResidualRowView(c, model, sets, k)
-        want = A.ip.norms(row_matrix(resid, sets, k).data)
+        want = A.ip.norms(fiber_slab(resid, sets, k))
         for i in range(view.shape[0]):
             assert np.allclose(view.row_norms(i), want[i], atol=1e-12 * scale)
         cols = np.sqrt(np.sum(want**2, axis=0))
