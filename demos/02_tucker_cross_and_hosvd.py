@@ -26,7 +26,7 @@ B2 = rng.standard_normal((5, 12))
 B3 = rng.standard_normal((3, 9))
 C = fv.mode_mul(fv.mode_mul(fv.mode_mul(A, 0, B1), 1, B2), 2, B3)
 lhs = fv.unfold(C, 1)
-rhs = fv.right_mul(fv.left_mul(B2, fv.unfold(A, 1)), np.kron(B1, B3).T)
+rhs = fv.mode_mul(fv.mode_mul(fv.unfold(A, 1), 0, B2), 1, np.kron(B1, B3))
 print("Kronecker identity gap:", np.abs(lhs.data - rhs.data).max())
 
 # Tucker-cross at rank-matching index sets recovers the tensor

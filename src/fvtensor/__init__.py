@@ -10,18 +10,7 @@ reduced-order models built on top of the sampled decompositions.
 """
 
 from .hilbert import InnerProduct, dot, norm, validate
-from .bmatrix import (
-    BMatrix,
-    SVDFactors,
-    adjoint_apply,
-    column_rank,
-    cross_matrix,
-    left_mul,
-    pinv_apply,
-    right_mul,
-    svd,
-    transpose,
-)
+from .bmatrix import SVDFactors, adjoint_apply, pinv_apply, svd
 from .btensor import (
     BTensor,
     TuckerCrossModel,

@@ -18,7 +18,7 @@ from math import ceil, gcd
 import numpy as np
 
 from .bmatrix import (
-    BMatrix,
+    BTensor,
     DEFAULT_TOL,
     _canonical_index_set,
     _fiber_rows,
@@ -208,8 +208,9 @@ def leverage_scores(slab, tol_rel=DEFAULT_TOL):
     """Sampling distribution from the right singular vectors of a slab.
 
     ``slab`` collects sampled mode-``k`` fibers as the rows of a
-    function-valued matrix with ``n_k`` columns; the scores are the
-    squared row norms of the right singular factor, divided by the rank.
+    function-valued matrix (a 2-way BTensor) with ``n_k`` columns; the
+    scores are the squared row norms of the right singular factor,
+    divided by the rank.
     """
     sigma, V = _sigma_v(_whitened(slab), tol_rel)
     if sigma.size == 0:
@@ -234,7 +235,7 @@ def _estimate_leverage(cached, aux, rng, tol_rel):
         ncols = min(len(aux[k]), n_other)
         cols = np.sort(rng.choice(n_other, size=ncols, replace=False))
         rows = [cached.gather(_fiber_grids(dims, aux, k, c)) for c in cols]
-        slab = BMatrix(np.stack(rows).reshape(ncols, dims[k], cached.ip.h),
+        slab = BTensor(np.stack(rows).reshape(ncols, dims[k], cached.ip.h),
                        cached.ip)
         scores.append(leverage_scores(slab, tol_rel))
     return scores

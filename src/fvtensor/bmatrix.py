@@ -1,20 +1,24 @@
 """Function-valued matrices over a shared inner product.
 
-A function-valued matrix stores one coefficient vector of length ``h`` per
-entry, as an ``(m, n, h)`` array.  Scalar matrices act on it from the left
-and right, and the adjoint contracts against the Hilbert-space inner product.
-A left product is one BLAS ``matmul`` on the ``(m, n*h)`` reshape.
+A function-valued tensor stores one coefficient vector of length ``h``
+per entry, as a :class:`BTensor` over a ``dims + (h,)`` array; the class
+lives here, below the tensor layer, which imports it.  A function-valued
+matrix is the 2-way case, an ``(m, n, h)`` array: scalar matrices act on
+it through :func:`~fvtensor.btensor.mode_mul`, its cross approximation
+is :func:`~fvtensor.btensor.tucker_cross` at two index sets, and
+:func:`~fvtensor.btensor.tucker_rank` gives its (row rank, column rank).
+The functions here take 2-way tensors only; the adjoint contracts
+against the Hilbert-space inner product.
 
 Whitening each entry (:meth:`~fvtensor.hilbert.InnerProduct.whiten`) maps
 a function-valued array isometrically onto a real one, whose mode-``k``
 matrix (:func:`_fiber_rows`) has the singular values and right singular
 vectors of the transposed mode-``k`` unfolding.  Every factorization, here
-and in the tensor layer, reads that one matrix: SVD, numerical column-rank
-and the applied pseudoinverse are each one LAPACK call on it, and
-numerical rank counts the singular values above ``tol_rel`` times the
-largest one.  Singular values and right singular vectors alone are read
-off its triangular factor, by TSQR above ``TSQR_BLOCK`` rows.  Cross
-approximation is built on the pseudoinverse.
+and in the tensor layer, reads that one matrix: SVD, numerical rank and
+the applied pseudoinverse are each one LAPACK call on it, and numerical
+rank counts the singular values above ``tol_rel`` times the largest one.
+Singular values and right singular vectors alone are read off its
+triangular factor, by TSQR above ``TSQR_BLOCK`` rows.
 """
 
 from dataclasses import dataclass
@@ -25,80 +29,77 @@ DEFAULT_TOL = 1e-12
 TSQR_BLOCK = 4096  # rows of the whitened matrix per TSQR block
 
 
-class BMatrix:
-    """Matrix with entries in H, stored as an ``(m, n, h)`` float array.
+class BTensor:
+    """Dense d-way array of Hilbert-space elements.
 
-    The data array is treated as immutable; operations return new
-    instances and never write into their inputs.
+    The data array has shape ``dims + (h,)`` and is treated as immutable.
     """
 
     __slots__ = ("data", "ip")
 
     def __init__(self, data, ip):
         data = np.asarray(data, dtype=float)
-        if data.ndim != 3:
-            raise ValueError("BMatrix data must have shape (m, n, h)")
-        if data.shape[2] != ip.h:
+        if data.ndim < 2:
+            raise ValueError("BTensor data must have shape dims + (h,)")
+        if data.shape[-1] != ip.h:
             raise ValueError(
-                f"entry length {data.shape[2]} does not match ip.h={ip.h}"
+                f"entry length {data.shape[-1]} does not match ip.h={ip.h}"
             )
         self.data = data
         self.ip = ip
 
     @property
-    def m(self):
-        return self.data.shape[0]
+    def dims(self):
+        return self.data.shape[:-1]
 
     @property
-    def n(self):
-        return self.data.shape[1]
+    def d(self):
+        return self.data.ndim - 1
 
     @property
     def h(self):
-        return self.data.shape[2]
+        return self.data.shape[-1]
 
-    @property
-    def shape(self):
-        return self.data.shape[:2]
+    def gather(self, grids):
+        """Subtensor on the product of per-mode index lists."""
+        arrs = [np.asarray(g, dtype=int) for g in grids]
+        if len(arrs) != self.d:
+            raise IndexError("need one index list per mode")
+        return self.data[np.ix_(*arrs)]
 
     def __repr__(self):
-        return f"BMatrix({self.m}x{self.n} over R^{self.h}, {self.ip.kind})"
+        return f"BTensor({'x'.join(map(str, self.dims))} over R^{self.h})"
+
+
+def _matrix(A):
+    """``A``, checked to be a function-valued matrix: a 2-way BTensor."""
+    if A.d != 2:
+        raise ValueError(f"expected a 2-way BTensor, got order {A.d}")
+    return A
+
+
+def _same_rows(A, B):
+    """Check that the matrices ``A`` and ``B`` share rows and geometry."""
+    _matrix(A)
+    _matrix(B)
+    if A.ip != B.ip:
+        raise ValueError("operands use different inner products")
+    if A.dims[0] != B.dims[0]:
+        raise ValueError(f"row mismatch: {A.dims[0]} vs {B.dims[0]}")
 
 
 @dataclass
 class SVDFactors:
     """SVD ``A = U diag(sigma) V^T`` with function-valued ``U``.
 
-    ``U`` is ``m x r`` with H-orthonormal columns, ``sigma`` is positive
-    nonincreasing, and ``V`` is a real ``n x r`` matrix with orthonormal
-    columns.
+    ``U`` is an ``m x r`` 2-way BTensor with H-orthonormal columns,
+    ``sigma`` is positive nonincreasing, and ``V`` is a real ``n x r``
+    matrix with orthonormal columns.
     """
 
-    U: BMatrix
+    U: BTensor
     sigma: np.ndarray
     V: np.ndarray
-
-
-def transpose(A):
-    return BMatrix(np.swapaxes(A.data, 0, 1), A.ip)
-
-
-def left_mul(B, A):
-    """Product of a scalar ``(k, m)`` matrix with a function-valued one:
-    one ``matmul`` on the ``(m, n*h)`` reshape of ``A``."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[1] != A.m:
-        raise ValueError(f"cannot multiply {B.shape} with {A.m}x{A.n}")
-    out = B @ A.data.reshape(A.m, A.n * A.h)
-    return BMatrix(out.reshape(B.shape[0], A.n, A.h), A.ip)
-
-
-def right_mul(A, C):
-    """Product of a function-valued matrix with a scalar ``(n, l)`` one."""
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != A.n:
-        raise ValueError(f"cannot multiply {A.m}x{A.n} with {C.shape}")
-    return BMatrix(np.einsum("ikh,kl->ilh", A.data, C), A.ip)
 
 
 def adjoint_apply(A, B):
@@ -107,10 +108,7 @@ def adjoint_apply(A, B):
     Entry ``(j, l)`` sums the H-inner products of column ``l`` of ``B``
     against column ``j`` of ``A``.
     """
-    if A.ip != B.ip:
-        raise ValueError("operands use different inner products")
-    if A.m != B.m:
-        raise ValueError(f"row mismatch: {A.m} vs {B.m}")
+    _same_rows(A, B)
     return np.einsum("ijh,ilh->jl", A.data, A.ip.apply(B.data))
 
 
@@ -125,7 +123,7 @@ def _fiber_rows(w, k):
 def _whitened(A):
     """``A`` as the real ``(m*h, n)`` matrix of its whitened columns, whose
     Euclidean geometry is its H-geometry."""
-    return _fiber_rows(A.ip.whiten(A.data), 1)
+    return _fiber_rows(_matrix(A).ip.whiten(A.data), 1)
 
 
 def _rank(s, tol_rel):
@@ -184,10 +182,10 @@ def svd(A, tol_rel=DEFAULT_TOL):
     Singular values at or below ``tol_rel`` times the largest one are
     discarded.  A zero matrix yields empty factors.
     """
-    m, _, h = A.data.shape
     Uw, s, Vh = _truncated_scalar_svd(_whitened(A), tol_rel)
+    m, _, h = A.data.shape
     U = A.ip.unwhiten(np.moveaxis(Uw.reshape(m, h, s.size), 1, 2))
-    return SVDFactors(U=BMatrix(U, A.ip), sigma=s, V=Vh.T)
+    return SVDFactors(U=BTensor(U, A.ip), sigma=s, V=Vh.T)
 
 
 def pinv_apply(A, B, tol_rel=DEFAULT_TOL):
@@ -199,10 +197,7 @@ def pinv_apply(A, B, tol_rel=DEFAULT_TOL):
     singular factor of one SVD of the whitened ``A``, truncated as in
     :func:`svd`.  A zero ``A`` maps everything to zero.
     """
-    if A.ip != B.ip:
-        raise ValueError("operands use different inner products")
-    if A.m != B.m:
-        raise ValueError(f"row mismatch: {A.m} vs {B.m}")
+    _same_rows(A, B)
     return _pinv_solve(_whitened(A), _whitened(B), tol_rel)
 
 
@@ -214,12 +209,6 @@ def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):
     return Vh.T @ ((Uw.T @ Y) / s[:, None])
 
 
-def column_rank(A, tol_rel=DEFAULT_TOL):
-    """Numerical column-rank: the number of singular values of ``A``
-    above ``tol_rel`` times the largest one."""
-    return _matrix_rank(_whitened(A), tol_rel)
-
-
 def _canonical_index_set(I, size, what):
     """Sorted distinct indices of ``I``; ``ValueError`` unless in ``[0, size)``."""
     idx = sorted(set(int(i) for i in I))
@@ -228,34 +217,3 @@ def _canonical_index_set(I, size, what):
     if idx[0] < 0 or idx[-1] >= size:
         raise ValueError(f"{what} index set out of range for size {size}")
     return idx
-
-
-def cross_matrix(A, I, J, tol_rel=DEFAULT_TOL):
-    """Cross approximation of ``A`` at row set ``I`` and column set ``J``.
-
-    Returns ``(F, core, Pt)`` with ``core = A(I, J)``, the right factor
-    ``Pt`` solving against the row slab ``A(I, :)`` and the left factor
-    ``F`` solving against the transposed column slab; transposition and
-    pseudoinversion do not commute for function-valued matrices, so the
-    left factor goes through the transposed core.  The assembled product
-    ``F core Pt`` reproduces ``A`` on ``I x J``; the sampled rows and
-    columns of the factors are pinned to exact unit vectors, which is an
-    identity in exact arithmetic and keeps the interpolation property
-    exact in floating point.
-    """
-    I = _canonical_index_set(I, A.m, "row")
-    J = _canonical_index_set(J, A.n, "column")
-    core = BMatrix(A.data[np.ix_(I, J)], A.ip)
-    row_slab = BMatrix(A.data[I], A.ip)
-    col_slab = BMatrix(A.data[:, J], A.ip)
-
-    Pt = pinv_apply(core, row_slab, tol_rel)
-    F = pinv_apply(transpose(core), transpose(col_slab), tol_rel).T
-    F[I] = np.eye(len(I))
-    Pt[:, J] = np.eye(len(J))
-    return F, core, Pt
-
-
-def assemble_cross(F, core, Pt):
-    """Materialize the cross approximant ``F core Pt`` as a BMatrix."""
-    return right_mul(left_mul(F, core), Pt)

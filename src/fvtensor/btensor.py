@@ -1,10 +1,11 @@
 """Function-valued tensors: unfoldings, mode products, Tucker machinery.
 
 A function-valued tensor of shape ``(n_1, ..., n_d)`` over a Hilbert space
-of coefficient dimension ``h`` is stored as an ndarray of shape
-``dims + (h,)``.  Composite ("long") indices are big-endian everywhere:
-the first tensor index varies slowest, which is numpy's C order, so
-unfoldings are plain reshapes.
+of coefficient dimension ``h`` is a :class:`~fvtensor.bmatrix.BTensor`,
+stored as an ndarray of shape ``dims + (h,)``; a function-valued matrix is
+the case ``d = 2``, and every function here serves it too.  Composite
+("long") indices are big-endian everywhere: the first tensor index varies
+slowest, which is numpy's C order, so unfoldings are plain reshapes.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bmatrix import (
-    BMatrix,
+    BTensor,
     DEFAULT_TOL,
     _canonical_index_set,
     _fiber_rows,
@@ -25,55 +26,13 @@ from .bmatrix import (
 ERROR_CHUNK = 1 << 20  # floats of A per error_norm chunk
 
 
-class BTensor:
-    """Dense d-way array of Hilbert-space elements.
-
-    The data array has shape ``dims + (h,)`` and is treated as immutable.
-    """
-
-    __slots__ = ("data", "ip")
-
-    def __init__(self, data, ip):
-        data = np.asarray(data, dtype=float)
-        if data.ndim < 2:
-            raise ValueError("BTensor data must have shape dims + (h,)")
-        if data.shape[-1] != ip.h:
-            raise ValueError(
-                f"entry length {data.shape[-1]} does not match ip.h={ip.h}"
-            )
-        self.data = data
-        self.ip = ip
-
-    @property
-    def dims(self):
-        return self.data.shape[:-1]
-
-    @property
-    def d(self):
-        return self.data.ndim - 1
-
-    @property
-    def h(self):
-        return self.data.shape[-1]
-
-    def gather(self, grids):
-        """Subtensor on the product of per-mode index lists."""
-        arrs = [np.asarray(g, dtype=int) for g in grids]
-        if len(arrs) != self.d:
-            raise IndexError("need one index list per mode")
-        return self.data[np.ix_(*arrs)]
-
-    def __repr__(self):
-        return f"BTensor({'x'.join(map(str, self.dims))} over R^{self.h})"
-
-
 def fro_norm(A):
     """l2(H) norm: root of the sum of squared entry H-norms."""
     return float(np.sqrt(np.sum(A.ip.pair(A.data, A.data).clip(min=0.0))))
 
 
 def unfold(A, k):
-    """Mode-``k`` unfolding as a ``n_k x prod(other dims)`` BMatrix.
+    """Mode-``k`` unfolding as an ``n_k x prod(other dims)`` 2-way BTensor.
 
     Columns are the mode-``k`` fibers, ordered by the big-endian composite
     of the remaining indices in their original mode order.
@@ -83,18 +42,19 @@ def unfold(A, k):
         raise IndexError(f"mode {k} out of range for order {d}")
     nk = A.dims[k]
     mat = np.moveaxis(A.data, k, 0).reshape(nk, -1, A.h)
-    return BMatrix(mat, A.ip)
+    return BTensor(mat, A.ip)
 
 
 def refold(M, k, dims):
-    """Inverse of :func:`unfold` for the given target ``dims``."""
+    """Inverse of :func:`unfold` for the given target ``dims``: ``M`` is
+    a 2-way BTensor of shape ``(n_k, prod(other dims))``."""
     dims = tuple(int(n) for n in dims)
     d = len(dims)
     if not 0 <= k < d:
         raise IndexError(f"mode {k} out of range for order {d}")
     rest = [dims[l] for l in range(d) if l != k]
-    if M.shape != (dims[k], int(np.prod(rest, dtype=np.int64))):
-        raise ValueError(f"matrix of shape {M.shape} cannot refold to {dims}")
+    if M.dims != (dims[k], int(np.prod(rest, dtype=np.int64))):
+        raise ValueError(f"matrix of shape {M.dims} cannot refold to {dims}")
     cube = M.data.reshape([dims[k]] + rest + [M.h])
     return BTensor(np.moveaxis(cube, 0, k), M.ip)
 
@@ -119,7 +79,8 @@ def mode_mul(A, k, B):
 
 def tucker_rank(A, tol_rel=DEFAULT_TOL):
     """Tuple of row-ranks of the mode unfoldings: the ranks of the mode
-    matrices of the tensor, whitened once."""
+    matrices of the tensor, whitened once.  For a matrix this is its
+    (row rank, column rank)."""
     w = A.ip.whiten(A.data)
     return tuple(_matrix_rank(_fiber_rows(w, k), tol_rel) for k in range(A.d))
 

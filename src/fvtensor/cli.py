@@ -44,13 +44,13 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _parse_dims(text):
+def _parse_dims(text, flag="--dims"):
     try:
         dims = tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse dims {text!r}") from None
+        raise UsageError(f"cannot parse {flag} {text!r}") from None
     if not dims or any(n < 1 for n in dims):
-        raise UsageError("dims must be positive integers")
+        raise UsageError(f"{flag} must be positive integers")
     return dims
 
 
@@ -65,11 +65,16 @@ def _parse_tol(text):
     return tol
 
 
-def _parse_threads(text):
-    """``--threads``: a positive integer."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+def _int_at_least(low):
+    """Argparse type of a decimal integer of at least ``low`` (0 or 1)."""
+    what = "a positive" if low else "a nonnegative"
+
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what} integer")
+        return int(text)
+
+    return parse
 
 
 def _resolve_gram(spec_text, h):
@@ -84,7 +89,10 @@ def _resolve_gram(spec_text, h):
         ip = InnerProduct.diagonal(w)
     elif spec_text.startswith("dense:"):
         g = np.fromfile(spec_text.split(":", 1)[1], dtype="<f8")
-        h_file = int(round(np.sqrt(g.size)))
+        h_file = math.isqrt(g.size)
+        if h_file * h_file != g.size:
+            raise ValueError(f"--gram {spec_text} holds {g.size} floats, "
+                             "not a square h*h Gram")
         ip = InnerProduct.dense(g.reshape(h_file, h_file))
     else:
         raise UsageError(f"cannot parse gram spec {spec_text!r}")
@@ -100,8 +108,8 @@ def _family_spec(args):
     if args.dims is None or args.h is None:
         raise UsageError("--family requires --dims and --h")
     return problems.FamilySpec(
-        family=args.family, dims=_parse_dims(args.dims), h=int(args.h),
-        seed=int(args.seed),
+        family=args.family, dims=_parse_dims(args.dims), h=args.h,
+        seed=args.seed,
     )
 
 
@@ -136,12 +144,12 @@ def _draw_aux(dims, size, seed):
 
 def _abc_config(args, dims):
     return AbcConfig(
-        n_iter=int(args.iters),
-        init_aux=_draw_aux(dims, int(args.aux), args.seed),
-        n_rook=int(args.rook),
+        n_iter=args.iters,
+        init_aux=_draw_aux(dims, args.aux, args.seed),
+        n_rook=args.rook,
         draw={"uniform": "uniform", "roundrobin": "round_robin",
               "leverage": "leverage"}[args.draw],
-        seed=int(args.seed),
+        seed=args.seed,
         tol_rel=args.tol,
     )
 
@@ -186,8 +194,8 @@ def _cmd_build(args):
 
 
 def _cmd_hosvd(args):
+    ranks = _parse_dims(args.rank, "--rank") if args.rank else None
     A, _, _ = _load_source(args, need_dense=True)
-    ranks = _parse_dims(args.rank) if args.rank else None
     res = hosvd(A, ranks, args.tol)
     base = args.out
     save_fvt(res.decomp.core, base + ".core.fvt")
@@ -291,18 +299,19 @@ def build_parser():
         p.add_argument("--input", help="FVT tensor file")
         p.add_argument("--family", choices=problems.FAMILIES)
         p.add_argument("--dims", help="comma-separated sizes, e.g. 50,50,50")
-        p.add_argument("--h", type=int, help="coefficient dimension")
+        p.add_argument("--h", type=_int_at_least(1),
+                       help="coefficient dimension")
         p.add_argument("--gram",
                        help="identity | diagonal:FILE | dense:FILE")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--tol", type=_parse_tol, default=1e-12)
 
     def add_abc(p):
-        p.add_argument("--threads", type=_parse_threads,
+        p.add_argument("--threads", type=_int_at_least(1),
                        default=os.environ.get("FVT_THREADS", "1"))
-        p.add_argument("--iters", type=int, required=True)
-        p.add_argument("--rook", type=int, default=1)
-        p.add_argument("--aux", type=int, default=3)
+        p.add_argument("--iters", type=_int_at_least(1), required=True)
+        p.add_argument("--rook", type=_int_at_least(0), default=1)
+        p.add_argument("--aux", type=_int_at_least(1), default=3)
         p.add_argument("--draw", default="uniform",
                        choices=["uniform", "roundrobin", "leverage"])
 

@@ -52,9 +52,15 @@ class NonSPDGram(FvtError):
 
 
 def save_fvt(A, path):
-    """Write a BTensor to ``path`` in the FVT format."""
+    """Write a BTensor to ``path`` in the FVT format.
+
+    A tensor with an empty mode is an ``FvtError`` and no file is
+    written: :func:`load_fvt` would refuse it.
+    """
     dims = A.dims
     ip = A.ip
+    if any(n < 1 for n in dims):
+        raise FvtError(f"dims must be positive, got {dims}")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(dims)))

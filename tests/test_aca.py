@@ -15,7 +15,7 @@ from fvtensor.aca import (
     rook_pivot,
     tucker_abc,
 )
-from fvtensor.bmatrix import BMatrix, svd
+from fvtensor.bmatrix import svd
 from fvtensor.btensor import (
     BTensor,
     assemble,
@@ -159,7 +159,7 @@ def test_leverage_uniform_for_orthonormal_square(rng):
     diag = np.zeros((4, 4, 3))
     for i in range(4):
         diag[i, i] = (i + 1.0) * np.array([1.0, 0.0, 0.0])
-    p = leverage_scores(BMatrix(diag, ip))
+    p = leverage_scores(BTensor(diag, ip))
     assert np.allclose(p, 0.25)
 
 
@@ -171,18 +171,18 @@ def test_leverage_rank_one_closed_form():
     slab = np.zeros((3, 2, 3))
     for t in range(3):
         slab[t] = (t + 1.0) * w[:, None] * v[None, :]
-    p = leverage_scores(BMatrix(slab, ip))
+    p = leverage_scores(BTensor(slab, ip))
     assert np.allclose(p, [0.8, 0.2])
 
 
 def test_leverage_normalization_and_zero(rng):
     ip = make_ip("dense", 4, rng)
-    slab = BMatrix(rng.standard_normal((3, 7, 4)), ip)
+    slab = BTensor(rng.standard_normal((3, 7, 4)), ip)
     p = leverage_scores(slab)
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) <= 1e-12
     with pytest.raises(ValueError):
-        leverage_scores(BMatrix(np.zeros((2, 3, 4)), ip))
+        leverage_scores(BTensor(np.zeros((2, 3, 4)), ip))
 
 
 # --- the adaptive loop ---------------------------------------------------------

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from fvtensor.aca import AbcConfig, tucker_abc
-from fvtensor.bmatrix import (
-    BMatrix,
-    assemble_cross,
-    cross_matrix,
-    left_mul,
-    right_mul,
-    svd,
-)
+from fvtensor.bmatrix import svd
 from fvtensor.btensor import (
     BTensor,
     TuckerCrossModel,
@@ -196,8 +189,8 @@ def test_criterion_4_scalar_consistency():
     for _ in range(20):
         M = rng.standard_normal((int(rng.integers(3, 8)),
                                  int(rng.integers(3, 8))))
-        fac = svd(BMatrix(M[:, :, None], ip1))
-        recon = right_mul(right_mul(fac.U, np.diag(fac.sigma)), fac.V.T)
+        fac = svd(BTensor(M[:, :, None], ip1))
+        recon = mode_mul(mode_mul(fac.U, 1, np.diag(fac.sigma)), 1, fac.V)
         worst = max(worst, np.abs(recon.data[:, :, 0] - M).max()
                     / np.abs(M).max())
         s_ref = np.linalg.svd(M, compute_uv=False)
@@ -214,7 +207,7 @@ def test_criterion_4_scalar_consistency():
         M = rng.standard_normal((6, 7))
         I = sorted(rng.choice(6, size=2, replace=False).tolist())
         J = sorted(rng.choice(7, size=2, replace=False).tolist())
-        B = assemble_cross(*cross_matrix(BMatrix(M[:, :, None], ip1), I, J))
+        B = assemble(tucker_cross(BTensor(M[:, :, None], ip1), [I, J]))
         ref = scalar_cross(M, I, J)
         worst = max(worst, np.abs(B.data[:, :, 0] - ref).max()
                     / np.abs(M).max())
@@ -243,8 +236,8 @@ def test_criterion_5_kronecker_identity():
             C = mode_mul(C, k, Bk)
         for k in range(3):
             others = [Bs[l] for l in range(3) if l != k]
-            rhs = right_mul(
-                left_mul(Bs[k], unfold(A, k)), np.kron(*others).T)
+            rhs = mode_mul(
+                mode_mul(unfold(A, k), 0, Bs[k]), 1, np.kron(*others))
             gap = np.abs(unfold(C, k).data - rhs.data).max()
             worst = max(worst, gap / np.abs(C.data).max())
     ok = worst <= 1e-10

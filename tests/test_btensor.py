@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvtensor import btensor
-from fvtensor.bmatrix import BMatrix, left_mul, right_mul
 from fvtensor.btensor import (
     BTensor,
     TuckerCrossModel,
@@ -31,6 +30,7 @@ from conftest import (
     fiber_slab,
     gram_matrix,
     make_ip,
+    scalar_cross,
     scalar_hosvd,
     scalar_tucker_cross,
     scalar_unfold,
@@ -89,7 +89,7 @@ def test_refold_roundtrip(rng):
         assert np.array_equal(refold(unfold(A, k), k, A.dims).data, A.data)
     with pytest.raises(IndexError):
         unfold(A, 3)
-    Z = refold(BMatrix(np.zeros((4, 6, 3)), A.ip), 1, (3, 4, 2))
+    Z = refold(BTensor(np.zeros((4, 6, 3)), A.ip), 1, (3, 4, 2))
     assert not Z.data.any()
     v = rand_bt(rng, (5,), 2)
     assert np.array_equal(refold(unfold(v, 0), 0, (5,)).data, v.data)
@@ -123,7 +123,7 @@ def test_mode_unfolding_kronecker_identity(rng):
     for k in range(3):
         others = [Bs[l] for l in range(3) if l != k]
         kron = np.kron(others[0], others[1])
-        rhs = right_mul(left_mul(Bs[k], unfold(A, k)), kron.T)
+        rhs = mode_mul(mode_mul(unfold(A, k), 0, Bs[k]), 1, kron)
         assert np.abs(unfold(C, k).data - rhs.data).max() < 1e-10
 
 
@@ -207,15 +207,30 @@ def test_tucker_cross_rejects_out_of_range_sets(rng, monkeypatch, source):
 
 
 def test_tucker_cross_matches_matrix_cross(rng):
-    from fvtensor.bmatrix import assemble_cross, cross_matrix
-    ip = InnerProduct.identity(4)
-    A2 = rand_bt(rng, (5, 6), 4, ip)
+    # d = 2 is matrix cross approximation: the scalar F pinv(core) Pt at
+    # h = 1, and under a dense Gram the same with both factors solved in
+    # whitened coordinates, the left one through the transposed core
     I, J = [0, 3], [2, 5]
-    model = tucker_cross(A2, [I, J])
-    B_t = assemble(model)
-    F, core, Pt = cross_matrix(BMatrix(A2.data, ip), I, J)
-    B_m = assemble_cross(F, core, Pt)
-    assert np.abs(B_t.data - B_m.data).max() < 1e-12 * np.abs(A2.data).max()
+    M = rng.standard_normal((5, 6))
+    B = assemble(tucker_cross(BTensor(M[:, :, None], InnerProduct.identity(1)),
+                              [I, J]))
+    assert np.abs(B.data[:, :, 0] - scalar_cross(M, I, J)).max() \
+        < 1e-12 * np.abs(M).max()
+
+    h = 4
+    ip = make_ip("dense", h, rng)
+    A = rand_bt(rng, (5, 6), h, ip)
+    W = A.data @ np.linalg.cholesky(gram_matrix(ip))
+
+    def cols(X):  # whitened (p, q, h) block as the (p*h, q) column matrix
+        return np.moveaxis(X, 2, 1).reshape(-1, X.shape[1])
+
+    Pt = np.linalg.pinv(cols(W[np.ix_(I, J)])) @ cols(W[I])
+    Wt = np.swapaxes(W, 0, 1)
+    F = (np.linalg.pinv(cols(Wt[np.ix_(J, I)])) @ cols(Wt[J])).T
+    ref = np.einsum("ri,ijh,jl->rlh", F, A.data[np.ix_(I, J)], Pt)
+    B = assemble(tucker_cross(A, [I, J]))
+    assert np.abs(B.data - ref).max() <= 1e-10 * np.abs(A.data).max()
 
 
 def test_tucker_cross_exact_recovery(rng):

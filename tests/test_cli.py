@@ -334,7 +334,7 @@ def test_gram_file_flags(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["build", "compare"])
-@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "nonsquare"])
 def test_gram_length_mismatch_exit_2_before_sampling(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      kind):
@@ -349,15 +349,21 @@ def test_gram_length_mismatch_exit_2_before_sampling(tmp_path, capsys,
     gfile = tmp_path / "g.f64"
     if kind == "diagonal":
         np.full(8, 1.5).astype("<f8").tofile(gfile)
-    else:
+    elif kind == "dense":
         write_dense_gram(gfile, 8, 2)
+    else:
+        np.ones(10).astype("<f8").tofile(gfile)
+    spec = f"{'dense' if kind == 'nonsquare' else kind}:{gfile}"
     out = tmp_path / "out.json"
     assert main([command, "--family", "separable", "--dims", "5,5,5",
-                 "--h", "4", "--gram", f"{kind}:{gfile}", "--iters", "2",
+                 "--h", "4", "--gram", spec, "--iters", "2",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"error: --gram {kind}:{gfile} has length 8, "
-                   f"but the source has h=4\n")
+    if kind == "nonsquare":
+        assert err == (f"error: --gram {spec} holds 10 floats, "
+                       "not a square h*h Gram\n")
+    else:
+        assert err == f"error: --gram {spec} has length 8, but the source has h=4\n"
     assert reads == []
     assert not out.exists()
 
@@ -405,10 +411,8 @@ def test_bad_env_threads_is_a_usage_error_where_threads_is_taken(
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("command", ["build", "hosvd", "compare"])
-@pytest.mark.parametrize("tol", ["nan", "-1", "1"])
-def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
-                                        command, tol):
+def spy_reads(monkeypatch):
+    """List that records every oracle read and dense-tensor build."""
     reads = []
     real_get_many = CachedOracle.get_many
     real_make_tensor = cli.problems.make_tensor
@@ -423,10 +427,49 @@ def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(CachedOracle, "get_many", counted)
     monkeypatch.setattr(cli.problems, "make_tensor", made)
+    return reads
+
+
+@pytest.mark.parametrize("command", ["build", "hosvd", "compare"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "1"])
+def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
+                                        command, tol):
+    reads = spy_reads(monkeypatch)
     abc = [] if command == "hosvd" else ["--iters", "2"]
     out = tmp_path / "out"
     assert main([command, "--family", "separable", "--dims", "5,5,5",
                  "--h", "4", "--tol", tol, *abc, "--out", str(out)]) == 1
     assert "argument --tol" in capsys.readouterr().err
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    pytest.param("build", ["--iters", "0"], "argument --iters",
+                 id="build-iters"),
+    pytest.param("compare", ["--iters", "0"], "argument --iters",
+                 id="compare-iters"),
+    pytest.param("build", ["--iters", "2", "--rook", "-1"], "argument --rook",
+                 id="build-rook"),
+    pytest.param("build", ["--iters", "2", "--aux", "0"], "argument --aux",
+                 id="build-aux"),
+    pytest.param("compare", ["--iters", "2", "--aux", "x"], "argument --aux",
+                 id="compare-aux"),
+    pytest.param("build", ["--iters", "2", "--h", "0"], "argument --h",
+                 id="build-h"),
+    pytest.param("hosvd", ["--seed", "-1"], "argument --seed",
+                 id="hosvd-seed"),
+    pytest.param("hosvd", ["--rank", "0,2,2"], "--rank must be positive",
+                 id="hosvd-rank"),
+    pytest.param("hosvd", ["--rank", "2,x"], "cannot parse --rank",
+                 id="hosvd-rank-text"),
+])
+def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
+                                                command, flags, named):
+    reads = spy_reads(monkeypatch)
+    out = tmp_path / "out"
+    assert main([command, "--family", "separable", "--dims", "5,5,5",
+                 "--h", "4", *flags, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
     assert reads == []
     assert list(tmp_path.iterdir()) == []

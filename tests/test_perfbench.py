@@ -2,10 +2,14 @@
 
 ``Tracer.install`` wraps every public function of the traced layers and
 a fixed list of ``CachedOracle`` and ``InnerProduct`` methods by name, and
-raises ``KeyError`` when one of those methods is gone.  This test keeps
-the library's names and the harness in step.
+raises ``KeyError`` when one of those methods is gone.  These tests keep
+the library's names, the harness and the per-layer metrics of
+``BENCHMARK.json`` in step.
 """
 
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import fvtensor.aca as aca
@@ -35,3 +39,28 @@ def test_tracer_wraps_an_adaptive_run(monkeypatch):
             "sampler.oracle", "hilbert.pair"} <= names
     assert tracer.misses == cached.count
     assert btensor.tucker_cross is original
+
+
+# Per-layer names the benchmark still lists for a deleted function, each
+# to be dropped with the next change to the benchmark.
+STALE = {"bmatrix.mgs_qr"}
+
+
+def test_per_layer_metrics_name_live_spans(monkeypatch):
+    # a deleted function would silently read 0 in every per-layer metric
+    # that names it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import LAYERS, METHODS
+
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    live = {"sampler.oracle"}
+    live |= {f"{short}.{m}" for (short, _), methods in METHODS.items()
+             for m in methods}
+    for short in LAYERS:
+        mod = importlib.import_module(f"fvtensor.{short}")
+        live |= {f"{short}.{attr}" for attr, obj in vars(mod).items()
+                 if inspect.isfunction(obj) and not attr.startswith("_")
+                 and obj.__module__ == mod.__name__}
+    named = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+             if m["name"].endswith((".calls", ".self_s"))}
+    assert named - live <= STALE

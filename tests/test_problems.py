@@ -1,12 +1,26 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvtensor.btensor import BTensor, fro_norm, hosvd, hosvd_error_bound, tucker_rank
-from fvtensor.fvt import BadMagic, BadVersion, NonSPDGram, TruncatedFile, load_fvt, save_fvt
+from fvtensor.fvt import (
+    BadMagic,
+    BadVersion,
+    FvtError,
+    NonSPDGram,
+    TruncatedFile,
+    load_fvt,
+    save_fvt,
+)
 from fvtensor.hilbert import InnerProduct
 from fvtensor.problems import FamilySpec, make_oracle, make_tensor, param_grids
+
+from conftest import GRAM_KINDS, make_ip
 
 
 def test_family_spec_validation():
@@ -118,6 +132,31 @@ def test_fvt_roundtrip_bitwise(tmp_path, rng):
         path2 = tmp_path / f"{kind}2.fvt"
         save_fvt(B, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 6),
+       st.sampled_from(GRAM_KINDS), st.integers(0, 2**32 - 1))
+def test_fvt_roundtrip_property(dims, h, kind, seed):
+    rng = np.random.default_rng(seed)
+    A = BTensor(rng.standard_normal(tuple(dims) + (h,)), make_ip(kind, h, rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.fvt"
+        save_fvt(A, path)
+        B = load_fvt(path)
+    assert B.dims == A.dims
+    assert B.data.tobytes() == A.data.tobytes()
+    assert B.ip == A.ip
+
+
+def test_save_fvt_rejects_an_empty_mode(tmp_path, rng):
+    # a rank-0 HOSVD has an empty core mode, which load_fvt would refuse
+    A = BTensor(rng.standard_normal((3, 4, 5, 2)), InnerProduct.identity(2))
+    core = hosvd(A, (0, 2, 2)).decomp.core
+    path = tmp_path / "core.fvt"
+    with pytest.raises(FvtError, match="positive"):
+        save_fvt(core, path)
+    assert not path.exists()
 
 
 def test_fvt_bad_magic(tmp_path, rng):
