@@ -26,7 +26,7 @@ from .bmatrix import (
     _sigma_v,
     _whitened,
 )
-from .btensor import model_gather, tucker_cross, tucker_rank
+from .btensor import model_gather, tucker_cross
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 
@@ -241,20 +241,22 @@ def _estimate_leverage(cached, aux, rng, tol_rel):
     return scores
 
 
-def _carried(view, R, I, tol_rel):
-    """Whether the columns ``I`` carry the rank of the slab with
-    triangular factor ``R`` stacked on the whitened fibers the scan read,
-    ranks counting singular values above ``tol_rel`` times the largest;
-    never, if the scan read none.  Columns that carry the stack carry
-    ``R``, so ``R`` alone is tested first."""
+def _carried(view, model, tol_rel):
+    """Whether the mode-``k`` columns ``I`` of ``model`` carry the rank of
+    its slab, with triangular factor ``R``, stacked on the whitened fibers
+    the scan read, ranks counting singular values above ``tol_rel`` times
+    the largest; never, if the scan read none.  Columns that carry the
+    stack carry ``R``, so ``R`` alone is tested first, against the rank
+    of ``R[:, I]`` that :func:`tucker_cross` counted in its solve."""
     if not view.fibers:
         return False
-
-    def carries(M):
-        return _matrix_rank(M, tol_rel) <= _matrix_rank(M[:, I], tol_rel)
-
-    rows = (_fiber_rows(view.cached.ip.whiten(f), view.k) for f in view.fibers)
-    return carries(R) and carries(np.vstack([R, *rows]))
+    k = view.k
+    R, I = model.r_factors[k], model.index_sets[k]
+    if _matrix_rank(R, tol_rel) > model.ranks[k]:
+        return False
+    rows = (_fiber_rows(view.cached.ip.whiten(f), k) for f in view.fibers)
+    M = np.vstack([R, *rows])
+    return _matrix_rank(M, tol_rel) <= _matrix_rank(M[:, I], tol_rel)
 
 
 def abc_sweeps(cached, cfg):
@@ -272,8 +274,11 @@ def abc_sweeps(cached, cfg):
     model updates read each entry once.  ``report`` is one object,
     updated in place: at each yield it holds the per-iteration ranks,
     budgets and index-set snapshots so far, and the current index and
-    auxiliary sets.  Nothing runs, and ``cfg`` is not checked, until the
-    first ``next``.
+    auxiliary sets.  Each sweep's ranks are its model's ``ranks``, the
+    numerical ranks that :func:`tucker_cross` counted when it solved the
+    factors: the Tucker ranks of the core at ``cfg.tol_rel``
+    (:func:`~fvtensor.btensor.tucker_rank`), taken without another SVD.
+    Nothing runs, and ``cfg`` is not checked, until the first ``next``.
 
     Saturation.  Mode ``k`` is saturated in a sweep when its chosen
     columns ``I_k`` carry the rank of its fiber slab and of the
@@ -345,8 +350,7 @@ def abc_sweeps(cached, cfg):
                 norms = view.all_col_norms()
                 norms[sorted(used)] = -1.0
                 chosen = _first_max(norms)
-            if model is not None and _carried(view, model.r_factors[k],
-                                              sets[k], cfg.tol_rel):
+            if model is not None and _carried(view, model, cfg.tol_rel):
                 continue
             grown = True
             sets[k] = sorted(used | {chosen})
@@ -354,7 +358,7 @@ def abc_sweeps(cached, cfg):
                 aux[k] = sorted(aux[k] + [chosen])
 
         model = tucker_cross(cached, sets, cfg.tol_rel, prev=model)
-        report.rank_history.append(tucker_rank(model.core, cfg.tol_rel))
+        report.rank_history.append(model.ranks)
         report.evals_by_iter.append(cached.count)
         report.index_set_history.append(tuple(tuple(I) for I in sets))
         report.aux_sets = tuple(tuple(a) for a in aux)

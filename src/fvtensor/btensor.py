@@ -105,9 +105,14 @@ class TuckerCrossModel:
     ``r_factors[k]`` is the triangular factor of the whitened mode-``k``
     fiber slab that :func:`tucker_cross` folded in, at most
     ``n_k x n_k``; a later call given this model as ``prev`` folds only
-    the new fibers into it.  It is ``None`` on a model built otherwise
-    (e.g. loaded from disk), is not saved, and takes no part in
-    comparisons.
+    the new fibers into it.  ``ranks[k]`` is the numerical rank of
+    ``r_factors[k][:, index_sets[k]]``, the truncation of the
+    pseudoinverse that solved factor ``k``.  That matrix has the singular
+    values of the whitened core's mode-``k`` matrix, so ``ranks`` is the
+    core's :func:`tucker_rank` at the same ``tol_rel``, and
+    :func:`~fvtensor.aca.abc_sweeps` reports it as ``rank_history``.
+    Both are ``None`` on a model built otherwise (e.g. loaded from disk),
+    are not saved, and take no part in comparisons.
     """
 
     index_sets: tuple
@@ -115,6 +120,7 @@ class TuckerCrossModel:
     factors: list
     dims: tuple
     r_factors: list = field(default=None, repr=False, compare=False)
+    ranks: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def ip(self):
@@ -187,8 +193,10 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     the entries with a new index in some mode.  Without ``prev`` every
     fiber is folded into an empty ``R``.  Only entries inside the cross
     (the core and the per-mode slabs) are accessed, so ``source`` may be
-    a lazy oracle.  A ``prev`` whose sets are not subsets of
-    ``index_sets``, or that carries no ``R``, is a ``ValueError``.
+    a lazy oracle.  The solve of factor ``k`` counts the numerical rank
+    of ``R[:, I_k]``; the model keeps the counts as ``ranks``.  A
+    ``prev`` whose sets are not subsets of ``index_sets``, or that
+    carries no ``R``, is a ``ValueError``.
     """
     dims = tuple(source.dims)
     sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
@@ -197,6 +205,7 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     core = _grown_core(source, sets, prev, old)
     factors = []
     r_factors = []
+    ranks = []
     for k, n_k in enumerate(dims):
         R = np.empty((0, n_k)) if prev is None else prev.r_factors[k]
         full = (range(n_k),)
@@ -208,25 +217,34 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
         if slabs:
             R = _r_factor(np.vstack([R] + slabs))
         I = list(sets[k])
-        Fk = np.ascontiguousarray(_pinv_solve(R[:, I], R, tol_rel).T)
+        solved, rank = _pinv_solve(R[:, I], R, tol_rel)
+        Fk = np.ascontiguousarray(solved.T)
         Fk[I] = np.eye(len(I))
         factors.append(Fk)
         r_factors.append(R)
+        ranks.append(rank)
     return TuckerCrossModel(index_sets=sets, core=core, factors=factors,
-                            dims=dims, r_factors=r_factors)
+                            dims=dims, r_factors=r_factors,
+                            ranks=tuple(ranks))
 
 
 def model_gather(model, grids):
     """Entries of the assembled model on a product grid, without assembling.
 
     ``grids`` holds one index list per mode; the result has shape
-    ``(len(grids[0]), ..., len(grids[d-1]), h)``.
+    ``(len(grids[0]), ..., len(grids[d-1]), h)``.  Contracting mode ``k``
+    scales the array by ``len(grids[k]) / r_k`` for the core's size
+    ``r_k`` there, so the modes are contracted in ascending order of that
+    ratio (ties in mode order; a rank-0 mode last, the array being empty
+    until then), and the intermediates stay as small as the order allows:
+    a single fiber against a large core never forms the core's full width
+    at the fiber's length.
     """
     T = model.core.data
-    d = T.ndim - 1
-    for k in range(d):
-        rows = np.asarray(grids[k], dtype=int)
-        T = _mode_dot(T, k, model.factors[k][rows])
+    rows = [np.asarray(g, dtype=int) for g in grids]
+    ratio = [len(g) / r if r else np.inf for g, r in zip(rows, T.shape)]
+    for k in sorted(range(len(rows)), key=ratio.__getitem__):
+        T = _mode_dot(T, k, model.factors[k][rows[k]])
     return T
 
 

@@ -26,7 +26,7 @@ from .btensor import (
     hosvd_error,
     hosvd_error_bound,
 )
-from .fvt import FvtError, MAGIC, load_fvt, save_fvt
+from .fvt import FvtError, MAGIC, load_fvt, read_dims, save_fvt
 from .hilbert import InnerProduct, InnerProductError
 from .sampler import CachedOracle, EntryOracle
 
@@ -193,8 +193,20 @@ def _cmd_build(args):
     return 0
 
 
+def _source_order(args):
+    """Order of the source tensor, from the FVT header or ``--dims``
+    before any entry is read; ``None`` if neither is given."""
+    if args.input is not None:
+        return len(read_dims(args.input))
+    return None if args.dims is None else len(_parse_dims(args.dims))
+
+
 def _cmd_hosvd(args):
     ranks = _parse_dims(args.rank, "--rank") if args.rank else None
+    d = None if ranks is None else _source_order(args)
+    if d is not None and len(ranks) != d:
+        raise UsageError(f"--rank has {len(ranks)} entries, but the source "
+                         f"has order {d}")
     A, _, _ = _load_source(args, need_dense=True)
     res = hosvd(A, ranks, args.tol)
     base = args.out

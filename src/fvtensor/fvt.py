@@ -29,6 +29,7 @@ MAGIC = b"FVT1"
 VERSION = 1
 _GRAM_CODES = {"identity": 0, "diagonal": 1, "dense": 2}
 _GRAM_KINDS = {v: k for k, v in _GRAM_CODES.items()}
+_CHECK_CHUNK = 1 << 16  # coefficients per finiteness mask in load_fvt
 
 
 class FvtError(ValueError):
@@ -48,6 +49,10 @@ class TruncatedFile(FvtError):
 
 
 class NonSPDGram(FvtError):
+    pass
+
+
+class NonFiniteEntry(FvtError):
     pass
 
 
@@ -81,15 +86,9 @@ def _take(buf, offset, nbytes, what):
     return buf[offset:offset + nbytes], offset + nbytes
 
 
-def load_fvt(path):
-    """Read an FVT file back into a BTensor.
-
-    Validates the magic, version, payload arithmetic, and the Gram
-    specification (a dense Gram must be SPD).
-    """
-    with open(path, "rb") as f:
-        buf = memoryview(f.read())
-
+def _dims(buf):
+    """Dims from the start of an FVT file, after the magic and version
+    checks, and the offset just past them."""
     raw, off = _take(buf, 0, 4, "magic")
     if raw != MAGIC:
         raise BadMagic(f"bad magic {bytes(raw)!r}")
@@ -100,7 +99,30 @@ def load_fvt(path):
     if d < 1:
         raise FvtError("tensor order must be positive")
     raw, off = _take(buf, off, 8 * d, "dims")
-    dims = struct.unpack(f"<{d}Q", raw)
+    return struct.unpack(f"<{d}Q", raw), off
+
+
+def read_dims(path):
+    """Dims of the FVT file at ``path``, read from its header alone."""
+    with open(path, "rb") as f:
+        head = f.read(12)
+        if len(head) == 12 and head[:4] == MAGIC:
+            head += f.read(8 * struct.unpack("<I", head[8:])[0])
+    return _dims(memoryview(head))[0]
+
+
+def load_fvt(path):
+    """Read an FVT file back into a BTensor.
+
+    Validates the magic, version, payload arithmetic, the Gram
+    specification (a dense Gram must be SPD) and the entries: a NaN or
+    infinite coefficient is a ``NonFiniteEntry`` naming the first entry
+    (in file order) that holds one.
+    """
+    with open(path, "rb") as f:
+        buf = memoryview(f.read())
+
+    dims, off = _dims(buf)
     raw, off = _take(buf, off, 8, "h")
     (h,) = struct.unpack("<Q", raw)
     if h < 1 or any(n < 1 for n in dims):
@@ -131,4 +153,11 @@ def load_fvt(path):
     if off != len(buf):
         raise TruncatedFile(f"{len(buf) - off} trailing bytes")
     data = np.frombuffer(raw, dtype="<f8").astype(float).reshape(dims + (h,))
+    flat = data.reshape(-1)
+    for start in range(0, flat.size, _CHECK_CHUNK):
+        finite = np.isfinite(flat[start:start + _CHECK_CHUNK])
+        if not finite.all():
+            at = np.unravel_index(start + np.argmin(finite), data.shape)
+            raise NonFiniteEntry("non-finite coefficient in entry "
+                                 f"{tuple(int(i) for i in at[:-1])} (0-based)")
     return BTensor(data, ip)

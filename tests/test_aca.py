@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fvtensor import aca
+from fvtensor import aca, problems
 from fvtensor.aca import (
     TIE_RTOL,
     AbcConfig,
@@ -275,6 +275,26 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
     assert last.core.data.tobytes() == model.core.data.tobytes()
     for F, F_last in zip(model.factors, last.factors):
         assert F.tobytes() == F_last.tobytes()
+
+
+@pytest.mark.parametrize("family, dims, h", [
+    ("gaussian_bump", (16, 14, 12), 32),
+    ("lowrank_plus_decay", (14, 12, 10), 16),
+    ("separable", (12, 10, 8), 4),
+])
+def test_abc_rank_history_is_core_tucker_rank(family, dims, h):
+    # rank_history holds the ranks tucker_cross counted in its factor
+    # solves; they are the core's Tucker ranks only while each mode's R
+    # folds every fiber through the core
+    spec = problems.FamilySpec(family, dims, h, seed=0)
+    c = CachedOracle(problems.make_oracle(spec))
+    cfg = AbcConfig(n_iter=8, init_aux=[[0, 5, 9], [1, 6], [2, 7]], seed=4)
+    sweeps = 0
+    for model, report in abc_sweeps(c, cfg):
+        sweeps += 1
+        assert report.rank_history[-1] == model.ranks \
+            == tucker_rank(model.core, cfg.tol_rel)
+    assert sweeps >= 3 and max(report.rank_history[-1]) >= 3
 
 
 def test_abc_determinism_across_threads(rng):

@@ -199,12 +199,13 @@ def _whitened_test_matrix(rng, ip, m, n, sigma):
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)
 def test_sigma_v_tsqr_matches_whitened_svd(kind):
-    # 700 entries of h = 7 make 4900 whitened rows: one full TSQR block
-    # and an uneven last one.  1e-11 lies above the 1e-12 cut, 1e-13 below.
+    # entries of h = 7 making 1.5 TSQR blocks of whitened rows: one full
+    # block and an uneven last one.  1e-11 lies above the 1e-12 cut,
+    # 1e-13 below.
     rng = np.random.default_rng(37)
     ip = make_ip(kind, 7, rng)
     sigma = np.array([1.0, 0.5, 0.1, 1e-3, 1e-11, 1e-13])
-    A, M_w = _whitened_test_matrix(rng, ip, 700, 6, sigma)
+    A, M_w = _whitened_test_matrix(rng, ip, 3 * TSQR_BLOCK // 14, 6, sigma)
     assert TSQR_BLOCK < M_w.shape[0] < 2 * TSQR_BLOCK
     assert np.allclose(_whitened(A), M_w, rtol=0.0, atol=1e-12)
     s, V = _sigma_v(M_w)

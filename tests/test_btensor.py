@@ -425,6 +425,50 @@ def test_model_gather_rank_one_and_zero_core(rng):
     assert not model_gather(zero, [[1], [1]]).any()
 
 
+def _einsum_gather(model, grids):
+    """``model_gather`` reference: one einsum in a fixed order."""
+    d = len(grids)
+    letters = "abcdefg"[:d]
+    spec = ",".join(f"{letters[k].upper()}{letters[k]}" for k in range(d))
+    spec += f",{letters}z->{letters.upper()}z"
+    rows = [F[np.asarray(g, dtype=int)] for F, g in zip(model.factors, grids)]
+    return np.einsum(spec, *rows, model.core.data)
+
+
+@pytest.mark.parametrize("shape", ["single", "aux", "full"])
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_model_gather_matches_einsum_in_any_order(rng, shape, pos):
+    # the contraction order follows the grid sizes; the values must not
+    dims, h = (9, 8, 7), 5
+    A = rand_bt(rng, dims, h, make_ip("dense", h, rng))
+    model = tucker_cross(A, [[0, 3, 5, 8], [1, 2, 6], [0, 4]])
+    pick = {"single": lambda n: [n // 2], "aux": lambda n: [0, 2, n - 1],
+            "full": lambda n: list(range(n))}
+    for rest in ("single", "aux", "full"):
+        grids = [pick[shape if k == pos else rest](n)
+                 for k, n in enumerate(dims)]
+        ref = _einsum_gather(model, grids)
+        got = model_gather(model, grids)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_model_gather_rank_zero_mode(rng, pos):
+    ranks = [2, 3, 2]
+    ranks[pos] = 0
+    dims = (5, 4, 6)
+    ip = InnerProduct.identity(3)
+    dec = TuckerDecomp(core=BTensor(np.zeros(tuple(ranks) + (3,)), ip),
+                       factors=[rng.standard_normal((n, r))
+                                for n, r in zip(dims, ranks)])
+    grids = [[1], [0, 2, 3], list(range(6))]
+    got = model_gather(dec, grids)
+    assert got.shape == (1, 3, 6, 3)
+    assert np.array_equal(got, _einsum_gather(dec, grids))
+    assert not got.any()
+
+
 # --- HOSVD --------------------------------------------------------------------
 
 def test_hosvd_exact_rank_one(rng):

@@ -91,6 +91,42 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["info", "--input", str(tmp_path / "missing.fvt")]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["hosvd", "compare", "build"])
+def test_non_finite_fvt_entry_exit_2_before_sampling(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      bad):
+    # one bad coefficient in a 6x5x4, h=3 file: a build samples too few
+    # entries to meet it, so only the load can refuse it
+    reads = spy_reads(monkeypatch)
+    data = np.random.default_rng(3).standard_normal((6, 5, 4, 3))
+    data[4, 1, 3, 2] = float(bad)
+    src = tmp_path / "bad.fvt"
+    save_fvt(BTensor(data, InnerProduct.identity(3)), src)
+    abc = [] if command == "hosvd" else ["--iters", "2"]
+    out = tmp_path / "out.json"
+    assert main([command, "--input", str(src), *abc, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: non-finite coefficient in entry (4, 1, 3) "
+                   "(0-based)\n")
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.fvt"]
+
+
+def test_hosvd_rank_length_from_header_exit_1_before_load(tmp_path, capsys,
+                                                          monkeypatch):
+    src = tmp_path / "t.fvt"
+    save_fvt(BTensor(np.ones((4, 3, 2, 2)), InnerProduct.identity(2)), src)
+    loads = []
+    monkeypatch.setattr(cli, "load_fvt", loads.append)
+    assert main(["hosvd", "--input", str(src), "--rank", "2,2",
+                 "--out", str(tmp_path / "h")]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: --rank has 2 entries, but the source has order 3\n")
+    assert loads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.fvt"]
+
+
 def test_gen_then_build_input_matches_build_family(tmp_path):
     # the dense tensor is the oracle on the whole grid, so a model built
     # from the generated file equals the one built from the family; only
@@ -463,6 +499,8 @@ def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                  id="hosvd-rank"),
     pytest.param("hosvd", ["--rank", "2,x"], "cannot parse --rank",
                  id="hosvd-rank-text"),
+    pytest.param("hosvd", ["--rank", "2,2"], "--rank has 2 entries",
+                 id="hosvd-rank-length"),
 ])
 def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                                                 command, flags, named):

@@ -12,9 +12,11 @@ from fvtensor.fvt import (
     BadMagic,
     BadVersion,
     FvtError,
+    NonFiniteEntry,
     NonSPDGram,
     TruncatedFile,
     load_fvt,
+    read_dims,
     save_fvt,
 )
 from fvtensor.hilbert import InnerProduct
@@ -168,6 +170,32 @@ def test_fvt_bad_magic(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(BadMagic):
         load_fvt(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fvt_non_finite_entry_named(tmp_path, rng, bad):
+    data = rng.standard_normal((3, 4, 2, 3))
+    data[1, 3, 0, 2] = bad
+    data[2, 0, 1, 0] = bad
+    path = tmp_path / "x.fvt"
+    save_fvt(BTensor(data, InnerProduct.diagonal([1.0, 2.0, 0.5])), path)
+    with pytest.raises(NonFiniteEntry, match=r"entry \(1, 3, 0\)"):
+        load_fvt(path)
+    assert read_dims(path) == (3, 4, 2)
+
+
+def test_fvt_read_dims_checks_the_header(tmp_path, rng):
+    path = tmp_path / "x.fvt"
+    save_fvt(BTensor(rng.standard_normal((2, 5, 3, 4)),
+                     InnerProduct.identity(4)), path)
+    raw = path.read_bytes()
+    assert read_dims(path) == (2, 5, 3)
+    path.write_bytes(raw[:20])
+    with pytest.raises(TruncatedFile):
+        read_dims(path)
+    path.write_bytes(b"NOPE" + raw[4:])
+    with pytest.raises(BadMagic):
+        read_dims(path)
 
 
 def test_fvt_bad_version(tmp_path, rng):
