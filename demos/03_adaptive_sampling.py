@@ -2,11 +2,11 @@
 
 The tensor is only touched through a memoizing index-to-value map, which
 is how an expensive parameter-to-solution map would be wrapped.  Each
-sweep draws a start column per mode, refines it by rook pivoting on the
-lazily evaluated residual, adds the index found unless the mode's chosen
-columns already carry the rank of every fiber it has seen, and folds the
-new fibers into the Tucker-cross model; the counter shows how little of
-the tensor the run actually looked at.
+sweep draws a uniformly random start column per mode, refines it by rook
+pivoting on the lazily evaluated residual, adds the index found unless
+the mode's chosen columns already carry the rank of every fiber it has
+seen, and folds the new fibers into the Tucker-cross model; the counter
+shows how little of the tensor the run actually looked at.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ oracle = CachedOracle(fv.make_oracle(spec))
 
 rng = np.random.default_rng(2)
 aux = [sorted(rng.choice(30, size=3, replace=False).tolist()) for _ in range(3)]
-cfg = fv.AbcConfig(n_iter=8, init_aux=aux, n_rook=1, draw="uniform", seed=2)
+cfg = fv.AbcConfig(n_iter=8, init_aux=aux, n_rook=1, seed=2)
 
 model, report = fv.tucker_abc(oracle, cfg)
 
@@ -32,8 +32,3 @@ for s, (rk, ev) in enumerate(zip(report.rank_history, report.evals_by_iter), 1):
     print(f"{s:4d}  {str(rk):10s}  {ev:5d}  {100 * ev / total:5.1f}%  {err:.3e}")
 
 print("\nfinal index sets:", report.index_sets)
-
-# leverage-score draws concentrate start columns on influential indices
-cfg_lev = fv.AbcConfig(n_iter=8, init_aux=aux, n_rook=1, draw="leverage", seed=2)
-model_lev, rep_lev = fv.tucker_abc(CachedOracle(fv.make_oracle(spec)), cfg_lev)
-print("\nleverage-draw final error:", fv.relative_error(A, model_lev))

@@ -22,7 +22,6 @@ from .btensor import (
     hosvd_error,
     hosvd_error_bound,
     mode_mul,
-    refold,
     relative_error,
     tucker_cross,
     tucker_rank,
@@ -33,8 +32,6 @@ from .aca import (
     AbcConfig,
     AbcReport,
     abc_sweeps,
-    draw,
-    leverage_scores,
     rook_pivot,
     tucker_abc,
 )

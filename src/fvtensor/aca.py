@@ -1,30 +1,24 @@
 """Adaptive cross sampling of function-valued tensors.
 
 Grows one index per sweep in each mode that is not saturated: a start
-column is drawn (uniform, round-robin, or leverage-score weighted), refined
-by rook pivoting on a lazily evaluated residual row matrix restricted to
-auxiliary index sets, and the index found joins the mode's set unless the
-chosen columns already carry the rank of the mode's fiber slab and of the
-fibers the scan read.  The run stops after a sweep in which no mode grows.
-The Tucker-cross model is updated to the enlarged sets by folding in the
-new fibers only.  The residual matrices are never materialized beyond the
-scanned entries.
+column is drawn uniformly at random, refined by rook pivoting on a lazily
+evaluated residual row matrix restricted to auxiliary index sets, and the
+index found joins the mode's set unless the chosen columns already carry
+the rank of the mode's fiber slab and of the fibers the scan read.  The
+run stops after a sweep in which no mode grows.  The Tucker-cross model
+is updated to the enlarged sets by folding in the new fibers only.  The
+residual matrices are never materialized beyond the scanned entries.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
-from math import ceil, gcd
 
 import numpy as np
 
 from .bmatrix import (
-    BTensor,
     DEFAULT_TOL,
     _canonical_index_set,
     _fiber_rows,
     _matrix_rank,
-    _sigma_v,
-    _whitened,
 )
 from .btensor import model_gather, tucker_cross
 
@@ -36,16 +30,16 @@ class AbcConfig:
     """Knobs of the adaptive run.
 
     ``init_aux`` holds one non-empty auxiliary index set per mode.
-    ``tol_rel``, in ``[0, 1)``, truncates the pseudoinverses and the ranks
-    of the saturation test.  A run ends after a sweep in which no mode
-    grows (see :func:`abc_sweeps`), so it may run fewer than ``n_iter``
-    sweeps.
+    ``n_rook`` is the number of rook rounds per scan, and ``seed`` seeds
+    the uniform draw of each scan's start column.  ``tol_rel``, in
+    ``[0, 1)``, truncates the pseudoinverses and the ranks of the
+    saturation test.  A run ends after a sweep in which no mode grows
+    (see :func:`abc_sweeps`), so it may run fewer than ``n_iter`` sweeps.
     """
 
     n_iter: int
     init_aux: list
     n_rook: int = 1
-    draw: str = "uniform"
     seed: int = 0
     tol_rel: float = DEFAULT_TOL
 
@@ -55,8 +49,6 @@ class AbcConfig:
             raise ValueError("n_iter must be at least 1")
         if self.n_rook < 0:
             raise ValueError("n_rook must be nonnegative")
-        if self.draw not in ("uniform", "round_robin", "leverage"):
-            raise ValueError(f"unknown draw rule {self.draw!r}")
         if not 0.0 <= self.tol_rel < 1.0:
             raise ValueError(f"tol_rel must lie in [0, 1), got {self.tol_rel}")
         if len(self.init_aux) != len(dims):
@@ -179,68 +171,6 @@ def _first_max(norms):
     return int(np.flatnonzero(norms >= top * (1.0 - TIE_RTOL))[0])
 
 
-def _round_robin_stride(n):
-    for s in range(ceil(n / 2), 0, -1):
-        if gcd(s, n) == 1:
-            return s
-    return 1
-
-
-def draw(rule, n_k, rng, iteration=None, scores=None):
-    """Draw a start column index in ``[0, n_k)`` under the given rule."""
-    if n_k < 1:
-        raise ValueError("mode size must be positive")
-    if rule == "uniform":
-        return int(rng.integers(n_k))
-    if rule == "round_robin":
-        if iteration is None or iteration < 1:
-            raise ValueError("round_robin needs a 1-based iteration number")
-        return ((iteration - 1) * _round_robin_stride(n_k)) % n_k
-    if rule == "leverage":
-        p = np.asarray(scores, dtype=float)
-        if p.shape != (n_k,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("leverage scores must form a probability vector")
-        return int(rng.choice(n_k, p=p))
-    raise ValueError(f"unknown draw rule {rule!r}")
-
-
-def leverage_scores(slab, tol_rel=DEFAULT_TOL):
-    """Sampling distribution from the right singular vectors of a slab.
-
-    ``slab`` collects sampled mode-``k`` fibers as the rows of a
-    function-valued matrix (a 2-way BTensor) with ``n_k`` columns; the
-    scores are the squared row norms of the right singular factor,
-    divided by the rank.
-    """
-    sigma, V = _sigma_v(_whitened(slab), tol_rel)
-    if sigma.size == 0:
-        raise ValueError("cannot compute leverage scores of a zero slab")
-    p = np.sum(V**2, axis=1) / sigma.size
-    return p / p.sum()
-
-
-def _estimate_leverage(cached, aux, rng, tol_rel):
-    """Approximate per-mode leverage scores from random fiber samples.
-
-    For mode ``k``, ``len(aux[k])`` full mode-``k`` fibers are drawn from
-    the combinations of the other modes' auxiliary indices, so every
-    sample lies in cross(``aux``).
-    """
-    dims = cached.dims
-    d = len(dims)
-    scores = []
-    for k in range(d):
-        other = tuple(len(aux[l]) for l in range(d) if l != k)
-        n_other = int(np.prod(other, dtype=np.int64))
-        ncols = min(len(aux[k]), n_other)
-        cols = np.sort(rng.choice(n_other, size=ncols, replace=False))
-        rows = [cached.gather(_fiber_grids(dims, aux, k, c)) for c in cols]
-        slab = BTensor(np.stack(rows).reshape(ncols, dims[k], cached.ip.h),
-                       cached.ip)
-        scores.append(leverage_scores(slab, tol_rel))
-    return scores
-
-
 def _carried(view, model, tol_rel):
     """Whether the mode-``k`` columns ``I`` of ``model`` carry the rank of
     its slab, with triangular factor ``R``, stacked on the whitened fibers
@@ -313,11 +243,7 @@ def abc_sweeps(cached, cfg):
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
       the auxiliary sets.
-    - The ``leverage`` rule also reads ``len(init_aux[k])`` full mode-``k``
-      fibers per mode to estimate its scores, drawn at random from the
-      combinations of the other modes' initial auxiliary indices.
-    - So under every draw rule each evaluation lies in
-      cross(``report.aux_sets``).
+    - So each evaluation lies in cross(``report.aux_sets``).
     """
     dims = cached.dims
     d = len(dims)
@@ -326,12 +252,8 @@ def abc_sweeps(cached, cfg):
     sets = [[] for _ in range(d)]
     model = None
 
-    scores = None
-    if cfg.draw == "leverage":
-        scores = _estimate_leverage(cached, aux, rng, cfg.tol_rel)
-
     report = AbcReport()
-    for s in range(1, cfg.n_iter + 1):
+    for _ in range(cfg.n_iter):
         grown = False
         for k in range(d):
             used = set(sets[k])
@@ -340,9 +262,7 @@ def abc_sweeps(cached, cfg):
             view = _ResidualRowView(cached, model, aux, k)
             chosen = None
             for _ in range(6):
-                j = draw(cfg.draw, dims[k], rng, iteration=s,
-                         scores=None if scores is None else scores[k])
-                _, j = rook_pivot(view, j, cfg.n_rook)
+                _, j = rook_pivot(view, int(rng.integers(dims[k])), cfg.n_rook)
                 if j not in used:
                     chosen = j
                     break

@@ -45,20 +45,6 @@ def unfold(A, k):
     return BTensor(mat, A.ip)
 
 
-def refold(M, k, dims):
-    """Inverse of :func:`unfold` for the given target ``dims``: ``M`` is
-    a 2-way BTensor of shape ``(n_k, prod(other dims))``."""
-    dims = tuple(int(n) for n in dims)
-    d = len(dims)
-    if not 0 <= k < d:
-        raise IndexError(f"mode {k} out of range for order {d}")
-    rest = [dims[l] for l in range(d) if l != k]
-    if M.dims != (dims[k], int(np.prod(rest, dtype=np.int64))):
-        raise ValueError(f"matrix of shape {M.dims} cannot refold to {dims}")
-    cube = M.data.reshape([dims[k]] + rest + [M.h])
-    return BTensor(np.moveaxis(cube, 0, k), M.ip)
-
-
 def _mode_dot(T, k, B):
     """Mode-``k`` product of the array ``T`` with the scalar matrix ``B``:
     one ``tensordot``, the new axis put back at ``k``."""

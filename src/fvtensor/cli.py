@@ -147,8 +147,6 @@ def _abc_config(args, dims):
         n_iter=args.iters,
         init_aux=_draw_aux(dims, args.aux, args.seed),
         n_rook=args.rook,
-        draw={"uniform": "uniform", "roundrobin": "round_robin",
-              "leverage": "leverage"}[args.draw],
         seed=args.seed,
         tol_rel=args.tol,
     )
@@ -324,8 +322,6 @@ def build_parser():
         p.add_argument("--iters", type=_int_at_least(1), required=True)
         p.add_argument("--rook", type=_int_at_least(0), default=1)
         p.add_argument("--aux", type=_int_at_least(1), default=3)
-        p.add_argument("--draw", default="uniform",
-                       choices=["uniform", "roundrobin", "leverage"])
 
     p = sub.add_parser("gen", help="generate a synthetic tensor file")
     add_common(p)

@@ -14,6 +14,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,16 @@ class Basis1D:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         self.nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
 
+    @cached_property
+    def weights(self):
+        """Barycentric weights of the Lagrange basis on ``nodes``; they
+        depend only on the nodes, so they are computed once."""
+        nodes = self.nodes
+        w = np.ones(nodes.size)
+        for i in range(nodes.size):
+            w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i))
+        return w
+
 
 def _hat_eval(nodes, alpha):
     n = nodes.size
@@ -82,7 +93,7 @@ def _hat_eval(nodes, alpha):
     return out
 
 
-def _lagrange_eval(nodes, alpha):
+def _lagrange_eval(nodes, weights, alpha):
     n = nodes.size
     out = np.zeros(n)
     if n == 1:
@@ -96,10 +107,7 @@ def _lagrange_eval(nodes, alpha):
     if alpha < nodes[0] or alpha > nodes[-1]:
         warnings.warn(f"extrapolating outside [{nodes[0]}, {nodes[-1]}]",
                       stacklevel=3)
-    w = np.ones(n)
-    for i in range(n):
-        w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i))
-    terms = w / diff
+    terms = weights / diff
     return terms / terms.sum()
 
 
@@ -117,7 +125,7 @@ def basis_eval(basis, alpha):
         raise DomainError(f"parameter {alpha} is not finite")
     if basis.kind == "hat":
         return _hat_eval(basis.nodes, alpha)
-    return _lagrange_eval(basis.nodes, alpha)
+    return _lagrange_eval(basis.nodes, basis.weights, alpha)
 
 
 @dataclass

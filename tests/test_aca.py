@@ -2,20 +2,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvtensor import aca, problems
 from fvtensor.aca import (
     TIE_RTOL,
     AbcConfig,
     _ResidualRowView,
-    _round_robin_stride,
     abc_sweeps,
-    draw,
-    leverage_scores,
     rook_pivot,
     tucker_abc,
 )
-from fvtensor.bmatrix import svd
 from fvtensor.btensor import (
     BTensor,
     assemble,
@@ -111,78 +109,6 @@ def test_rook_final_row_argmax_contract(rng):
     assert row[j] == row.max()
     with pytest.raises(ValueError):
         rook_pivot(SimpleNamespace(shape=(0, 3)), 0, 1)
-
-
-# --- draw rules --------------------------------------------------------------
-
-def test_draw_single_column():
-    rng = np.random.default_rng(0)
-    for rule in ("uniform", "round_robin", "leverage"):
-        out = draw(rule, 1, rng, iteration=3, scores=np.array([1.0]))
-        assert out == 0
-
-
-def test_draw_uniform_reproducible():
-    a = [draw("uniform", 10, np.random.default_rng(42)) for _ in range(5)]
-    b = [draw("uniform", 10, np.random.default_rng(42)) for _ in range(5)]
-    assert a == b
-
-
-def test_draw_leverage_degenerate():
-    rng = np.random.default_rng(1)
-    p = np.zeros(6)
-    p[0] = 1.0
-    assert all(draw("leverage", 6, rng, scores=p) == 0 for _ in range(10))
-    with pytest.raises(ValueError):
-        draw("leverage", 3, rng, scores=np.array([0.5, 0.2, 0.2]))
-    with pytest.raises(ValueError):
-        draw("leverage", 3, rng, scores=np.array([1.2, -0.2, 0.0]))
-
-
-def test_round_robin_stride_and_coverage():
-    assert _round_robin_stride(1) == 1
-    assert _round_robin_stride(30) == 13
-    for n in (2, 5, 8, 30):
-        s = _round_robin_stride(n)
-        assert s <= -(-n // 2) and np.gcd(s, n) == 1
-        rng = np.random.default_rng(0)
-        hits = {draw("round_robin", n, rng, iteration=it)
-                for it in range(1, n + 1)}
-        assert hits == set(range(n))
-
-
-# --- leverage scores ---------------------------------------------------------
-
-def test_leverage_uniform_for_orthonormal_square(rng):
-    # slab whose right singular factor is (up to sign) the identity
-    ip = InnerProduct.identity(3)
-    diag = np.zeros((4, 4, 3))
-    for i in range(4):
-        diag[i, i] = (i + 1.0) * np.array([1.0, 0.0, 0.0])
-    p = leverage_scores(BTensor(diag, ip))
-    assert np.allclose(p, 0.25)
-
-
-def test_leverage_rank_one_closed_form():
-    # rank-1 slab with fiber weights (2, 1): scores (4/5, 1/5)
-    ip = InnerProduct.identity(3)
-    v = np.array([0.3, -1.2, 0.5])
-    w = np.array([2.0, 1.0])
-    slab = np.zeros((3, 2, 3))
-    for t in range(3):
-        slab[t] = (t + 1.0) * w[:, None] * v[None, :]
-    p = leverage_scores(BTensor(slab, ip))
-    assert np.allclose(p, [0.8, 0.2])
-
-
-def test_leverage_normalization_and_zero(rng):
-    ip = make_ip("dense", 4, rng)
-    slab = BTensor(rng.standard_normal((3, 7, 4)), ip)
-    p = leverage_scores(slab)
-    assert p.min() >= 0.0
-    assert abs(p.sum() - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        leverage_scores(BTensor(np.zeros((2, 3, 4)), ip))
 
 
 # --- the adaptive loop ---------------------------------------------------------
@@ -300,7 +226,7 @@ def test_abc_rank_history_is_core_tucker_rank(family, dims, h):
 def test_abc_determinism_across_threads(rng):
     A = BTensor(rng.standard_normal((8, 8, 8, 4)), InnerProduct.identity(4))
     cfg = AbcConfig(n_iter=4, init_aux=[[0, 4], [1, 5], [2, 6]],
-                    n_rook=2, seed=11, draw="round_robin")
+                    n_rook=2, seed=11)
     # mode 0 of B has rank 2, so it saturates while the others grow
     B = exact_rank_tensor(rng, (8, 8, 8), (2, 8, 8), 4)
     for T in (A, B):
@@ -324,35 +250,6 @@ def test_abc_budget_accounting(rng):
     _, report = tucker_abc(c, cfg)
     assert report.evals_by_iter[-1] == c.count
     assert c.count <= 6 * 5 * 7
-
-
-def test_abc_leverage_rule_runs(rng):
-    A = BTensor(rng.standard_normal((8, 7, 6, 3)), InnerProduct.identity(3))
-    c = tensor_oracle(A)
-    cfg = AbcConfig(n_iter=3, init_aux=[[0, 3], [1, 4], [2, 5]],
-                    draw="leverage", seed=2)
-    model, report = tucker_abc(c, cfg)
-    assert report.n_iter_run == 3
-    assert all(len(I) == 3 for I in report.index_sets)
-
-
-def test_abc_leverage_footprint(rng):
-    # the leverage estimate reads fibers through the auxiliary sets only,
-    # so every evaluation lies in cross(aux): at most one index per
-    # multi-index outside the final auxiliary sets
-    A = BTensor(rng.standard_normal((12, 11, 10, 2)), InnerProduct.identity(2))
-    c = tensor_oracle(A)
-    cfg = AbcConfig(n_iter=2, init_aux=[[0, 6], [1, 7], [2, 8]],
-                    draw="leverage", seed=3)
-    _, report = tucker_abc(c, cfg)
-    aux = [set(S) for S in report.aux_sets]
-    assert all(sum(i not in S for i, S in zip(idx, aux)) <= 1
-               for idx in c.cache)
-    s = [len(S) for S in aux]
-    cross = int(np.prod(s)) + sum(
-        (n - s[k]) * int(np.prod(s[:k] + s[k + 1:]))
-        for k, n in enumerate(A.dims))
-    assert c.count <= cross
 
 
 def test_abc_mode_saturation_skips(rng, monkeypatch):
@@ -442,10 +339,55 @@ def test_abc_config_validation(rng):
         tucker_abc(c, AbcConfig(n_iter=0, init_aux=[[0], [0]]))
     with pytest.raises(ValueError):
         tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[], [0]]))
-    with pytest.raises(ValueError):
-        tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]], draw="magic"))
     for tol in (float("nan"), -1.0, 1.0):
         with pytest.raises(ValueError, match="tol_rel"):
             tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]],
                                     tol_rel=tol))
+    assert c.count == 0
+
+
+CONFIG_FAULTS = ("n_iter", "n_rook", "tol_rel", "aux_count", "aux_set")
+
+
+@st.composite
+def invalid_configs(draw):
+    """Dims and an AbcConfig with at least one invalid knob."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    kw = dict(
+        n_iter=draw(st.integers(1, 3)),
+        n_rook=draw(st.integers(0, 2)),
+        tol_rel=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        init_aux=[draw(st.lists(st.integers(0, n - 1), min_size=1))
+                  for n in dims],
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    faults = draw(st.sets(st.sampled_from(CONFIG_FAULTS), min_size=1))
+    if "n_iter" in faults:
+        kw["n_iter"] = draw(st.integers(max_value=0))
+    if "n_rook" in faults:
+        kw["n_rook"] = draw(st.integers(max_value=-1))
+    if "tol_rel" in faults:
+        kw["tol_rel"] = draw(st.floats(max_value=0.0, exclude_max=True)
+                             | st.floats(min_value=1.0)
+                             | st.just(float("nan")))
+    if "aux_set" in faults:
+        k = draw(st.integers(0, len(dims) - 1))
+        bad = st.integers(max_value=-1) | st.integers(min_value=dims[k])
+        kw["init_aux"][k] = draw(
+            st.just([]) | st.lists(bad, min_size=1).map(
+                lambda out: kw["init_aux"][k] + out))
+    if "aux_count" in faults:
+        m = draw(st.integers(0, 4).filter(lambda m: m != len(dims)))
+        kw["init_aux"] = (kw["init_aux"] + [[0]] * m)[:m]
+    return dims, AbcConfig(**kw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(invalid_configs())
+def test_invalid_config_raises_before_any_read(case):
+    dims, cfg = case
+    A = BTensor(np.ones(tuple(dims) + (2,)), InnerProduct.identity(2))
+    c = tensor_oracle(A)
+    with pytest.raises(ValueError):
+        tucker_abc(c, cfg)
     assert c.count == 0

@@ -75,7 +75,7 @@ def gauss_compare(tmp_path_factory):
         out = str(base / f"gauss_t{threads}.tsv")
         t0 = time.perf_counter()
         code = cli_main(["compare", *GAUSS_ARGS, "--iters", "10",
-                         "--rook", "1", "--aux", "3", "--draw", "uniform",
+                         "--rook", "1", "--aux", "3",
                          "--threads", str(threads), "--out", out])
         elapsed[threads] = time.perf_counter() - t0
         assert code == 0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fvtensor import bmatrix
-from fvtensor.aca import leverage_scores
 from fvtensor.bmatrix import (
     TSQR_BLOCK,
     BTensor,
@@ -109,8 +108,7 @@ def test_matrix_functions_reject_other_orders(rng):
                      lambda: pinv_apply(other, M),
                      lambda: pinv_apply(M, other),
                      lambda: adjoint_apply(other, M),
-                     lambda: adjoint_apply(M, other),
-                     lambda: leverage_scores(other)):
+                     lambda: adjoint_apply(M, other)):
             with pytest.raises(ValueError, match="2-way"):
                 call()
 

@@ -16,7 +16,6 @@ from fvtensor.btensor import (
     hosvd_error_bound,
     mode_mul,
     model_gather,
-    refold,
     relative_error,
     tucker_cross,
     tucker_rank,
@@ -62,7 +61,7 @@ def direct_rel_error(A, B):
     return fro_norm(BTensor(A.data - B.data, A.ip)) / fro_norm(A)
 
 
-# --- unfold / refold ---------------------------------------------------------
+# --- unfold ------------------------------------------------------------------
 
 def test_unfold_big_endian_digits():
     ip = InnerProduct.identity(1)
@@ -83,16 +82,20 @@ def test_unfold_matrix_case(rng):
     assert np.array_equal(unfold(A, 1).data, np.swapaxes(A.data, 0, 1))
 
 
+def refold(M, k, dims):
+    """Numpy inverse of ``unfold``: the rows of ``M`` back at mode ``k``."""
+    rest = [n for l, n in enumerate(dims) if l != k]
+    return np.moveaxis(M.data.reshape([dims[k]] + rest + [M.h]), 0, k)
+
+
 def test_refold_roundtrip(rng):
     A = rand_bt(rng, (3, 4, 2), 3)
     for k in range(3):
-        assert np.array_equal(refold(unfold(A, k), k, A.dims).data, A.data)
+        assert np.array_equal(refold(unfold(A, k), k, A.dims), A.data)
     with pytest.raises(IndexError):
         unfold(A, 3)
-    Z = refold(BTensor(np.zeros((4, 6, 3)), A.ip), 1, (3, 4, 2))
-    assert not Z.data.any()
     v = rand_bt(rng, (5,), 2)
-    assert np.array_equal(refold(unfold(v, 0), 0, (5,)).data, v.data)
+    assert np.array_equal(refold(unfold(v, 0), 0, (5,)), v.data)
 
 
 # --- mode products ----------------------------------------------------------

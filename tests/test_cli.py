@@ -338,17 +338,6 @@ def test_compare_whitened_matches_coefficient_space(tmp_path):
             assert float(g[col]) == pytest.approx(w[col], rel=1e-8)
 
 
-def test_draw_rule_flags(tmp_path):
-    for rule in ("roundrobin", "leverage"):
-        out = str(tmp_path / f"{rule}.tsv")
-        assert main(["compare", "--family", "separable", "--dims", "7,7,7",
-                     "--h", "4", "--seed", "2", "--iters", "3",
-                     "--draw", rule, "--out", out]) == 0
-        lines = open(out).read().splitlines()
-        assert len(lines) == 4
-        assert float(lines[-1].split("\t")[2]) <= 1e-8
-
-
 def test_hosvd_full_rank_default(tmp_path):
     base = str(tmp_path / "full")
     assert main(["hosvd", "--family", "separable", "--dims", "6,5,4",

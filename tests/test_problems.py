@@ -151,6 +151,32 @@ def test_fvt_roundtrip_property(dims, h, kind, seed):
     assert B.ip == A.ip
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 4),
+       st.sampled_from(GRAM_KINDS), st.integers(0, 2**32 - 1), st.data())
+def test_fvt_corrupt_header_raises_only_fvt_errors(dims, h, kind, seed, data):
+    # 1-3 of the first 64 bytes changed, or the file cut short: the file
+    # loads or raises a typed FvtError, never a raw numpy or struct error
+    rng = np.random.default_rng(seed)
+    A = BTensor(rng.standard_normal(tuple(dims) + (h,)), make_ip(kind, h, rng))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.fvt"
+        save_fvt(A, path)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="size")]
+        else:
+            for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+                at = data.draw(st.integers(0, min(64, len(raw)) - 1),
+                               label="offset")
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(raw))
+        try:
+            load_fvt(path)
+        except FvtError:
+            pass
+
+
 def test_save_fvt_rejects_an_empty_mode(tmp_path, rng):
     # a rank-0 HOSVD has an empty core mode, which load_fvt would refuse
     A = BTensor(rng.standard_normal((3, 4, 5, 2)), InnerProduct.identity(2))

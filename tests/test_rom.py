@@ -83,12 +83,14 @@ def test_nonfinite_parameter_out_of_domain(kind, alpha):
 
 
 def test_lagrange_reproduces_quadratic():
-    nodes = np.cos(np.array([2.0, 1.0, 0.0]) * np.pi / 2.0)  # -1, 0, 1 like
-    b = Basis1D("lagrange", np.sort(nodes))
     poly = lambda x: 2.0 - 0.5 * x + 3.0 * x * x
-    vals = np.array([poly(x) for x in b.nodes])
-    for x in np.linspace(-1.0, 1.0, 10):
-        assert basis_eval(b, x) @ vals == pytest.approx(poly(x), abs=1e-12)
+    for n in (3, 60):
+        # Chebyshev points in [-1, 1]; n = 3 gives -1, 0, 1 up to round-off
+        nodes = np.cos(np.arange(n - 1, -1, -1.0) * np.pi / (n - 1))
+        b = Basis1D("lagrange", nodes)
+        vals = np.array([poly(x) for x in b.nodes])
+        for x in np.linspace(-1.0, 1.0, 10):
+            assert basis_eval(b, x) @ vals == pytest.approx(poly(x), abs=1e-12)
 
 
 def test_lagrange_extrapolation_warns():
