@@ -150,11 +150,14 @@ def _truncated_scalar_svd(X, tol_rel):
 def _r_factor(X):
     """Triangular factor of the QR factorization of a tall real ``X``.
 
-    A matrix taller than ``TSQR_BLOCK`` rows is factored by TSQR (Demmel,
-    Grigori, Hoemmen & Langou, SISC 34(1), 2012): every block of
-    ``TSQR_BLOCK`` rows is reduced to its triangular factor, and one QR
-    of the stacked factors gives ``R``.  Each block QR works in cache,
-    where a single tall QR streams the whole matrix once per reflector.
+    ``X`` is a matrix, or an iterable of row blocks that stack to one (the
+    blocks are read one at a time, so a generator never holds ``X``).  A
+    matrix taller than ``TSQR_BLOCK`` rows, and any iterable, is factored
+    by TSQR (Demmel, Grigori, Hoemmen & Langou, SISC 34(1), 2012): every
+    run of ``TSQR_BLOCK`` rows of a block is reduced to its triangular
+    factor, and one QR of the stacked factors gives ``R``.  Each block QR
+    works in cache, where a single tall QR streams the whole matrix once
+    per reflector.
     Measured with one BLAS thread on a 2 MB-L2 Xeon, on random matrices
     of the shapes the two runs factor (medians of five passes): the 45
     R folds of ``fvt build`` on gaussian_bump 100^3, h=256 (up to
@@ -163,15 +166,18 @@ def _r_factor(X):
     tensor (three 230400 x 40 in ``hosvd``) took 0.41, 0.41 and 0.43 s.
     Of the two equal sizes the smaller leaves wider matrices in cache.
     """
-    if X.shape[0] <= TSQR_BLOCK:
-        return np.linalg.qr(X, mode="r")
-    blocks = [np.linalg.qr(X[i:i + TSQR_BLOCK], mode="r")
-              for i in range(0, X.shape[0], TSQR_BLOCK)]
+    if isinstance(X, np.ndarray):
+        if X.shape[0] <= TSQR_BLOCK:
+            return np.linalg.qr(X, mode="r")
+        X = (X,)
+    blocks = [np.linalg.qr(B[i:i + TSQR_BLOCK], mode="r")
+              for B in X for i in range(0, B.shape[0], TSQR_BLOCK)]
     return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
 def _sigma_v(X, tol_rel=DEFAULT_TOL):
-    """Truncated singular values and right singular vectors of a real ``X``.
+    """Truncated singular values and right singular vectors of a real ``X``
+    (a matrix or an iterable of its row blocks).
 
     They are read off the triangular factor of ``X`` (:func:`_r_factor`),
     so the tall left singular factor is never formed.  Singular vectors

@@ -8,6 +8,7 @@ the case ``d = 2``, and every function here serves it too.  Composite
 slowest, which is numpy's C order, so unfoldings are plain reshapes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +24,46 @@ from .bmatrix import (
     _sigma_v,
 )
 
-ERROR_CHUNK = 1 << 20  # floats of A per error_norm chunk
+SLAB = 1 << 16  # floats per slab (512 KB): a slab and its copies stay in L2
+
+
+def _cuts(A, m):
+    """Slices of mode ``m`` that cut ``A`` into slabs of about ``SLAB``
+    floats each (at least one index), in index order.  Every pass over a
+    dense tensor reads it slab by slab, so its temporaries are slab-sized,
+    never the size of the tensor.  A 1-way tensor has no other mode to cut
+    its mode-0 pass along: ``m = d`` names none, and gives one slab, the
+    whole tensor."""
+    if m == A.d:
+        return [slice(None)]
+    n = A.dims[m]
+    step = max(1, SLAB * n // max(A.data.size, 1))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _whitened_slabs(A, m):
+    """The slabs of ``A`` cut along mode ``m``, each whitened as it is cut."""
+    head = (slice(None),) * m
+    for cut in _cuts(A, m):
+        yield A.ip.whiten(A.data[head + (cut,)])
+
+
+def _mode_rows(A, k):
+    """Row blocks of the whitened mode-``k`` matrix of ``A``
+    (:func:`~fvtensor.bmatrix._fiber_rows`): the slabs cut along another
+    mode hold whole mode-``k`` fibers, so each is a set of its rows.  A
+    generator: the blocks are formed one at a time, as TSQR reads them."""
+    return (_fiber_rows(w, k) for w in _whitened_slabs(A, 1 if k == 0 else 0))
 
 
 def fro_norm(A):
-    """l2(H) norm: root of the sum of squared entry H-norms."""
-    return float(np.sqrt(np.sum(A.ip.pair(A.data, A.data).clip(min=0.0))))
+    """l2(H) norm: root of the sum of squared entry H-norms, added as
+    ``w @ w`` over the whitened slabs ``w`` of ``A``."""
+    sq = 0.0
+    for w in _whitened_slabs(A, 0):
+        w = w.reshape(-1)
+        sq += float(w @ w)
+    return float(np.sqrt(sq))
 
 
 def unfold(A, k):
@@ -64,11 +99,12 @@ def mode_mul(A, k, B):
 
 
 def tucker_rank(A, tol_rel=DEFAULT_TOL):
-    """Tuple of row-ranks of the mode unfoldings: the ranks of the mode
-    matrices of the tensor, whitened once.  For a matrix this is its
+    """Tuple of row-ranks of the mode unfoldings: the ranks of the
+    triangular factors of the whitened mode matrices, each read by TSQR
+    from the slab stream :func:`hosvd` factors.  For a matrix this is its
     (row rank, column rank)."""
-    w = A.ip.whiten(A.data)
-    return tuple(_matrix_rank(_fiber_rows(w, k), tol_rel) for k in range(A.d))
+    return tuple(_matrix_rank(_r_factor(_mode_rows(A, k)), tol_rel)
+                 for k in range(A.d))
 
 
 @dataclass
@@ -214,24 +250,32 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
                             ranks=tuple(ranks))
 
 
+def _contract(T, mats):
+    """``T`` times ``mats[k]`` along each mode ``k`` whose ``mats[k]`` is
+    not ``None``.  Contracting mode ``k`` scales the array by
+    ``len(mats[k]) / r_k`` for its size ``r_k`` there, so the modes are
+    contracted in ascending order of that ratio (ties in mode order; a
+    rank-0 mode last, the array being empty until then), and the
+    intermediates stay as small as the order allows."""
+    ratio = {k: len(M) / T.shape[k] if T.shape[k] else np.inf
+             for k, M in enumerate(mats) if M is not None}
+    for k in sorted(ratio, key=ratio.__getitem__):
+        T = _mode_dot(T, k, mats[k])
+    return T
+
+
 def model_gather(model, grids):
     """Entries of the assembled model on a product grid, without assembling.
 
     ``grids`` holds one index list per mode; the result has shape
-    ``(len(grids[0]), ..., len(grids[d-1]), h)``.  Contracting mode ``k``
-    scales the array by ``len(grids[k]) / r_k`` for the core's size
-    ``r_k`` there, so the modes are contracted in ascending order of that
-    ratio (ties in mode order; a rank-0 mode last, the array being empty
-    until then), and the intermediates stay as small as the order allows:
-    a single fiber against a large core never forms the core's full width
-    at the fiber's length.
+    ``(len(grids[0]), ..., len(grids[d-1]), h)``.  The core is contracted
+    with the factor rows at the grids, smallest ratio of grid length to
+    core size first (:func:`_contract`): a single fiber against a large
+    core never forms the core's full width at the fiber's length.
     """
-    T = model.core.data
-    rows = [np.asarray(g, dtype=int) for g in grids]
-    ratio = [len(g) / r if r else np.inf for g, r in zip(rows, T.shape)]
-    for k in sorted(range(len(rows)), key=ratio.__getitem__):
-        T = _mode_dot(T, k, model.factors[k][rows[k]])
-    return T
+    return _contract(model.core.data,
+                     [F[np.asarray(g, dtype=int)]
+                      for F, g in zip(model.factors, grids)])
 
 
 def assemble(model):
@@ -255,15 +299,19 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
 
     Each mode's factor collects the leading right singular vectors of the
     transposed unfolding, taken with its singular values from the
-    triangular factor of the whitened unfolding (TSQR for a tall one; no
-    left singular vectors are formed).  Each factor column has its entry
-    of largest magnitude positive, so the factors do not depend on the
-    QR path.  The core is the tensor contracted with the transposed
-    factors, one BLAS product per mode.  Requested ranks above the
-    numerical rank are clamped (and reported), never an error; a
-    negative rank is a ``ValueError``.  The full per-mode singular value
-    vectors are returned so the quasi-optimality bound can be evaluated.
-    The tensor is whitened once, and every mode is factored from it.
+    triangular factor of the whitened unfolding (no left singular vectors
+    are formed).  That factor is read by TSQR from slabs of the tensor cut
+    along another mode (:func:`_mode_rows`), each whitened as it is cut,
+    so neither a whitened copy of the tensor nor a transposed one is
+    formed.  Each factor column has its entry of largest magnitude
+    positive, so the factors do not depend on the QR path.  The core is
+    the tensor contracted with the transposed factors, one batched
+    ``matmul`` per mode on an ``(N, n_k, rest)`` view, which transposes
+    nothing; the modes go in ascending ``r_k / n_k``, so the first product
+    shrinks the tensor most.  Requested ranks above the numerical rank
+    are clamped (and reported), never an error; a negative rank is a
+    ``ValueError``.  The full per-mode singular value vectors are
+    returned so the quasi-optimality bound can be evaluated.
     """
     d = A.d
     if ranks is None:
@@ -278,21 +326,22 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     sigmas = []
     achieved = []
     clamped = False
-    w = A.ip.whiten(A.data)
     for k in range(d):
-        sigma, V = _sigma_v(_fiber_rows(w, k), tol_rel)
+        sigma, V = _sigma_v(_mode_rows(A, k), tol_rel)
         sigmas.append(sigma)
         rk = min(ranks[k], sigma.size)
         if rk < ranks[k]:
             clamped = True
         factors.append(V[:, :rk])
         achieved.append(rk)
-    del w  # free the whitened copy before the core products allocate
 
-    core = A
-    for k in range(d):
-        core = mode_mul(core, k, factors[k].T)
-    decomp = TuckerDecomp(core=core, factors=factors)
+    core = A.data
+    for k in sorted(range(d), key=lambda k: achieved[k] / A.dims[k]):
+        n = core.shape
+        view = core.reshape(math.prod(n[:k]), n[k], math.prod(n[k + 1:]))
+        core = np.matmul(factors[k].T, view).reshape(
+            n[:k] + (achieved[k],) + n[k + 1:])
+    decomp = TuckerDecomp(core=BTensor(core, A.ip), factors=factors)
     return HosvdResult(
         decomp=decomp, sigmas=sigmas, ranks=tuple(achieved), clamped=clamped
     )
@@ -334,22 +383,26 @@ def hosvd_error_bound(sigmas, ranks):
 def error_norm(A, model):
     """l2(H) norm of ``A`` minus a Tucker(-cross) model.
 
-    The difference is formed for ``ERROR_CHUNK`` floats of ``A`` at a
-    time, a slice along the first mode, so the approximant is never
-    materialized at full size.  Each chunk adds ``w @ w`` for its
-    whitened difference ``w``: one BLAS dot, and no Gram product once
-    the Gram is the identity.
+    The difference is formed one slab of ``A`` cut along the second mode
+    at a time (:func:`_cuts`), so the approximant is never materialized
+    at full size.  For the slab at the mode-1 indices ``b`` the core is
+    contracted with the factor rows ``F_1[b]`` and the factors of the
+    later modes into ``P``, and ``F_0 @ P`` is one BLAS product into one
+    slab-sized buffer, from which the slab of ``A`` is subtracted in
+    place.  Each slab adds ``w @ w`` for its whitened difference ``w``:
+    one BLAS dot, and no Gram product once the Gram is the identity.
     """
-    n0 = A.dims[0]
-    rest = int(np.prod(A.dims[1:], dtype=np.int64)) * A.h
-    chunk = max(1, ERROR_CHUNK // max(rest, 1))
-    tail_grids = [np.arange(n) for n in A.dims[1:]]
+    core = model.core.data
+    F0 = model.factors[0]
     sq = 0.0
-    for start in range(0, n0, chunk):
-        stop = min(start + chunk, n0)
-        diff = A.data[start:stop] - model_gather(
-            model, [np.arange(start, stop)] + tail_grids)
-        w = A.ip.whiten(diff).reshape(-1)
+    for cut in _cuts(A, 1):
+        slab = A.data[:, cut]
+        P = _contract(core, [None if k == 0 else F[cut] if k == 1 else F
+                             for k, F in enumerate(model.factors)])
+        M = np.matmul(F0, P.reshape(core.shape[0], slab.size // len(slab)))
+        M = M.reshape(slab.shape)
+        np.subtract(M, slab, out=M)
+        w = A.ip.whiten(M).reshape(-1)
         sq += float(w @ w)
     return float(np.sqrt(sq))
 

@@ -234,12 +234,15 @@ def _cmd_compare(args):
 
     Whitening is an isometry from H onto Euclidean R^h, so norms, HOSVD
     spectra, rook pivots and cross factors are the same in whitened
-    coordinates.  ``A`` is replaced by its whitened image under the
-    identity Gram, and the sweep samples that, so no later pass over the
-    tensor pays a Gram product.
+    coordinates.  ``A`` is whitened in place, one mode-0 slab at a time,
+    and taken under the identity Gram; the sweep samples that, so no later
+    pass over the tensor pays a Gram product, and the process holds one
+    copy of the tensor.
     """
     A, _, _ = _load_source(args, need_dense=True)
-    A = BTensor(A.ip.whiten(A.data), InnerProduct.identity(A.h))
+    for a in A.data:
+        a[...] = A.ip.whiten(a)
+    A = BTensor(A.data, InnerProduct.identity(A.h))
     cached = CachedOracle(EntryOracle.from_tensor(A), threads=args.threads)
     norm_a = fro_norm(A)
     if norm_a <= 0.0:

@@ -14,11 +14,15 @@ Layout, all little-endian:
             contiguous per entry
 
 The entry payload is exactly the C-order bytes of the ``dims + (h,)``
-coefficient array, so a save/load round-trip is bitwise exact.
+coefficient array, so a save/load round-trip is bitwise exact.  Both
+directions move the payload between the file and the array's own buffer,
+with no copy of it in between.
 """
 
 import math
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -73,42 +77,40 @@ def save_fvt(A, path):
         f.write(struct.pack("<Q", A.h))
         f.write(struct.pack("<B", _GRAM_CODES[ip.kind]))
         if ip.kind == "diagonal":
-            f.write(np.ascontiguousarray(ip.weights, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(ip.weights, dtype="<f8").data)
         elif ip.kind == "dense":
-            f.write(np.ascontiguousarray(ip.gram, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(A.data, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(ip.gram, dtype="<f8").data)
+        # the array's own buffer when it is already little-endian and
+        # contiguous: no bytes copy of the payload
+        f.write(np.ascontiguousarray(A.data, dtype="<f8").data)
 
 
-def _take(buf, offset, nbytes, what):
-    """Slice of the memoryview ``buf``: a view, so no payload is copied."""
-    if offset + nbytes > len(buf):
+def _take(f, nbytes, what):
+    """The next ``nbytes`` of the open file ``f``; ``TruncatedFile`` if the
+    file, by its size on disk, ends first, before anything is read."""
+    if f.tell() + nbytes > os.fstat(f.fileno()).st_size:
         raise TruncatedFile(f"file ends inside {what}")
-    return buf[offset:offset + nbytes], offset + nbytes
+    return f.read(nbytes)
 
 
-def _dims(buf):
-    """Dims from the start of an FVT file, after the magic and version
-    checks, and the offset just past them."""
-    raw, off = _take(buf, 0, 4, "magic")
+def _dims(f):
+    """Dims from the start of the open FVT file ``f``, after the magic and
+    version checks; ``f`` is left just past them."""
+    raw = _take(f, 4, "magic")
     if raw != MAGIC:
-        raise BadMagic(f"bad magic {bytes(raw)!r}")
-    raw, off = _take(buf, off, 8, "header")
-    version, d = struct.unpack("<II", raw)
+        raise BadMagic(f"bad magic {raw!r}")
+    version, d = struct.unpack("<II", _take(f, 8, "header"))
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
     if d < 1:
         raise FvtError("tensor order must be positive")
-    raw, off = _take(buf, off, 8 * d, "dims")
-    return struct.unpack(f"<{d}Q", raw), off
+    return struct.unpack(f"<{d}Q", _take(f, 8 * d, "dims"))
 
 
 def read_dims(path):
     """Dims of the FVT file at ``path``, read from its header alone."""
     with open(path, "rb") as f:
-        head = f.read(12)
-        if len(head) == 12 and head[:4] == MAGIC:
-            head += f.read(8 * struct.unpack("<I", head[8:])[0])
-    return _dims(memoryview(head))[0]
+        return _dims(f)
 
 
 def load_fvt(path):
@@ -117,42 +119,45 @@ def load_fvt(path):
     Validates the magic, version, payload arithmetic, the Gram
     specification (a dense Gram must be SPD) and the entries: a NaN or
     infinite coefficient is a ``NonFiniteEntry`` naming the first entry
-    (in file order) that holds one.
+    (in file order) that holds one.  The payload size is checked against
+    the file's size before the array is allocated, and the payload is read
+    straight into that array.
     """
     with open(path, "rb") as f:
-        buf = memoryview(f.read())
+        dims = _dims(f)
+        (h,) = struct.unpack("<Q", _take(f, 8, "h"))
+        if h < 1 or any(n < 1 for n in dims):
+            raise FvtError("dims and h must be positive")
+        kind_code = _take(f, 1, "gram kind")[0]
+        if kind_code not in _GRAM_KINDS:
+            raise FvtError(f"unknown gram kind {kind_code}")
+        kind = _GRAM_KINDS[kind_code]
 
-    dims, off = _dims(buf)
-    raw, off = _take(buf, off, 8, "h")
-    (h,) = struct.unpack("<Q", raw)
-    if h < 1 or any(n < 1 for n in dims):
-        raise FvtError("dims and h must be positive")
-    raw, off = _take(buf, off, 1, "gram kind")
-    kind_code = raw[0]
-    if kind_code not in _GRAM_KINDS:
-        raise FvtError(f"unknown gram kind {kind_code}")
-    kind = _GRAM_KINDS[kind_code]
+        try:
+            if kind == "identity":
+                ip = InnerProduct.identity(h)
+            elif kind == "diagonal":
+                raw = _take(f, 8 * h, "gram payload")
+                ip = InnerProduct.diagonal(np.frombuffer(raw, dtype="<f8"))
+            else:
+                raw = _take(f, 8 * h * h, "gram payload")
+                ip = InnerProduct.dense(
+                    np.frombuffer(raw, dtype="<f8").reshape(h, h))
+        except InnerProductError as exc:
+            raise NonSPDGram(str(exc)) from exc
 
-    try:
-        if kind == "identity":
-            ip = InnerProduct.identity(h)
-        elif kind == "diagonal":
-            raw, off = _take(buf, off, 8 * h, "gram payload")
-            # a copy: a view would keep the whole file's bytes alive
-            ip = InnerProduct.diagonal(np.frombuffer(raw, dtype="<f8").copy())
-        else:
-            raw, off = _take(buf, off, 8 * h * h, "gram payload")
-            gram = np.frombuffer(raw, dtype="<f8").reshape(h, h)
-            ip = InnerProduct.dense(gram)
-    except InnerProductError as exc:
-        raise NonSPDGram(str(exc)) from exc
-
-    # exact ints: an int64 product of hostile dims can wrap to a small size
-    nbytes = 8 * math.prod(dims) * h
-    raw, off = _take(buf, off, nbytes, "entry payload")
-    if off != len(buf):
-        raise TruncatedFile(f"{len(buf) - off} trailing bytes")
-    data = np.frombuffer(raw, dtype="<f8").astype(float).reshape(dims + (h,))
+        # exact ints: an int64 product of hostile dims can wrap to a small size
+        nbytes = 8 * math.prod(dims) * h
+        trailing = os.fstat(f.fileno()).st_size - f.tell() - nbytes
+        if trailing < 0:
+            raise TruncatedFile("file ends inside entry payload")
+        if trailing > 0:
+            raise TruncatedFile(f"{trailing} trailing bytes")
+        data = np.empty(dims + (h,))
+        if f.readinto(data.reshape(-1).view(np.uint8)) != nbytes:
+            raise TruncatedFile("file ends inside entry payload")
+    if sys.byteorder == "big":
+        data.byteswap(inplace=True)
     flat = data.reshape(-1)
     for start in range(0, flat.size, _CHECK_CHUNK):
         finite = np.isfinite(flat[start:start + _CHECK_CHUNK])

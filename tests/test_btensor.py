@@ -537,9 +537,11 @@ def test_hosvd_rejects_negative_ranks(rng):
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
-def test_hosvd_and_tucker_rank_whiten_once(monkeypatch, kind):
-    # both factor every mode of one whitened copy of the tensor; the
-    # reference whitens with the Cholesky factor and takes each mode's SVD
+def test_hosvd_and_tucker_rank_read_one_slab_stream(monkeypatch, kind):
+    # both factor each mode from slabs of the tensor, each whitened as it
+    # is cut and none the whole tensor: mode 0 from 6 slabs of one
+    # second-mode index, modes 1 and 2 from first-mode slabs of 2, 2, 2, 1;
+    # the reference whitens with the Cholesky factor and takes each SVD
     rng = np.random.default_rng(53)
     ranks = (2, 3, 2)
     ip = make_ip(kind, 4, rng)
@@ -551,11 +553,14 @@ def test_hosvd_and_tucker_rank_whiten_once(monkeypatch, kind):
         calls.append(x.shape)
         return real_whiten(self, x)
 
+    monkeypatch.setattr(btensor, "SLAB", 2 * 6 * 8 * 4)
     monkeypatch.setattr(InnerProduct, "whiten", whiten)
     res = hosvd(A)
-    assert calls == [A.data.shape]
+    first = [(2, 6, 8, 4)] * 3 + [(1, 6, 8, 4)]
+    assert calls == [(7, 1, 8, 4)] * 6 + first * 2
+    calls.clear()
     assert tucker_rank(A) == res.ranks == ranks
-    assert calls == [A.data.shape] * 2
+    assert calls == [(7, 1, 8, 4)] * 6 + first * 2
     T_w = A.data @ np.linalg.cholesky(gram_matrix(ip))
     for k, r in enumerate(ranks):
         M_w = scalar_unfold(T_w, k)
@@ -569,7 +574,7 @@ def test_hosvd_and_tucker_rank_whiten_once(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)
-@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 4), (4, 3, 5, 3)])
+@pytest.mark.parametrize("dims", [(7, 6), (6, 5, 4), (4, 3, 5, 3), (5,)])
 def test_hosvd_error_matches_error_norm(kind, dims):
     # the core outside the kept block carries the truncation error; compare
     # with the full-tensor error of the HOSVD truncated to the same ranks
@@ -622,17 +627,10 @@ def test_relative_error_matches_direct(rng, kind, monkeypatch):
     whole = error_norm(A, model)
     assert whole == pytest.approx(diff, rel=1e-10)
     assert whole / fro_norm(A) == relative_error(A, model)
-    # 4 first-mode slices of 5 * 7 * 4 floats per chunk: chunks of 4 and 2
-    chunks = []
-
-    def counted(m, grids):
-        chunks.append(len(grids[0]))
-        return model_gather(m, grids)
-
-    monkeypatch.setattr(btensor, "ERROR_CHUNK", 4 * 5 * 7 * 4)
-    monkeypatch.setattr(btensor, "model_gather", counted)
+    # slabs of 2 second-mode slices of 6 * 7 * 4 floats: 2, 2 and a ragged 1
+    monkeypatch.setattr(btensor, "SLAB", 2 * 6 * 7 * 4)
+    assert [len(range(5)[c]) for c in btensor._cuts(A, 1)] == [2, 2, 1]
     assert error_norm(A, model) == pytest.approx(diff, rel=1e-10)
-    assert chunks == [4, 2]
     with pytest.raises(ValueError):
         relative_error(BTensor(np.zeros_like(A.data), ip), model)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvtensor.btensor import BTensor, fro_norm, hosvd, hosvd_error_bound, tucker_rank
+from fvtensor.btensor import BTensor, hosvd, hosvd_error_bound, tucker_rank
 from fvtensor.fvt import (
     BadMagic,
     BadVersion,

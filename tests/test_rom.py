@@ -6,13 +6,12 @@ import pytest
 from fvtensor.aca import AbcConfig, tucker_abc
 from fvtensor.btensor import BTensor, assemble, fro_norm, tucker_cross
 from fvtensor.hilbert import InnerProduct
-from fvtensor.problems import FamilySpec, make_oracle, make_tensor, param_grids
+from fvtensor.problems import FamilySpec, make_oracle, param_grids
 from fvtensor.rom import (
     Basis1D,
     DomainError,
     ParamGrid,
     basis_eval,
-    decode,
     encode,
     load_model,
     reuse_factors,
