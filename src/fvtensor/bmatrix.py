@@ -147,17 +147,38 @@ def _truncated_scalar_svd(X, tol_rel):
     return Uh[:, :k], s[:k], Vh[:k]
 
 
+def _leaves(blocks):
+    """The ``TSQR_BLOCK``-row leaves of the matrix that the row ``blocks``
+    stack to, in order; the last one may be shorter.  A leaf that lies
+    inside one block is a view of it, and only a leaf that spans blocks
+    is copied, so the leaves do not depend on where the blocks end."""
+    leaf, rows = [], 0
+    for B in blocks:
+        while len(B):
+            take = TSQR_BLOCK - rows
+            leaf.append(B[:take])
+            rows += len(leaf[-1])
+            B = B[take:]
+            if rows == TSQR_BLOCK:
+                yield leaf[0] if len(leaf) == 1 else np.concatenate(leaf)
+                leaf, rows = [], 0
+    if leaf:
+        yield leaf[0] if len(leaf) == 1 else np.concatenate(leaf)
+
+
 def _r_factor(X):
     """Triangular factor of the QR factorization of a tall real ``X``.
 
     ``X`` is a matrix, or an iterable of row blocks that stack to one (the
-    blocks are read one at a time, so a generator never holds ``X``).  A
-    matrix taller than ``TSQR_BLOCK`` rows, and any iterable, is factored
-    by TSQR (Demmel, Grigori, Hoemmen & Langou, SISC 34(1), 2012): every
-    run of ``TSQR_BLOCK`` rows of a block is reduced to its triangular
-    factor, and one QR of the stacked factors gives ``R``.  Each block QR
-    works in cache, where a single tall QR streams the whole matrix once
-    per reflector.
+    blocks are read one at a time, so a generator never holds ``X``).  Its
+    rows are read in leaves of ``TSQR_BLOCK`` rows (:func:`_leaves`): the
+    leaves of the stacked matrix, whatever the blocks, so a stream and the
+    matrix it stacks to give the same bits.  One leaf, at most
+    ``TSQR_BLOCK`` rows in all, is factored by one QR; more are factored by
+    TSQR (Demmel, Grigori, Hoemmen & Langou, SISC 34(1), 2012): every leaf
+    is reduced to its triangular factor, and one QR of the stacked factors
+    gives ``R``.  Each leaf QR works in cache, where a single tall QR
+    streams the whole matrix once per reflector.
     Measured with one BLAS thread on a 2 MB-L2 Xeon, on random matrices
     of the shapes the two runs factor (medians of five passes): the 45
     R folds of ``fvt build`` on gaussian_bump 100^3, h=256 (up to
@@ -167,12 +188,9 @@ def _r_factor(X):
     Of the two equal sizes the smaller leaves wider matrices in cache.
     """
     if isinstance(X, np.ndarray):
-        if X.shape[0] <= TSQR_BLOCK:
-            return np.linalg.qr(X, mode="r")
         X = (X,)
-    blocks = [np.linalg.qr(B[i:i + TSQR_BLOCK], mode="r")
-              for B in X for i in range(0, B.shape[0], TSQR_BLOCK)]
-    return np.linalg.qr(np.vstack(blocks), mode="r")
+    R = [np.linalg.qr(leaf, mode="r") for leaf in _leaves(X)]
+    return R[0] if len(R) == 1 else np.linalg.qr(np.vstack(R), mode="r")
 
 
 def _sigma_v(X, tol_rel=DEFAULT_TOL):

@@ -10,6 +10,7 @@ slowest, which is numpy's C order, so unfoldings are plain reshapes.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -84,6 +85,15 @@ def _mode_dot(T, k, B):
     """Mode-``k`` product of the array ``T`` with the scalar matrix ``B``:
     one ``tensordot``, the new axis put back at ``k``."""
     return np.moveaxis(np.tensordot(B, T, axes=(1, k)), 0, k)
+
+
+def _mode_matmul(T, k, B):
+    """Mode-``k`` product of the array ``T`` with the scalar matrix ``B``:
+    one batched ``matmul`` on the ``(N, n_k, rest)`` view of ``T``, which
+    transposes nothing."""
+    n = T.shape
+    view = T.reshape(math.prod(n[:k]), n[k], math.prod(n[k + 1:]))
+    return np.matmul(B, view).reshape(n[:k] + (len(B),) + n[k + 1:])
 
 
 def mode_mul(A, k, B):
@@ -210,15 +220,16 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
     :func:`~fvtensor.bmatrix.pinv_apply`), and only the triangular factor
     ``R`` is kept.  Each entry is read once: given the model ``prev`` of
     smaller index sets, only the fibers that are new at ``index_sets``
-    are gathered, whitened and folded into ``prev``'s ``R`` by one QR of
-    the stacked rows (as in TSQR), and the core is ``prev``'s core plus
-    the entries with a new index in some mode.  Without ``prev`` every
-    fiber is folded into an empty ``R``.  Only entries inside the cross
-    (the core and the per-mode slabs) are accessed, so ``source`` may be
-    a lazy oracle.  The solve of factor ``k`` counts the numerical rank
-    of ``R[:, I_k]``; the model keeps the counts as ``ranks``.  A
-    ``prev`` whose sets are not subsets of ``index_sets``, or that
-    carries no ``R``, is a ``ValueError``.
+    are gathered, whitened and folded into ``prev``'s ``R`` by TSQR over
+    ``R`` and their rows, read block by block as they are gathered
+    (:func:`~fvtensor.bmatrix._r_factor`; the stack is never formed), and
+    the core is ``prev``'s core plus the entries with a new index in some
+    mode.  Without ``prev`` every fiber is folded into an empty ``R``.
+    Only entries inside the cross (the core and the per-mode slabs) are
+    accessed, so ``source`` may be a lazy oracle.  The solve of factor
+    ``k`` counts the numerical rank of ``R[:, I_k]``; the model keeps the
+    counts as ``ranks``.  A ``prev`` whose sets are not subsets of
+    ``index_sets``, or that carries no ``R``, is a ``ValueError``.
     """
     dims = tuple(source.dims)
     sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
@@ -234,10 +245,10 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
         fibers = _fresh_grids(
             sets[:k] + full + sets[k + 1:],
             None if old is None else old[:k] + full + old[k + 1:])
-        slabs = [_fiber_rows(source.ip.whiten(source.gather(grids)), k)
-                 for grids in fibers]
-        if slabs:
-            R = _r_factor(np.vstack([R] + slabs))
+        if fibers:
+            R = _r_factor(chain([R], (
+                _fiber_rows(source.ip.whiten(source.gather(grids)), k)
+                for grids in fibers)))
         I = list(sets[k])
         solved, rank = _pinv_solve(R[:, I], R, tol_rel)
         Fk = np.ascontiguousarray(solved.T)
@@ -305,13 +316,20 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     so neither a whitened copy of the tensor nor a transposed one is
     formed.  Each factor column has its entry of largest magnitude
     positive, so the factors do not depend on the QR path.  The core is
-    the tensor contracted with the transposed factors, one batched
-    ``matmul`` per mode on an ``(N, n_k, rest)`` view, which transposes
-    nothing; the modes go in ascending ``r_k / n_k``, so the first product
-    shrinks the tensor most.  Requested ranks above the numerical rank
-    are clamped (and reported), never an error; a negative rank is a
-    ``ValueError``.  The full per-mode singular value vectors are
-    returned so the quasi-optimality bound can be evaluated.
+    the tensor contracted with the transposed factors, each product one
+    batched ``matmul`` on an ``(N, n_k, rest)`` view, which transposes
+    nothing.  It too is formed from slabs of the tensor: they are cut
+    along the mode ``m`` of largest ``r_m / n_m`` (the lowest such), every
+    other mode of each slab is contracted in ascending ``r_k / n_k``, and
+    the result is written into one buffer that has ``n_m`` at mode ``m``
+    and the ranks elsewhere, ``n_m / r_m`` times the core; one product by
+    the transposed mode-``m`` factor finishes the core.  So no product the
+    size of a large share of the tensor is formed.  A 1-way tensor has no
+    other mode, and its core is that one product with the tensor itself.
+    Requested ranks above the numerical rank are clamped (and reported),
+    never an error; a negative rank is a ``ValueError``.  The full
+    per-mode singular value vectors are returned so the quasi-optimality
+    bound can be evaluated.
     """
     d = A.d
     if ranks is None:
@@ -335,12 +353,20 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
         factors.append(V[:, :rk])
         achieved.append(rk)
 
-    core = A.data
-    for k in sorted(range(d), key=lambda k: achieved[k] / A.dims[k]):
-        n = core.shape
-        view = core.reshape(math.prod(n[:k]), n[k], math.prod(n[k + 1:]))
-        core = np.matmul(factors[k].T, view).reshape(
-            n[:k] + (achieved[k],) + n[k + 1:])
+    ratio = [r / n for r, n in zip(achieved, A.dims)]
+    m = ratio.index(max(ratio))
+    others = sorted((k for k in range(d) if k != m), key=ratio.__getitem__)
+    buf = A.data
+    if others:
+        head = (slice(None),) * m
+        buf = np.empty([n if k == m else achieved[k]
+                        for k, n in enumerate(A.dims)] + [A.h])
+        for cut in _cuts(A, m):
+            T = A.data[head + (cut,)]
+            for k in others:
+                T = _mode_matmul(T, k, factors[k].T)
+            buf[head + (cut,)] = T
+    core = _mode_matmul(buf, m, factors[m].T)
     decomp = TuckerDecomp(core=BTensor(core, A.ip), factors=factors)
     return HosvdResult(
         decomp=decomp, sigmas=sigmas, ranks=tuple(achieved), clamped=clamped

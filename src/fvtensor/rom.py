@@ -30,7 +30,7 @@ class DomainError(ValueError):
 
 @dataclass
 class ParamGrid:
-    """Strictly increasing node vectors, one per parametric dimension."""
+    """Strictly increasing finite node vectors, one per parametric dimension."""
 
     nodes: list
 
@@ -40,6 +40,8 @@ class ParamGrid:
             x = np.asarray(x, dtype=float).reshape(-1)
             if x.size < 1:
                 raise ValueError(f"grid for mode {k} is empty")
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"grid for mode {k} holds a non-finite node")
             if x.size > 1 and np.any(np.diff(x) <= 0.0):
                 raise ValueError(f"grid for mode {k} is not strictly increasing")
             checked.append(x)

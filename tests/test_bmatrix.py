@@ -5,6 +5,7 @@ from fvtensor import bmatrix
 from fvtensor.bmatrix import (
     TSQR_BLOCK,
     BTensor,
+    _r_factor,
     _sigma_v,
     _whitened,
     adjoint_apply,
@@ -231,6 +232,28 @@ def test_sigma_v_sign_convention(monkeypatch):
         assert np.all(lead > 0.0)
     assert np.abs(s_tsqr - s_one).max() <= 1e-14 * s_one[0]
     assert np.abs(V_tsqr - V_one).max() <= 1e-10
+
+
+def test_r_factor_of_a_stream_is_the_r_factor_of_its_stack():
+    # ragged row blocks of a 2.5-leaf matrix: empty blocks, blocks that
+    # cross a leaf boundary and one that ends on it.  The stream is read in
+    # the leaves of the stacked matrix, so R has the same bits as the TSQR
+    # of those leaves written out here, and as the matrix itself.
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((5 * TSQR_BLOCK // 2, 6))
+    sizes = [0, 700, 1, 0, 600, 747, 300, 0, X.shape[0] - 2348]
+    assert sum(sizes[:6]) == 2 * TSQR_BLOCK
+    blocks = np.split(X, np.cumsum(sizes)[:-1])
+    leaves = [np.linalg.qr(X[i:i + TSQR_BLOCK], mode="r")
+              for i in range(0, X.shape[0], TSQR_BLOCK)]
+    want = np.linalg.qr(np.vstack(leaves), mode="r").tobytes()
+    assert _r_factor(iter(blocks)).tobytes() == want
+    assert _r_factor(X).tobytes() == want
+    # a stream of at most one leaf is one QR of its stack
+    head = X[:TSQR_BLOCK]
+    one = np.linalg.qr(head, mode="r").tobytes()
+    assert _r_factor(iter([head[:0], head[:300], head[300:]])).tobytes() == one
+    assert _r_factor(head).tobytes() == one
 
 
 # --- pseudoinverse application ----------------------------------------------

@@ -210,6 +210,22 @@ def test_eval_nonfinite_params_exit_2(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node", ["nan", "inf", "-inf"])
+def test_eval_non_finite_grid_node_exit_2(tmp_path, capsys, node):
+    model = str(tmp_path / "m.json")
+    assert main(["build", "--family", "lowrank_plus_decay", "--dims", "6,5,4",
+                 "--h", "8", "--iters", "2", "--seed", "9",
+                 "--out", model]) == 0
+    with open(model) as f:
+        doc = json.load(f)
+    doc["grids"][1][2] = node
+    with open(model, "w") as f:
+        json.dump(doc, f)
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--params", "0.5,0.5,0.5"]) == 2
+    assert "grid for mode 1 holds a non-finite node" in capsys.readouterr().err
+
+
 def test_hosvd_outputs(tmp_path):
     base = str(tmp_path / "dec")
     assert main(["hosvd", "--family", "lowrank_plus_decay", "--dims", "8,7,6",

@@ -5,15 +5,27 @@ peak it allocates above its start (``tracemalloc``, which sees numpy's
 buffers) stays below a quarter of the tensor's bytes.  The tensor is a
 low-Tucker-rank ``separable`` 30^3 family over R^64 (13.8 MB), under a
 diagonal and a dense Gram, so the whitening is never the identity.
+``hosvd``'s core step is held to a tighter bound on a tensor whose Tucker
+ranks are a large share of its dims: its one buffer and the core.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fvtensor.btensor import error_norm, fro_norm, hosvd
+from fvtensor.btensor import (
+    SLAB,
+    BTensor,
+    TuckerDecomp,
+    assemble,
+    error_norm,
+    fro_norm,
+    hosvd,
+)
 from fvtensor.cli import main
 from fvtensor.fvt import load_fvt, save_fvt
+from fvtensor.hilbert import InnerProduct
 from fvtensor.problems import FamilySpec, make_tensor
 
 SHARE = 0.25  # of the tensor's bytes: the most a pass may allocate
@@ -61,6 +73,36 @@ def test_dense_pass_streams_slabs(tensor, name):
            "error_norm": lambda: error_norm(tensor, model)}[name]
     _, peak = peak_above_start(run)
     assert peak < SHARE * tensor.data.nbytes
+
+
+def test_hosvd_core_goes_through_one_buffer():
+    # Tucker ranks (12, 15, 18) of 30^3, h=64, dense Gram: the core is
+    # formed from slabs cut along mode 2 (the largest r/n), through one
+    # buffer of n_2 / r_2 times the core; two whole-tensor products would
+    # hold 0.4 and 0.2 of the tensor at once
+    rng = np.random.default_rng(61)
+    h, dims, ranks = 64, (30, 30, 30), (12, 15, 18)
+    M = rng.standard_normal((h, h))
+    ip = InnerProduct.dense((M @ M.T + h * np.eye(h)) / h)
+    core = BTensor(rng.standard_normal(ranks + (h,)), ip)
+    A = assemble(TuckerDecomp(core=core, factors=[
+        rng.standard_normal((n, r)) for n, r in zip(dims, ranks)]))
+    res, peak = peak_above_start(lambda: hosvd(A))
+    assert res.ranks == ranks
+    core_bytes = res.decomp.core.data.nbytes
+    assert peak < core_bytes * (1 + dims[2] / ranks[2]) + 2 * SLAB * 8
+
+
+def test_hosvd_of_a_one_way_tensor_copies_nothing():
+    # a 1-way tensor has no other mode: its core is one product with the
+    # tensor, never a buffer that copies it (the identity Gram whitens
+    # nothing, and TSQR reads the 16 x 32768 tensor in 1024-row leaves)
+    rng = np.random.default_rng(67)
+    A = BTensor(rng.standard_normal((16, 1 << 15)),
+                InnerProduct.identity(1 << 15))
+    res, peak = peak_above_start(lambda: hosvd(A))
+    assert res.ranks == (16,)
+    assert peak < res.decomp.core.data.nbytes + SHARE * A.data.nbytes
 
 
 def test_compare_keeps_one_copy_of_the_tensor(tensor, path, tmp_path):

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fvtensor.aca import AbcConfig, tucker_abc
 from fvtensor.btensor import BTensor, assemble, fro_norm, tucker_cross
@@ -40,6 +43,26 @@ def test_param_grid_validation():
         ParamGrid([[]])
     g = ParamGrid([[0.0, 0.5, 1.0], [2.0]])
     assert g.sizes == (3, 1)
+
+
+@given(st.one_of(
+    st.lists(st.floats(), max_size=6),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=1, max_size=6, unique=True).map(sorted)))
+@example([0.0, math.nan, 1.0])
+@example([math.nan])
+@example([0.0, math.inf])
+@example([-math.inf, 0.0, 1.0])
+def test_param_grid_accepts_exactly_the_valid_node_vectors(x):
+    # a node vector is valid when it is nonempty, finite and strictly
+    # increasing; an invalid one is a ValueError naming its mode
+    valid = (len(x) > 0 and all(math.isfinite(t) for t in x)
+             and all(a < b for a, b in zip(x, x[1:])))
+    if valid:
+        assert ParamGrid([[0.0], x]).sizes == (1, len(x))
+    else:
+        with pytest.raises(ValueError, match="mode 1"):
+            ParamGrid([[0.0], x])
 
 
 @pytest.mark.parametrize("kind", ["hat", "lagrange"])

@@ -90,6 +90,34 @@ def test_get_many_threads_identical(rng):
     assert c1.count == c4.count == 36
 
 
+def test_get_many_returns_the_cached_bits_in_a_fresh_array(rng):
+    # each batch reads back the cached rows in key order, as one writable
+    # array that shares no memory with the cache or the tensor
+    A, c = counting_oracle(rng, (4, 5), 3)
+    batches = [[(0, 1), (2, 3), (1, 1)],          # all miss
+               [(2, 3), (0, 1)],                  # all hit
+               [(0, 1), (3, 4), (2, 0)],          # mixed
+               [(1, 2), (1, 2), (0, 1), (1, 2)],  # duplicates
+               []]
+    for keys in batches:
+        out = c.get_many(keys)
+        want = np.array([c.cache[k] for k in keys]).reshape(len(keys), 3)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert out.flags.writeable and not np.shares_memory(out, A.data)
+        out += 1.0
+    assert all(np.array_equal(v, A.data[k]) for k, v in c.cache.items())
+
+
+def test_get_many_returns_the_value_the_cache_kept(rng):
+    # a concurrent first read of the same index that commits first keeps
+    # its value; this read returns that value, not its own
+    A, c = counting_oracle(rng, (3, 4), 2)
+    other = np.full(2, 7.0)
+    c.oracle.fn = lambda idx: (c.cache.setdefault(idx, other), A.data[idx])[1]
+    assert np.array_equal(c.get_many([(1, 2), (0, 3)]), [other, other])
+    assert np.array_equal(c.get_many([(1, 2)]), [other])
+
+
 @st.composite
 def grids_on(draw):
     """Dims plus one unsorted index list per mode, repeats allowed."""
