@@ -81,12 +81,6 @@ def unfold(A, k):
     return BTensor(mat, A.ip)
 
 
-def _mode_dot(T, k, B):
-    """Mode-``k`` product of the array ``T`` with the scalar matrix ``B``:
-    one ``tensordot``, the new axis put back at ``k``."""
-    return np.moveaxis(np.tensordot(B, T, axes=(1, k)), 0, k)
-
-
 def _mode_matmul(T, k, B):
     """Mode-``k`` product of the array ``T`` with the scalar matrix ``B``:
     one batched ``matmul`` on the ``(N, n_k, rest)`` view of ``T``, which
@@ -105,7 +99,7 @@ def mode_mul(A, k, B):
         raise ValueError(
             f"matrix of shape {B.shape} cannot act on mode {k} of size {A.dims[k]}"
         )
-    return BTensor(_mode_dot(A.data, k, B), A.ip)
+    return BTensor(_mode_matmul(A.data, k, B), A.ip)
 
 
 def tucker_rank(A, tol_rel=DEFAULT_TOL):
@@ -263,15 +257,16 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
 
 def _contract(T, mats):
     """``T`` times ``mats[k]`` along each mode ``k`` whose ``mats[k]`` is
-    not ``None``.  Contracting mode ``k`` scales the array by
+    not ``None``, each by :func:`_mode_matmul`: the one chain of mode
+    products.  Contracting mode ``k`` scales the array by
     ``len(mats[k]) / r_k`` for its size ``r_k`` there, so the modes are
     contracted in ascending order of that ratio (ties in mode order; a
-    rank-0 mode last, the array being empty until then), and the
-    intermediates stay as small as the order allows."""
+    rank-0 mode last, the array being empty until then), and no
+    intermediate is larger than both ``T`` and the result."""
     ratio = {k: len(M) / T.shape[k] if T.shape[k] else np.inf
              for k, M in enumerate(mats) if M is not None}
     for k in sorted(ratio, key=ratio.__getitem__):
-        T = _mode_dot(T, k, mats[k])
+        T = _mode_matmul(T, k, mats[k])
     return T
 
 
@@ -279,10 +274,10 @@ def model_gather(model, grids):
     """Entries of the assembled model on a product grid, without assembling.
 
     ``grids`` holds one index list per mode; the result has shape
-    ``(len(grids[0]), ..., len(grids[d-1]), h)``.  The core is contracted
-    with the factor rows at the grids, smallest ratio of grid length to
-    core size first (:func:`_contract`): a single fiber against a large
-    core never forms the core's full width at the fiber's length.
+    ``(len(grids[0]), ..., len(grids[d-1]), h)``: the core contracted
+    with the factor rows at the grids (:func:`_contract`), so a single
+    fiber against a large core never forms the core's full width at the
+    fiber's length.
     """
     return _contract(model.core.data,
                      [F[np.asarray(g, dtype=int)]
@@ -316,16 +311,15 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     so neither a whitened copy of the tensor nor a transposed one is
     formed.  Each factor column has its entry of largest magnitude
     positive, so the factors do not depend on the QR path.  The core is
-    the tensor contracted with the transposed factors, each product one
-    batched ``matmul`` on an ``(N, n_k, rest)`` view, which transposes
-    nothing.  It too is formed from slabs of the tensor: they are cut
-    along the mode ``m`` of largest ``r_m / n_m`` (the lowest such), every
-    other mode of each slab is contracted in ascending ``r_k / n_k``, and
-    the result is written into one buffer that has ``n_m`` at mode ``m``
-    and the ranks elsewhere, ``n_m / r_m`` times the core; one product by
-    the transposed mode-``m`` factor finishes the core.  So no product the
-    size of a large share of the tensor is formed.  A 1-way tensor has no
-    other mode, and its core is that one product with the tensor itself.
+    the tensor contracted with the transposed factors (:func:`_contract`).
+    It too is formed from slabs of the tensor: they are cut along the
+    mode ``m`` of largest ``r_m / n_m`` (the lowest such), every other
+    mode of each slab is contracted, and the result is written into one
+    buffer that has ``n_m`` at mode ``m`` and the ranks elsewhere,
+    ``n_m / r_m`` times the core; one product by the transposed mode-``m``
+    factor finishes the core.  So no product the size of a large share of
+    the tensor is formed.  A 1-way tensor has no other mode, and its core
+    is that one product with the tensor itself.
     Requested ranks above the numerical rank are clamped (and reported),
     never an error; a negative rank is a ``ValueError``.  The full
     per-mode singular value vectors are returned so the quasi-optimality
@@ -355,18 +349,16 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
 
     ratio = [r / n for r, n in zip(achieved, A.dims)]
     m = ratio.index(max(ratio))
-    others = sorted((k for k in range(d) if k != m), key=ratio.__getitem__)
     buf = A.data
-    if others:
+    if d > 1:
         head = (slice(None),) * m
         buf = np.empty([n if k == m else achieved[k]
                         for k, n in enumerate(A.dims)] + [A.h])
+        others = [None if k == m else V.T for k, V in enumerate(factors)]
         for cut in _cuts(A, m):
-            T = A.data[head + (cut,)]
-            for k in others:
-                T = _mode_matmul(T, k, factors[k].T)
-            buf[head + (cut,)] = T
-    core = _mode_matmul(buf, m, factors[m].T)
+            buf[head + (cut,)] = _contract(A.data[head + (cut,)], others)
+    core = _contract(buf, [V.T if k == m else None
+                           for k, V in enumerate(factors)])
     decomp = TuckerDecomp(core=BTensor(core, A.ip), factors=factors)
     return HosvdResult(
         decomp=decomp, sigmas=sigmas, ranks=tuple(achieved), clamped=clamped
@@ -412,22 +404,16 @@ def error_norm(A, model):
     The difference is formed one slab of ``A`` cut along the second mode
     at a time (:func:`_cuts`), so the approximant is never materialized
     at full size.  For the slab at the mode-1 indices ``b`` the core is
-    contracted with the factor rows ``F_1[b]`` and the factors of the
-    later modes into ``P``, and ``F_0 @ P`` is one BLAS product into one
-    slab-sized buffer, from which the slab of ``A`` is subtracted in
-    place.  Each slab adds ``w @ w`` for its whitened difference ``w``:
+    contracted with the factors, ``F_1[b]`` at mode 1 (:func:`_contract`),
+    into one slab-sized array, from which the slab of ``A`` is subtracted
+    in place.  Each slab adds ``w @ w`` for its whitened difference ``w``:
     one BLAS dot, and no Gram product once the Gram is the identity.
     """
-    core = model.core.data
-    F0 = model.factors[0]
     sq = 0.0
     for cut in _cuts(A, 1):
-        slab = A.data[:, cut]
-        P = _contract(core, [None if k == 0 else F[cut] if k == 1 else F
-                             for k, F in enumerate(model.factors)])
-        M = np.matmul(F0, P.reshape(core.shape[0], slab.size // len(slab)))
-        M = M.reshape(slab.shape)
-        np.subtract(M, slab, out=M)
+        M = _contract(model.core.data, [F[cut] if k == 1 else F
+                                        for k, F in enumerate(model.factors)])
+        np.subtract(M, A.data[:, cut], out=M)
         w = A.ip.whiten(M).reshape(-1)
         sq += float(w @ w)
     return float(np.sqrt(sq))

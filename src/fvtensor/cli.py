@@ -65,6 +65,15 @@ def _parse_tol(text):
     return tol
 
 
+def _parse_params(text):
+    """``--params``: comma-separated floats (``nan`` and ``inf`` parse)."""
+    try:
+        return tuple(map(float, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a list of numbers") from None
+
+
 def _int_at_least(low):
     """Argparse type of a decimal integer of at least ``low`` (0 or 1)."""
     what = "a positive" if low else "a nonnegative"
@@ -200,7 +209,7 @@ def _source_order(args):
 
 
 def _cmd_hosvd(args):
-    ranks = _parse_dims(args.rank, "--rank") if args.rank else None
+    ranks = None if args.rank is None else _parse_dims(args.rank, "--rank")
     d = None if ranks is None else _source_order(args)
     if d is not None and len(ranks) != d:
         raise UsageError(f"--rank has {len(ranks)} entries, but the source "
@@ -267,8 +276,7 @@ def _cmd_compare(args):
 
 def _cmd_eval(args):
     rm = rom.load_model(args.model)
-    params = tuple(float(t) for t in args.params.split(","))
-    value = rom.rom_eval(rm, params)
+    value = rom.rom_eval(rm, args.params)
     if args.raw:
         np.ascontiguousarray(value, dtype="<f8").tofile(args.raw)
         print(f"wrote {args.raw} ({value.size} float64)")
@@ -351,7 +359,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a stored model")
     p.add_argument("--model", required=True)
-    p.add_argument("--params", required=True,
+    p.add_argument("--params", type=_parse_params, required=True,
                    help="comma-separated parameter values")
     p.add_argument("--raw", help="write raw float64 instead of text")
     p.set_defaults(func=_cmd_eval)

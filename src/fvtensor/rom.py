@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .btensor import BTensor, TuckerCrossModel
+from .btensor import BTensor, TuckerCrossModel, _contract
 from .fvt import load_fvt, save_fvt
 
 BASIS_KINDS = ("hat", "lagrange")
@@ -169,16 +169,15 @@ def encode(rm, alphas):
 
 
 def decode(rm, reduced):
-    """Contract the sampled core against reduced coefficient vectors."""
-    T = rm.model.core.data
-    if len(reduced) != T.ndim - 1:
+    """Contract the sampled core against reduced coefficient vectors, each
+    a one-row matrix to :func:`~fvtensor.btensor._contract`."""
+    core = rm.model.core.data
+    if len(reduced) != core.ndim - 1:
         raise ValueError("wrong number of reduced vectors")
-    for vec in reduced:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (T.shape[0],):
-            raise ValueError("reduced vector length mismatch")
-        T = np.tensordot(vec, T, axes=(0, 0))
-    return T
+    vecs = [np.asarray(v, dtype=float) for v in reduced]
+    if any(v.shape != (r,) for v, r in zip(vecs, core.shape)):
+        raise ValueError("reduced vector length mismatch")
+    return _contract(core, [v[None, :] for v in vecs]).reshape(core.shape[-1])
 
 
 def rom_eval(rm, alphas):

@@ -7,6 +7,7 @@ counts distinct evaluations, which is the sampling budget of every
 adaptive run.
 """
 
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -40,12 +41,16 @@ class CachedOracle:
     equals the number of distinct multi-indices ever evaluated.
     Concurrent first evaluations of the same index are permitted; the
     cache keeps a single winner, so repeated reads are bitwise identical.
+    A ``threads`` that is not an integer of at least 1 is a ``ValueError``.
     """
 
     def __init__(self, oracle, threads=1):
+        if not isinstance(threads, numbers.Integral) or threads < 1:
+            raise ValueError(f"threads must be an integer >= 1, "
+                             f"got {threads!r}")
         self.oracle = oracle
         self.cache = {}
-        self.threads = max(1, int(threads))
+        self.threads = int(threads)
         self._lock = threading.Lock()
 
     @property

@@ -1,8 +1,12 @@
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fvtensor import aca, cli
 from fvtensor.btensor import (
@@ -516,3 +520,87 @@ def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
     assert named in capsys.readouterr().err
     assert reads == []
     assert list(tmp_path.iterdir()) == []
+
+
+# a command line per command that runs, as flag -> value; the typed flags
+# (all but --family) are the ones a malformed value replaces
+SOURCE = {"--family": "separable", "--dims": "4,4,4", "--h": "2",
+          "--seed": "0", "--tol": "1e-12"}
+ABC = {"--iters": "1", "--aux": "2", "--rook": "1", "--threads": "1"}
+LINES = {"gen": SOURCE, "hosvd": {**SOURCE, "--rank": "2,2,2"},
+         "build": {**SOURCE, **ABC}, "compare": {**SOURCE, **ABC},
+         "eval": {"--params": "0.5,0.5,0.5"}}
+TYPED = {command: sorted(set(line) - {"--family"})
+         for command, line in LINES.items()}
+
+
+def argv_for(command, workdir, flag=None, token=None):
+    """``LINES[command]`` with ``flag`` set to ``token``, writing under
+    ``workdir``; ``eval`` reads a model file that does not exist."""
+    out = os.path.join(workdir, "out")
+    line = dict(LINES[command])
+    if command == "eval":
+        line.update({"--model": os.path.join(workdir, "missing.json"),
+                     "--raw": out})
+    else:
+        line["--out"] = out
+    if flag is not None:
+        line[flag] = token
+    return [command] + [t for pair in line.items() for t in pair]
+
+
+@pytest.mark.parametrize("command", sorted(LINES))
+def test_unmodified_lines_get_past_parsing(tmp_path, command):
+    # the lines the property below breaks are valid: eval fails only on
+    # its missing model (a data error)
+    want = 2 if command == "eval" else 0
+    assert main(argv_for(command, str(tmp_path))) == want
+
+
+@st.composite
+def malformed_flag(draw):
+    """A command, one of its typed flags, and a token no flag accepts: a
+    comma list with an empty field, or one with a character that no
+    integer or float literal holds."""
+    command = draw(st.sampled_from(sorted(LINES)))
+    flag = draw(st.sampled_from(TYPED[command]))
+    fields = draw(st.lists(st.text("0123456789.+-", max_size=3),
+                           min_size=1, max_size=4))
+    i = draw(st.integers(0, len(fields) - 1))
+    if draw(st.booleans()):
+        fields[i] = ""
+    else:
+        at = draw(st.integers(0, len(fields[i])))
+        junk = draw(st.sampled_from("xqz#/:%?"))
+        fields[i] = fields[i][:at] + junk + fields[i][at:]
+    return command, flag, ",".join(fields)
+
+
+@settings(max_examples=80, deadline=None)
+@given(malformed_flag())
+@example(("eval", "--params", "0.1,abc,0.05"))
+@example(("eval", "--params", "0.1,,0.05"))
+@example(("eval", "--params", "0.1,0.5,"))
+@example(("hosvd", "--rank", ""))
+def test_malformed_flag_value_exit_1_before_any_work(case):
+    command, flag, token = case
+    calls = []
+    real_make_oracle = cli.problems.make_oracle
+    real_make_tensor = cli.problems.make_tensor
+
+    def make_oracle(spec):
+        oracle = real_make_oracle(spec)
+        return EntryOracle(oracle.dims, oracle.ip,
+                           lambda idx: calls.append(idx) or oracle.fn(idx))
+
+    def make_tensor(spec):
+        calls.append(spec)
+        return real_make_tensor(spec)
+
+    with tempfile.TemporaryDirectory() as workdir, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.problems, "make_oracle", make_oracle)
+        mp.setattr(cli.problems, "make_tensor", make_tensor)
+        assert main(argv_for(command, workdir, flag, token)) == 1
+        assert os.listdir(workdir) == []
+    assert calls == []

@@ -15,6 +15,7 @@ from fvtensor.rom import (
     DomainError,
     ParamGrid,
     basis_eval,
+    decode,
     encode,
     load_model,
     reuse_factors,
@@ -210,6 +211,35 @@ def test_encode_is_nonlinear(rng):
     mid_enc = 0.5 * (np.concatenate(encode(rm, a))
                      + np.concatenate(encode(rm, b)))
     assert np.abs(enc_mid - mid_enc).max() > 1e-8
+
+
+def test_decode_unequal_ranks_matches_einsum(rng):
+    # ranks (2, 4, 3): the decoder contracts mode 1, then 2, then 0, not
+    # in mode order
+    A, rm = build_rom(rng, dims=(7, 8, 6), h=5,
+                      sets=[[1, 5], [0, 2, 4, 7], [0, 3, 5]])
+    core = rm.model.core.data
+    assert core.shape == (2, 4, 3, 5)
+    for alphas in [(0.1, 0.9, 0.35), (0.77, 0.05, 0.6), (0.0, 1.0, 0.5)]:
+        vecs = encode(rm, alphas)
+        want = np.einsum("i,j,k,ijkh->h", *vecs, core)
+        got = decode(rm, vecs)
+        assert got.shape == (5,)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(rom_eval(rm, alphas), got)
+
+
+def test_decode_checks_the_reduced_vectors(rng):
+    A, rm = build_rom(rng)
+    vecs = encode(rm, (0.2, 0.4, 0.6))
+    with pytest.raises(ValueError, match="wrong number"):
+        decode(rm, vecs[:2])
+    with pytest.raises(ValueError, match="wrong number"):
+        decode(rm, vecs + [vecs[0]])
+    for bad in (vecs[1][:-1], np.append(vecs[1], 0.0), vecs[1][None, :],
+                1.0):
+        with pytest.raises(ValueError, match="length mismatch"):
+            decode(rm, [vecs[0], bad, vecs[2]])
 
 
 # --- reuse across resolutions ----------------------------------------------

@@ -90,6 +90,18 @@ def test_get_many_threads_identical(rng):
     assert c1.count == c4.count == 36
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5, 1.0, "2", None])
+def test_threads_must_be_a_positive_integer(rng, threads):
+    _, c = counting_oracle(rng, (2, 2), 1)
+    with pytest.raises(ValueError, match=f"got {threads!r}"):
+        CachedOracle(c.oracle, threads=threads)
+
+
+def test_threads_accepts_numpy_integers(rng):
+    _, c = counting_oracle(rng, (2, 2), 1)
+    assert CachedOracle(c.oracle, threads=np.int64(3)).threads == 3
+
+
 def test_get_many_returns_the_cached_bits_in_a_fresh_array(rng):
     # each batch reads back the cached rows in key order, as one writable
     # array that shares no memory with the cache or the tensor
