@@ -183,8 +183,8 @@ def _r_factor(X):
     of the shapes the two runs factor (medians of five passes): the 45
     R folds of ``fvt build`` on gaussian_bump 100^3, h=256 (up to
     7524 x 100) took 0.52 s at 1024-row blocks, 0.52 s at 2048 and
-    0.74 s at 4096; the 33 QRs of ``fvt compare`` on a 40^3, h=144
-    tensor (three 230400 x 40 in ``hosvd``) took 0.41, 0.41 and 0.43 s.
+    0.74 s at 4096; 33 QRs of up to 230400 x 40, one ``fvt compare`` on
+    a 40^3, h=144 tensor, took 0.41, 0.41 and 0.43 s.
     Of the two equal sizes the smaller leaves wider matrices in cache.
     """
     if isinstance(X, np.ndarray):

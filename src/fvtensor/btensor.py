@@ -19,7 +19,6 @@ from .bmatrix import (
     DEFAULT_TOL,
     _canonical_index_set,
     _fiber_rows,
-    _matrix_rank,
     _pinv_solve,
     _r_factor,
     _sigma_v,
@@ -47,14 +46,6 @@ def _whitened_slabs(A, m):
     head = (slice(None),) * m
     for cut in _cuts(A, m):
         yield A.ip.whiten(A.data[head + (cut,)])
-
-
-def _mode_rows(A, k):
-    """Row blocks of the whitened mode-``k`` matrix of ``A``
-    (:func:`~fvtensor.bmatrix._fiber_rows`): the slabs cut along another
-    mode hold whole mode-``k`` fibers, so each is a set of its rows.  A
-    generator: the blocks are formed one at a time, as TSQR reads them."""
-    return (_fiber_rows(w, k) for w in _whitened_slabs(A, 1 if k == 0 else 0))
 
 
 def fro_norm(A):
@@ -103,12 +94,13 @@ def mode_mul(A, k, B):
 
 
 def tucker_rank(A, tol_rel=DEFAULT_TOL):
-    """Tuple of row-ranks of the mode unfoldings: the ranks of the
-    triangular factors of the whitened mode matrices, each read by TSQR
-    from the slab stream :func:`hosvd` factors.  For a matrix this is its
-    (row rank, column rank)."""
-    return tuple(_matrix_rank(_r_factor(_mode_rows(A, k)), tol_rel)
-                 for k in range(A.d))
+    """Tuple of the numerical ranks of the mode unfoldings, read off the
+    factor passes of :func:`hosvd`: ``sigmas[k]`` is the spectrum of ``A``
+    projected on the factors of the modes before ``k``, which at the
+    ``tol_rel`` ranks drops nothing above ``tol_rel`` times the largest
+    singular value, so its numerical rank is the unfolding's.  For a
+    matrix this is its (row rank, column rank)."""
+    return tuple(s.size for s in _st_hosvd(A, tol_rel)[0])
 
 
 @dataclass
@@ -300,29 +292,77 @@ class HosvdResult:
     clamped: bool
 
 
+def _st_hosvd(A, tol_rel):
+    """Spectra and factors of the sequentially truncated HOSVD of ``A`` at
+    the ``tol_rel`` ranks, and the buffer its core is read from.
+
+    The modes are taken in index order, and mode ``k`` is factored from
+    ``A`` already projected on the factors of the modes before it
+    (Vannieuwenhoven, Vandebril & Meerbergen, SISC 34(2), 2012), by TSQR
+    (:func:`~fvtensor.bmatrix._sigma_v`).  Below the last mode that
+    projection is never stored: each slab cut along the last mode holds
+    whole mode-``k`` fibers, and is contracted with the transposed factors
+    found so far (:func:`_contract`), whitened and read as row blocks of
+    its mode-``k`` matrix.  The one buffer is ``A`` contracted with every
+    factor but the last, so it has ``n_(d-1)`` at mode ``d-1`` and the
+    ranks elsewhere; it is filled slab by slab, and the last factor is
+    read off its TSQR over slabs cut along mode 0.  A 1-way tensor has no
+    other mode, and its buffer is the tensor itself.  Only a zero tensor
+    has a mode of rank 0; it leaves nothing to factor, so every later mode
+    gets an empty spectrum and factor.
+    """
+    d = A.d
+    m = d - 1
+    head = (slice(None),) * m
+    Vt = [None] * d
+    sigmas = []
+
+    def factor(k, rows):
+        if sigmas and not sigmas[-1].size:
+            sigma, V = sigmas[-1], np.empty((A.dims[k], 0))
+        else:
+            sigma, V = _sigma_v(rows, tol_rel)
+        sigmas.append(sigma)
+        Vt[k] = V.T
+
+    def projected():
+        for cut in _cuts(A, m):
+            yield cut, _contract(A.data[head + (cut,)], Vt)
+
+    for k in range(m):
+        factor(k, (_fiber_rows(A.ip.whiten(P), k) for _, P in projected()))
+    buf = A.data
+    if m:
+        buf = np.empty([len(V) for V in Vt[:m]] + [A.dims[m], A.h])
+        for cut, P in projected():
+            buf[head + (cut,)] = P
+    factor(m, (_fiber_rows(w, m) for w in
+               _whitened_slabs(BTensor(buf, A.ip), 0 if m else d)))
+    return sigmas, [V.T for V in Vt], buf
+
+
 def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     """Higher-order SVD truncated to the requested rank tuple.
 
-    Each mode's factor collects the leading right singular vectors of the
+    The factors, spectra and core are those of the sequentially truncated
+    HOSVD at the ``tol_rel`` ranks (:func:`_st_hosvd`), cut to the
+    requested ranks, so they are the truncated factors of the untruncated
+    HOSVD.  ``sigmas[k]`` is the spectrum of ``A`` projected on the
+    factors of the modes before ``k``.  Those factors drop only singular
+    values at or below ``tol_rel`` times the largest one, so at the
+    default ``tol_rel`` the spectra, factors and core equal the plain
+    HOSVD's, whose spectra are the unfoldings', up to round-off.  Each
+    mode's factor collects the leading right singular vectors of the
     transposed unfolding, taken with its singular values from the
-    triangular factor of the whitened unfolding (no left singular vectors
-    are formed).  That factor is read by TSQR from slabs of the tensor cut
-    along another mode (:func:`_mode_rows`), each whitened as it is cut,
-    so neither a whitened copy of the tensor nor a transposed one is
-    formed.  Each factor column has its entry of largest magnitude
+    triangular factor of the whitened matrix (no left singular vectors
+    are formed), and each factor column has its entry of largest magnitude
     positive, so the factors do not depend on the QR path.  The core is
-    the tensor contracted with the transposed factors (:func:`_contract`).
-    It too is formed from slabs of the tensor: they are cut along the
-    mode ``m`` of largest ``r_m / n_m`` (the lowest such), every other
-    mode of each slab is contracted, and the result is written into one
-    buffer that has ``n_m`` at mode ``m`` and the ranks elsewhere,
-    ``n_m / r_m`` times the core; one product by the transposed mode-``m``
-    factor finishes the core.  So no product the size of a large share of
-    the tensor is formed.  A 1-way tensor has no other mode, and its core
-    is that one product with the tensor itself.
+    the tensor contracted with the transposed factors: the buffer's
+    leading block times the last factor, one product.  So no product the
+    size of a large share of the tensor is formed.
     Requested ranks above the numerical rank are clamped (and reported),
-    never an error; a negative rank is a ``ValueError``.  The full
-    per-mode singular value vectors are returned so the quasi-optimality
+    never an error; a negative rank is a ``ValueError``.  The per-mode
+    singular value vectors are returned whole, so the quasi-optimality
     bound can be evaluated.
     """
     d = A.d
@@ -334,35 +374,14 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     if any(r < 0 for r in ranks):
         raise ValueError(f"ranks must be nonnegative, got {tuple(ranks)}")
 
-    factors = []
-    sigmas = []
-    achieved = []
-    clamped = False
-    for k in range(d):
-        sigma, V = _sigma_v(_mode_rows(A, k), tol_rel)
-        sigmas.append(sigma)
-        rk = min(ranks[k], sigma.size)
-        if rk < ranks[k]:
-            clamped = True
-        factors.append(V[:, :rk])
-        achieved.append(rk)
-
-    ratio = [r / n for r, n in zip(achieved, A.dims)]
-    m = ratio.index(max(ratio))
-    buf = A.data
-    if d > 1:
-        head = (slice(None),) * m
-        buf = np.empty([n if k == m else achieved[k]
-                        for k, n in enumerate(A.dims)] + [A.h])
-        others = [None if k == m else V.T for k, V in enumerate(factors)]
-        for cut in _cuts(A, m):
-            buf[head + (cut,)] = _contract(A.data[head + (cut,)], others)
-    core = _contract(buf, [V.T if k == m else None
-                           for k, V in enumerate(factors)])
+    sigmas, factors, buf = _st_hosvd(A, tol_rel)
+    achieved = [min(r, s.size) for r, s in zip(ranks, sigmas)]
+    factors = [V[:, :r] for V, r in zip(factors, achieved)]
+    kept = tuple(slice(r) for r in achieved[:-1])
+    core = _contract(buf[kept], [None] * (d - 1) + [factors[-1].T])
     decomp = TuckerDecomp(core=BTensor(core, A.ip), factors=factors)
-    return HosvdResult(
-        decomp=decomp, sigmas=sigmas, ranks=tuple(achieved), clamped=clamped
-    )
+    return HosvdResult(decomp=decomp, sigmas=sigmas, ranks=tuple(achieved),
+                       clamped=achieved != ranks)
 
 
 def hosvd_error(res, ranks):
@@ -390,7 +409,13 @@ def hosvd_error(res, ranks):
 
 
 def hosvd_error_bound(sigmas, ranks):
-    """Root of the summed squared discarded singular values."""
+    """Root of the summed squared discarded singular values.
+
+    ``sigmas`` are :func:`hosvd`'s: ``sigmas[k]`` is the spectrum of the
+    tensor projected on the factors of the modes before ``k``, which at
+    the default ``tol_rel`` equals the mode-``k`` unfolding's up to
+    round-off, so this is the bound of De Lathauwer, De Moor &
+    Vandewalle on the error of the truncated HOSVD."""
     tail = 0.0
     for s, r in zip(sigmas, ranks):
         t = s[int(r):]

@@ -19,6 +19,7 @@ import numpy as np
 from . import problems, rom
 from .aca import AbcConfig, abc_sweeps, tucker_abc
 from .btensor import (
+    DEFAULT_TOL,
     BTensor,
     error_norm,
     fro_norm,
@@ -246,7 +247,9 @@ def _cmd_compare(args):
     coordinates.  ``A`` is whitened in place, one mode-0 slab at a time,
     and taken under the identity Gram; the sweep samples that, so no later
     pass over the tensor pays a Gram product, and the process holds one
-    copy of the tensor.
+    copy of the tensor.  The reference HOSVD is truncated at ``--tol`` or
+    the default tolerance, whichever is smaller: the sweep stops at
+    ``--tol``, and a reference cut there would score its ranks as exact.
     """
     A, _, _ = _load_source(args, need_dense=True)
     for a in A.data:
@@ -256,7 +259,7 @@ def _cmd_compare(args):
     norm_a = fro_norm(A)
     if norm_a <= 0.0:
         raise ValueError("reference tensor is zero")
-    full = hosvd(A, None, args.tol)
+    full = hosvd(A, None, min(args.tol, DEFAULT_TOL))
 
     lines = ["iterations\trank\tabc_error\thosvd_error\thosvd_bound\tevals\n"]
     for model, report in abc_sweeps(cached, _abc_config(args, cached.dims)):
@@ -325,7 +328,7 @@ def build_parser():
         p.add_argument("--gram",
                        help="identity | diagonal:FILE | dense:FILE")
         p.add_argument("--seed", type=_int_at_least(0), default=0)
-        p.add_argument("--tol", type=_parse_tol, default=1e-12)
+        p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
 
     def add_abc(p):
         p.add_argument("--threads", type=_int_at_least(1),

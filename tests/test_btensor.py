@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -536,12 +538,46 @@ def test_hosvd_rejects_negative_ranks(rng):
     assert res.decomp.core.dims == (0, 2, 2)
 
 
+@pytest.mark.parametrize("dims, cases", [
+    ((5,), [(0,), (1,), (2,)]),
+    ((6, 5), [(0, 3), (2, 0), (3, 2)]),
+    ((4, 3, 5, 3), [(0, 2, 3, 2), (2, 2, 0, 1), (3, 2, 4, 0), (2, 1, 3, 2)]),
+])
+def test_hosvd_any_order_and_zero_rank_match_scalar_oracle(rng, dims, cases):
+    # a tensor over R^2 under the identity Gram is a scalar tensor with
+    # one more mode, which the oracle keeps whole; a requested rank of 0
+    # gives an empty core and a zero approximant
+    T = rng.standard_normal(dims + (2,))
+    A = BTensor(T, InnerProduct.identity(2))
+    for ranks in cases:
+        res = hosvd(A, ranks)
+        assert res.ranks == res.decomp.core.dims == ranks
+        assert not res.clamped
+        ref = scalar_hosvd(T, ranks + (2,))
+        assert np.abs(assemble(res.decomp).data - ref).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(3,), (3, 4), (2, 3, 4, 3)])
+def test_hosvd_of_a_zero_tensor_is_empty(dims):
+    # mode 0 has rank 0, so every later mode has nothing left to factor
+    A = BTensor(np.zeros(dims + (2,)), InnerProduct.identity(2))
+    zeros = (0,) * len(dims)
+    for ranks in (None, (1,) * len(dims), zeros):
+        res = hosvd(A, ranks)
+        assert res.ranks == res.decomp.core.dims == zeros
+        assert res.clamped == (ranks != zeros)
+        assert [s.size for s in res.sigmas] == list(zeros)
+        assert [F.shape for F in res.decomp.factors] == [(n, 0) for n in dims]
+    assert tucker_rank(A) == zeros
+
+
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
 def test_hosvd_and_tucker_rank_read_one_slab_stream(monkeypatch, kind):
-    # both factor each mode from slabs of the tensor, each whitened as it
-    # is cut and none the whole tensor: mode 0 from 6 slabs of one
-    # second-mode index, modes 1 and 2 from first-mode slabs of 2, 2, 2, 1;
-    # the reference whitens with the Cholesky factor and takes each SVD
+    # both run the same passes, each whitening slabs as they are cut and
+    # none the whole tensor: modes 0 and 1 from 8 last-mode slabs of one
+    # index, mode 1's contracted with the mode-0 factor first, then mode
+    # 2 from the (2, 3, 8) buffer in 2 first-mode slabs; the reference
+    # whitens with the Cholesky factor and takes each unfolding's SVD
     rng = np.random.default_rng(53)
     ranks = (2, 3, 2)
     ip = make_ip(kind, 4, rng)
@@ -553,14 +589,15 @@ def test_hosvd_and_tucker_rank_read_one_slab_stream(monkeypatch, kind):
         calls.append(x.shape)
         return real_whiten(self, x)
 
-    monkeypatch.setattr(btensor, "SLAB", 2 * 6 * 8 * 4)
+    monkeypatch.setattr(btensor, "SLAB", 3 * 8 * 4)
     monkeypatch.setattr(InnerProduct, "whiten", whiten)
     res = hosvd(A)
-    first = [(2, 6, 8, 4)] * 3 + [(1, 6, 8, 4)]
-    assert calls == [(7, 1, 8, 4)] * 6 + first * 2
+    passes = [(7, 6, 1, 4)] * 8 + [(2, 6, 1, 4)] * 8 + [(1, 3, 8, 4)] * 2
+    assert calls == passes
+    assert all(math.prod(c) < A.data.size for c in calls)
     calls.clear()
     assert tucker_rank(A) == res.ranks == ranks
-    assert calls == [(7, 1, 8, 4)] * 6 + first * 2
+    assert calls == passes
     T_w = A.data @ np.linalg.cholesky(gram_matrix(ip))
     for k, r in enumerate(ranks):
         M_w = scalar_unfold(T_w, k)

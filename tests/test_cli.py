@@ -366,6 +366,44 @@ def test_hosvd_full_rank_default(tmp_path):
     assert doc["ranks"] == [3, 3, 3]  # separable rank-3 family
 
 
+def test_hosvd_rank_is_the_leading_block_of_the_full_run(tmp_path):
+    # --rank cuts the full-rank factors and core: the factors bit for bit,
+    # the core to round-off, and the spectra are the same whole vectors
+    source = ["--family", "lowrank_plus_decay", "--dims", "8,7,6", "--h", "5",
+              "--seed", "4"]
+    full, cut = str(tmp_path / "full"), str(tmp_path / "cut")
+    assert main(["hosvd", *source, "--out", full]) == 0
+    assert main(["hosvd", *source, "--rank", "2,2,2", "--out", cut]) == 0
+    whole = json.load(open(full + ".factors.json"))
+    lead = json.load(open(cut + ".factors.json"))
+    assert lead["ranks"] == [2, 2, 2] and min(whole["ranks"]) > 2
+    for F, G in zip(whole["factors"], lead["factors"]):
+        assert (G["rows"], G["cols"]) == (F["rows"], 2)
+        rows = np.array(F["data"]).reshape(F["rows"], F["cols"])
+        assert G["data"] == rows[:, :2].reshape(-1).tolist()
+    C, B = load_fvt(full + ".core.fvt").data, load_fvt(cut + ".core.fvt").data
+    assert np.abs(B - C[:2, :2, :2]).max() <= 1e-12 * np.abs(C).max()
+    assert (open(full + ".sigma.tsv").read()
+            == open(cut + ".sigma.tsv").read())
+
+
+def test_compare_tol_scores_against_the_untruncated_hosvd(tmp_path):
+    # the sweep stops at --tol 0.5 with rank (1, 1, 1); the reference HOSVD
+    # is cut at the default tolerance, so its columns read the error of the
+    # rank-(1, 1, 1) HOSVD, not a false 0
+    src, out = str(tmp_path / "t.fvt"), str(tmp_path / "cmp.tsv")
+    assert main(["gen", "--family", "separable", "--dims", "6,5,4", "--h", "3",
+                 "--out", src]) == 0
+    assert main(["compare", "--input", src, "--tol", "0.5", "--iters", "3",
+                 "--out", out]) == 0
+    _, rank, _, e_h, bound, _ = open(out).read().splitlines()[1].split("\t")
+    A = load_fvt(src)
+    want = error_norm(A, hosvd(A, (1, 1, 1)).decomp) / fro_norm(A)
+    assert rank == "(1, 1, 1)" and want == pytest.approx(0.4985, abs=1e-4)
+    assert float(e_h) == pytest.approx(want, rel=1e-10)
+    assert want <= float(bound)
+
+
 def test_gram_file_flags(tmp_path):
     w = np.abs(np.random.default_rng(0).random(8)) + 0.5
     wfile = str(tmp_path / "w.f64")

@@ -5,8 +5,8 @@ peak it allocates above its start (``tracemalloc``, which sees numpy's
 buffers) stays below a quarter of the tensor's bytes.  The tensor is a
 low-Tucker-rank ``separable`` 30^3 family over R^64 (13.8 MB), under a
 diagonal and a dense Gram, so the whitening is never the identity.
-``hosvd``'s core step is held to a tighter bound on a tensor whose Tucker
-ranks are a large share of its dims: its one buffer and the core.
+``hosvd`` is held to a tighter bound on tensors whose Tucker ranks are a
+large share of their dims: its one buffer and the core.
 """
 
 import tracemalloc
@@ -82,6 +82,24 @@ def test_hosvd_core_goes_through_one_buffer():
     # hold 0.4 and 0.2 of the tensor at once
     rng = np.random.default_rng(61)
     h, dims, ranks = 64, (30, 30, 30), (12, 15, 18)
+    M = rng.standard_normal((h, h))
+    ip = InnerProduct.dense((M @ M.T + h * np.eye(h)) / h)
+    core = BTensor(rng.standard_normal(ranks + (h,)), ip)
+    A = assemble(TuckerDecomp(core=core, factors=[
+        rng.standard_normal((n, r)) for n, r in zip(dims, ranks)]))
+    res, peak = peak_above_start(lambda: hosvd(A))
+    assert res.ranks == ranks
+    core_bytes = res.decomp.core.data.nbytes
+    assert peak < core_bytes * (1 + dims[2] / ranks[2]) + 2 * SLAB * 8
+
+
+def test_hosvd_buffer_keeps_the_last_mode_whole():
+    # Tucker ranks (18, 15, 12) of 30^3, h=64, dense Gram: the one buffer
+    # holds mode 2 whole beside the ranks of modes 0 and 1, n_2 / r_2 = 2.5
+    # times the core, though mode 2 has the smallest r/n; the factor
+    # passes of modes 0 and 1 hold slabs only
+    rng = np.random.default_rng(71)
+    h, dims, ranks = 64, (30, 30, 30), (18, 15, 12)
     M = rng.standard_normal((h, h))
     ip = InnerProduct.dense((M @ M.T + h * np.eye(h)) / h)
     core = BTensor(rng.standard_normal(ranks + (h,)), ip)
