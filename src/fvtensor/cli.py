@@ -5,13 +5,17 @@ Subcommands: ``gen`` writes synthetic family tensors to FVT files,
 ``hosvd`` computes a truncated higher-order SVD with its spectra,
 ``compare`` tabulates adaptive-vs-HOSVD errors per iteration, ``eval``
 evaluates a stored model at a parameter point, and ``info`` summarizes a
-file.  Exit codes: 0 success, 1 usage error, 2 data error.
+file.  ``build``, ``hosvd`` and ``compare`` read one source: an FVT file
+(``--input``) or a synthetic family (``--family`` with ``--dims`` and
+``--h``); ``gen`` takes a family only.  Each command takes only the flags
+it reads, and every flag value is checked as it is parsed, so a malformed
+or conflicting command line fails before any file is read.  Exit codes: 0
+success, 1 usage error, 2 data error.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,6 +24,7 @@ from . import problems, rom
 from .aca import AbcConfig, abc_sweeps, tucker_abc
 from .btensor import (
     DEFAULT_TOL,
+    SLAB,
     BTensor,
     error_norm,
     fro_norm,
@@ -27,8 +32,8 @@ from .btensor import (
     hosvd_error,
     hosvd_error_bound,
 )
-from .fvt import FvtError, MAGIC, load_fvt, read_dims, save_fvt
-from .hilbert import InnerProduct, InnerProductError
+from .fvt import MAGIC, load_fvt, read_dims, save_fvt
+from .hilbert import InnerProduct
 from .sampler import CachedOracle, EntryOracle
 
 
@@ -37,8 +42,21 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Parser whose errors are ``UsageError``s.  ``--dims`` and ``--h``
+    describe a ``--family`` source, so either one beside ``--input`` is
+    an error too."""
+
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        if getattr(ns, "input", None) is not None:
+            for flag in ("dims", "h"):
+                if getattr(ns, flag, None) is not None:
+                    self.error(f"argument --{flag}: not allowed with "
+                               "argument --input")
+        return ns, rest
 
 
 def _fmt(x):
@@ -87,34 +105,42 @@ def _int_at_least(low):
     return parse
 
 
-def _resolve_gram(spec_text, h):
+def _parse_gram(text):
+    """``--gram``: ``identity``, ``diagonal:FILE`` or ``dense:FILE``, as
+    the pair (kind, FILE or ``None``)."""
+    kind, _, path = text.partition(":")
+    if text == "identity":
+        return kind, None
+    if kind not in ("diagonal", "dense") or not path:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not identity, diagonal:FILE or dense:FILE")
+    return kind, path
+
+
+def _resolve_gram(gram, h):
     """The ``--gram`` inner product for a source of coefficient length
     ``h``; a Gram file of another length is a ``ValueError``."""
-    if spec_text is None:
+    if gram is None:
         return None
-    if spec_text == "identity":
+    kind, path = gram
+    if kind == "identity":
         return InnerProduct.identity(h)
-    if spec_text.startswith("diagonal:"):
-        w = np.fromfile(spec_text.split(":", 1)[1], dtype="<f8")
-        ip = InnerProduct.diagonal(w)
-    elif spec_text.startswith("dense:"):
-        g = np.fromfile(spec_text.split(":", 1)[1], dtype="<f8")
-        h_file = math.isqrt(g.size)
-        if h_file * h_file != g.size:
-            raise ValueError(f"--gram {spec_text} holds {g.size} floats, "
-                             "not a square h*h Gram")
-        ip = InnerProduct.dense(g.reshape(h_file, h_file))
+    values = np.fromfile(path, dtype="<f8")
+    if kind == "diagonal":
+        ip = InnerProduct.diagonal(values)
     else:
-        raise UsageError(f"cannot parse gram spec {spec_text!r}")
+        h_file = math.isqrt(values.size)
+        if h_file * h_file != values.size:
+            raise ValueError(f"--gram dense:{path} holds {values.size} "
+                             "floats, not a square h*h Gram")
+        ip = InnerProduct.dense(values.reshape(h_file, h_file))
     if ip.h != h:
-        raise ValueError(f"--gram {spec_text} has length {ip.h}, "
+        raise ValueError(f"--gram {kind}:{path} has length {ip.h}, "
                          f"but the source has h={h}")
     return ip
 
 
 def _family_spec(args):
-    if args.family is None:
-        return None
     if args.dims is None or args.h is None:
         raise UsageError("--family requires --dims and --h")
     return problems.FamilySpec(
@@ -133,8 +159,6 @@ def _load_source(args, need_dense):
         oracle = EntryOracle.from_tensor(A)
     else:
         spec = _family_spec(args)
-        if spec is None:
-            raise UsageError("give either --input or --family")
         grids = problems.param_grids(spec)
         A = problems.make_tensor(spec) if need_dense else None
         oracle = (EntryOracle.from_tensor(A) if need_dense
@@ -163,8 +187,6 @@ def _abc_config(args, dims):
 
 
 def _cmd_gen(args):
-    if args.family is None or args.input is not None:
-        raise UsageError("gen requires --family and takes no --input")
     A, _, _ = _load_source(args, need_dense=True)
     save_fvt(A, args.out)
     print(f"wrote {args.out}: dims={A.dims} h={A.h} gram={A.ip.kind}")
@@ -244,17 +266,20 @@ def _cmd_compare(args):
 
     Whitening is an isometry from H onto Euclidean R^h, so norms, HOSVD
     spectra, rook pivots and cross factors are the same in whitened
-    coordinates.  ``A`` is whitened in place, one mode-0 slab at a time,
-    and taken under the identity Gram; the sweep samples that, so no later
-    pass over the tensor pays a Gram product, and the process holds one
-    copy of the tensor.  The reference HOSVD is truncated at ``--tol`` or
+    coordinates.  ``A`` is whitened in place, at most ``SLAB`` floats of
+    its flat ``(N, h)`` view at a time, and taken under the identity Gram;
+    the sweep samples that, so no later pass over the tensor pays a Gram
+    product, and the process holds one copy of the tensor.  The reference HOSVD is truncated at ``--tol`` or
     the default tolerance, whichever is smaller: the sweep stops at
     ``--tol``, and a reference cut there would score its ranks as exact.
     """
     A, _, _ = _load_source(args, need_dense=True)
-    for a in A.data:
-        a[...] = A.ip.whiten(a)
-    A = BTensor(A.data, InnerProduct.identity(A.h))
+    data = np.ascontiguousarray(A.data)
+    flat = data.reshape(-1, A.h)
+    step = max(1, SLAB // A.h)
+    for s in range(0, flat.shape[0], step):
+        flat[s:s + step] = A.ip.whiten(flat[s:s + step])
+    A = BTensor(data, InnerProduct.identity(A.h))
     cached = CachedOracle(EntryOracle.from_tensor(A), threads=args.threads)
     norm_a = fro_norm(A)
     if norm_a <= 0.0:
@@ -319,28 +344,32 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    def add_common(p):
-        p.add_argument("--input", help="FVT tensor file")
-        p.add_argument("--family", choices=problems.FAMILIES)
+    def add_family(p):
         p.add_argument("--dims", help="comma-separated sizes, e.g. 50,50,50")
         p.add_argument("--h", type=_int_at_least(1),
                        help="coefficient dimension")
-        p.add_argument("--gram",
+        p.add_argument("--gram", type=_parse_gram,
                        help="identity | diagonal:FILE | dense:FILE")
         p.add_argument("--seed", type=_int_at_least(0), default=0)
+
+    def add_common(p):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="FVT tensor file")
+        source.add_argument("--family", choices=problems.FAMILIES)
+        add_family(p)
         p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
 
     def add_abc(p):
-        p.add_argument("--threads", type=_int_at_least(1),
-                       default=os.environ.get("FVT_THREADS", "1"))
+        p.add_argument("--threads", type=_int_at_least(1), default=1)
         p.add_argument("--iters", type=_int_at_least(1), required=True)
         p.add_argument("--rook", type=_int_at_least(0), default=1)
         p.add_argument("--aux", type=_int_at_least(1), default=3)
 
     p = sub.add_parser("gen", help="generate a synthetic tensor file")
-    add_common(p)
+    p.add_argument("--family", choices=problems.FAMILIES, required=True)
+    add_family(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, input=None)
 
     p = sub.add_parser("build", help="run the adaptive sampler, store a model")
     add_common(p)
@@ -375,19 +404,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FvtError, InnerProductError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    # FvtError, InnerProductError and JSONDecodeError are ValueErrors
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

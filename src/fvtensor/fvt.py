@@ -26,14 +26,13 @@ import sys
 
 import numpy as np
 
-from .btensor import BTensor
+from .btensor import SLAB, BTensor
 from .hilbert import InnerProduct, InnerProductError
 
 MAGIC = b"FVT1"
 VERSION = 1
 _GRAM_CODES = {"identity": 0, "diagonal": 1, "dense": 2}
 _GRAM_KINDS = {v: k for k, v in _GRAM_CODES.items()}
-_CHECK_CHUNK = 1 << 16  # coefficients per finiteness mask in load_fvt
 
 
 class FvtError(ValueError):
@@ -159,8 +158,8 @@ def load_fvt(path):
     if sys.byteorder == "big":
         data.byteswap(inplace=True)
     flat = data.reshape(-1)
-    for start in range(0, flat.size, _CHECK_CHUNK):
-        finite = np.isfinite(flat[start:start + _CHECK_CHUNK])
+    for start in range(0, flat.size, SLAB):
+        finite = np.isfinite(flat[start:start + SLAB])
         if not finite.all():
             at = np.unravel_index(start + np.argmin(finite), data.shape)
             raise NonFiniteEntry("non-finite coefficient in entry "

@@ -44,15 +44,20 @@ class InnerProduct:
     kind : str
         One of ``"identity"``, ``"diagonal"``, ``"dense"``.
     weights : ndarray, optional
-        Strictly positive weights of length ``h`` (diagonal kind).
+        Strictly positive finite weights of length ``h`` (diagonal kind).
     gram : ndarray, optional
-        Symmetric positive-definite ``h x h`` matrix (dense kind).
+        ``h x h`` matrix (dense kind): finite, symmetric to within a 1e-12
+        relative tolerance and positive definite.  The stored ``gram`` is
+        its symmetric part, so file round-trips stay SPD.
 
+    The constructor checks the specification, raising a typed
+    :class:`InnerProductError` on a violation, and takes the Cholesky
+    factor ``chol`` in the same step: ``None`` for the identity, the
+    vector ``sqrt(weights)`` for the diagonal kind, and the
+    lower-triangular ``L`` with ``gram = L L^T`` for the dense kind.
     Instances are immutable after construction; the stored arrays are
-    marked read-only so they can be shared freely across threads.
-    ``chol`` holds the Cholesky factor of the Gram matrix: ``None`` for
-    the identity, the vector ``sqrt(weights)`` for the diagonal kind, and
-    the lower-triangular ``L`` with ``gram = L L^T`` for the dense kind.
+    copies of the arguments, marked read-only, so they can be shared
+    freely across threads.
     """
 
     __slots__ = ("h", "kind", "weights", "gram", "chol")
@@ -62,28 +67,40 @@ class InnerProduct:
             raise InnerProductError("coefficient dimension must be positive")
         self.h = int(h)
         self.kind = kind
+        self.weights = self.gram = self.chol = None
         if kind == "identity":
-            self.weights = None
-            self.gram = None
-        elif kind == "diagonal":
-            w = np.asarray(weights, dtype=float).reshape(-1)
-            self.weights = w
-            self.gram = None
+            return
+        if kind == "diagonal":
+            w = np.array(weights, dtype=float).reshape(-1)
+            if w.shape != (self.h,):
+                raise InnerProductError("weight vector length does not match h")
+            if not np.all(np.isfinite(w)):
+                raise NonPositiveWeightError("weights must be finite")
+            if np.any(w <= 0.0):
+                raise NonPositiveWeightError("weights must be strictly positive")
+            self.weights, self.chol = w, np.sqrt(w)
         elif kind == "dense":
-            g = np.array(gram, dtype=float)
-            self.gram = g
-            self.weights = None
+            g = np.asarray(gram, dtype=float)
+            if g.shape != (self.h, self.h):
+                raise InnerProductError("Gram matrix shape does not match h")
+            if not np.all(np.isfinite(g)):
+                raise NonSPDError("Gram matrix must be finite")
+            scale = np.max(np.abs(g))
+            if scale == 0.0:
+                raise NonSPDError("Gram matrix is zero")
+            if np.max(np.abs(g - g.T)) > SYMMETRY_RTOL * scale:
+                raise NonSymmetricError("Gram matrix is not symmetric")
+            self.gram = 0.5 * (g + g.T)
+            try:
+                self.chol = np.linalg.cholesky(self.gram)
+            except np.linalg.LinAlgError:
+                raise NonSPDError(
+                    "Gram matrix is not positive definite") from None
         else:
             raise InnerProductError(f"unknown Gram kind {kind!r}")
-        self.chol = validate(self)
-        if self.kind == "dense":
-            # symmetrize after validation so file round-trips stay SPD
-            self.gram = 0.5 * (self.gram + self.gram.T)
-            self.gram.flags.writeable = False
-        if self.weights is not None:
-            self.weights.flags.writeable = False
-        if self.chol is not None:
-            self.chol.flags.writeable = False
+        for a in (self.weights, self.gram, self.chol):
+            if a is not None:
+                a.flags.writeable = False
 
     @classmethod
     def identity(cls, h):
@@ -107,44 +124,38 @@ class InnerProduct:
             )
         return x
 
-    def _flat(self, x, M):
-        """``x @ M`` along the last axis as one flat ``(N, h) @ M``.
+    def _times(self, x, vec, mat):
+        """``x`` times the diagonal ``vec`` or the dense ``mat`` of this
+        kind along the last axis; the identity returns ``x`` itself.
 
-        A stacked matmul takes another BLAS path when the second-to-last
-        axis has length 1, so the last bits of an entry would depend on
-        its grid's shape.  The product is written into an array of
-        ``x``'s shape, not returned as a reshaped view: numpy reuses an
-        owning temporary in place in :meth:`pair`'s product.
+        The dense product is one flat ``(N, h) @ mat``: a stacked matmul
+        takes another BLAS path when the second-to-last axis has length
+        1, so the last bits of an entry would depend on its grid's shape.
+        It is written into an array of ``x``'s shape, not returned as a
+        reshaped view: numpy reuses an owning temporary in place in
+        :meth:`pair`'s product.
         """
-        out = np.empty(x.shape)
-        np.matmul(x.reshape(-1, self.h), M, out=out.reshape(-1, self.h))
-        return out
-
-    def apply(self, x):
-        """Apply the Gram matrix along the last axis of ``x``; the dense
-        product is one flat ``(N, h) @ G``."""
         x = self._check(x)
         if self.kind == "identity":
             return x
         if self.kind == "diagonal":
-            return x * self.weights
-        return self._flat(x, self.gram)
+            return x * vec
+        out = np.empty(x.shape)
+        np.matmul(x.reshape(-1, self.h), mat, out=out.reshape(-1, self.h))
+        return out
+
+    def apply(self, x):
+        """Apply the Gram matrix along the last axis of ``x``."""
+        return self._times(x, self.weights, self.gram)
 
     def whiten(self, x):
         """Apply ``L^T`` along the last axis of ``x``.
 
         Euclidean inner products of whitened vectors are the H-inner
         products of the originals.  The identity returns ``x`` itself,
-        so whitening costs nothing once the Gram is the identity; the
-        dense product is one flat ``(N, h) @ L``, whose bits do not
-        depend on the shape of ``x``.
+        so whitening costs nothing once the Gram is the identity.
         """
-        x = self._check(x)
-        if self.kind == "identity":
-            return x
-        if self.kind == "diagonal":
-            return x * self.chol
-        return self._flat(x, self.chol)
+        return self._times(x, self.chol, self.chol)
 
     def unwhiten(self, y):
         """Inverse of :meth:`whiten`: solve ``L^T x = y`` along the last axis."""
@@ -168,51 +179,12 @@ class InnerProduct:
     def __eq__(self, other):
         if not isinstance(other, InnerProduct):
             return NotImplemented
-        if self.h != other.h or self.kind != other.kind:
-            return False
-        if self.kind == "diagonal":
-            return np.array_equal(self.weights, other.weights)
-        if self.kind == "dense":
-            return np.array_equal(self.gram, other.gram)
-        return True
+        return (self.h == other.h and self.kind == other.kind
+                and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.gram, other.gram))
 
     def __repr__(self):
         return f"InnerProduct(h={self.h}, kind={self.kind!r})"
-
-
-def validate(ip):
-    """Check the Gram specification; raise a typed error on violation.
-
-    Diagonal weights must be strictly positive and finite.  A dense Gram
-    must be symmetric to within a 1e-12 relative tolerance and admit a
-    Cholesky factorization.  Returns the Cholesky factor in the form
-    :attr:`InnerProduct.chol` stores it.
-    """
-    if ip.kind == "identity":
-        return None
-    if ip.kind == "diagonal":
-        w = ip.weights
-        if w.shape != (ip.h,):
-            raise InnerProductError("weight vector length does not match h")
-        if not np.all(np.isfinite(w)):
-            raise NonPositiveWeightError("weights must be finite")
-        if np.any(w <= 0.0):
-            raise NonPositiveWeightError("weights must be strictly positive")
-        return np.sqrt(w)
-    g = ip.gram
-    if g.shape != (ip.h, ip.h):
-        raise InnerProductError("Gram matrix shape does not match h")
-    if not np.all(np.isfinite(g)):
-        raise NonSPDError("Gram matrix must be finite")
-    scale = np.max(np.abs(g))
-    if scale == 0.0:
-        raise NonSPDError("Gram matrix is zero")
-    if np.max(np.abs(g - g.T)) > SYMMETRY_RTOL * scale:
-        raise NonSymmetricError("Gram matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(0.5 * (g + g.T))
-    except np.linalg.LinAlgError:
-        raise NonSPDError("Gram matrix is not positive definite") from None
 
 
 def _check_pair(u, v, ip):

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bmatrix import _canonical_index_set
 from .btensor import BTensor, TuckerCrossModel, _contract
 from .fvt import load_fvt, save_fvt
 
@@ -217,15 +218,15 @@ def _from_hex(values, shape):
     return out.reshape(shape)
 
 
-def save_model(rm, path, core_path=None):
-    """Persist a ROM as JSON plus a companion FVT file for the core.
+def save_model(rm, path):
+    """Persist a ROM as JSON plus a companion FVT file for the core, the
+    path with ``.json`` replaced by (or followed by) ``.core.fvt``.
 
     Floats are hex-encoded for a bit-exact round-trip; index sets are
     stored as 1-based sorted lists.
     """
-    if core_path is None:
-        base = path[:-5] if path.endswith(".json") else path
-        core_path = base + ".core.fvt"
+    base = path[:-5] if path.endswith(".json") else path
+    core_path = base + ".core.fvt"
     save_fvt(rm.model.core, core_path)
     doc = {
         "format": "fvt-rom",
@@ -247,7 +248,13 @@ def save_model(rm, path, core_path=None):
 
 
 def load_model(path):
-    """Load a ROM saved by :func:`save_model`."""
+    """Load a ROM saved by :func:`save_model`, checking what it loads.
+
+    Mode ``k``'s index set must be sorted, distinct and inside
+    ``[0, dims[k])``; its length must be the core's size in mode ``k``;
+    and factor ``k`` must be a finite ``dims[k] x |I_k|`` matrix.  A
+    violation is a ``ValueError`` naming the mode.
+    """
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format") != "fvt-rom" or doc.get("version") != 1:
@@ -256,10 +263,27 @@ def load_model(path):
                              doc["core_file"])
     core = load_fvt(core_path)
     dims = tuple(int(n) for n in doc["dims"])
-    index_sets = tuple(tuple(int(i) - 1 for i in I) for I in doc["index_sets"])
-    factors = [_from_hex(F["data"], (F["rows"], F["cols"]))
-               for F in doc["factors"]]
-    model = TuckerCrossModel(index_sets=index_sets, core=core,
+    sets, docs = doc["index_sets"], doc["factors"]
+    if not len(sets) == len(docs) == core.d == len(dims):
+        raise ValueError(f"{len(dims)} dims, {len(sets)} index sets, "
+                         f"{len(docs)} factors and a core of order {core.d}")
+    index_sets, factors = [], []
+    for k, (n, raw, F) in enumerate(zip(dims, sets, docs)):
+        I = [int(i) - 1 for i in raw]
+        if _canonical_index_set(I, n, f"mode {k}") != I:
+            raise ValueError(f"mode {k} index set is not sorted and distinct")
+        shape = (n, len(I))
+        if (F["rows"], F["cols"]) != shape or core.dims[k] != len(I):
+            raise ValueError(
+                f"mode {k} factor is {F['rows']} x {F['cols']} and the core "
+                f"has {core.dims[k]} in mode {k}, but dims and the index set "
+                f"give {n} x {len(I)}")
+        Fk = _from_hex(F["data"], shape)
+        if not np.all(np.isfinite(Fk)):
+            raise ValueError(f"mode {k} factor holds a non-finite entry")
+        index_sets.append(tuple(I))
+        factors.append(Fk)
+    model = TuckerCrossModel(index_sets=tuple(index_sets), core=core,
                              factors=factors, dims=dims)
     nodes = [_from_hex(g, (len(g),)) for g in doc["grids"]]
     return rom_from_parts(model, nodes, doc["basis"])

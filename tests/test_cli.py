@@ -230,6 +230,50 @@ def test_eval_non_finite_grid_node_exit_2(tmp_path, capsys, node):
     assert "grid for mode 1 holds a non-finite node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda d: d["factors"][1]["data"].__setitem__(3, "nan"),
+                 "mode 1 factor holds a non-finite entry", id="nan"),
+    pytest.param(lambda d: d["factors"][2]["data"].__setitem__(0, "inf"),
+                 "mode 2 factor holds a non-finite entry", id="inf"),
+    pytest.param(lambda d: d["factors"][0]["data"].__setitem__(0, "-inf"),
+                 "mode 0 factor holds a non-finite entry", id="minus-inf"),
+    pytest.param(lambda d: d["factors"][1].update(rows=4),
+                 "mode 1 factor is 4 x", id="rows"),
+    pytest.param(lambda d: d["factors"][0].update(cols=1),
+                 "mode 0 factor is 6 x 1", id="cols"),
+    pytest.param(lambda d: d["index_sets"][2].pop(),
+                 "mode 2 factor is", id="index-set-shorter-than-core"),
+    pytest.param(lambda d: d["dims"].__setitem__(0, 7),
+                 "mode 0 factor is 6 x", id="dims"),
+    pytest.param(lambda d: d["index_sets"][1].__setitem__(-1, 6),
+                 "mode 1 index set out of range for size 5",
+                 id="index-past-dims"),
+    pytest.param(lambda d: d["index_sets"][0].__setitem__(0, 0),
+                 "mode 0 index set out of range for size 6",
+                 id="index-zero"),
+    pytest.param(lambda d: d["index_sets"][2].reverse(),
+                 "mode 2 index set is not sorted and distinct",
+                 id="index-unsorted"),
+    pytest.param(lambda d: d["factors"].pop(),
+                 "3 dims, 3 index sets, 2 factors", id="missing-factor"),
+])
+def test_eval_refuses_an_inconsistent_model_exit_2(tmp_path, capsys, edit,
+                                                   named):
+    model = str(tmp_path / "m.json")
+    assert main(["build", "--family", "lowrank_plus_decay", "--dims", "6,5,4",
+                 "--h", "8", "--iters", "2", "--seed", "9",
+                 "--out", model]) == 0
+    with open(model) as f:
+        doc = json.load(f)
+    assert all(len(I) >= 2 for I in doc["index_sets"])
+    edit(doc)
+    with open(model, "w") as f:
+        json.dump(doc, f)
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--params", "0.5,0.5,0.5"]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_hosvd_outputs(tmp_path):
     base = str(tmp_path / "dec")
     assert main(["hosvd", "--family", "lowrank_plus_decay", "--dims", "8,7,6",
@@ -465,33 +509,17 @@ def test_gen_gram_overrides_family_default(tmp_path):
                      "dense": "dense"}
 
 
-def test_env_threads_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("FVT_THREADS", "2")
-    out = str(tmp_path / "cmp.tsv")
-    assert main(["compare", "--family", "separable", "--dims", "6,6,6",
-                 "--h", "4", "--iters", "2", "--out", out]) == 0
-
-
-def test_bad_env_threads_is_a_usage_error_where_threads_is_taken(
-        tmp_path, monkeypatch, capsys):
-    doc = tmp_path / "doc.json"
-    doc.write_text("{}")
+def test_threads_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys):
     source = ["--family", "separable", "--dims", "4,4,4", "--h", "2"]
     build = ["build", *source, "--iters", "1",
              "--out", str(tmp_path / "m.json")]
-    monkeypatch.setenv("FVT_THREADS", "x")
-    # info, gen and hosvd take no --threads, so the variable is not read
-    assert main(["info", "--input", str(doc)]) == 0
-    assert main(["gen", *source, "--out", str(tmp_path / "t.fvt")]) == 0
-    assert main(["hosvd", *source, "--out", str(tmp_path / "h")]) == 0
-    capsys.readouterr()
-    assert main(build) == 1
-    assert "argument --threads" in capsys.readouterr().err
-    monkeypatch.delenv("FVT_THREADS")
     for bad in ("0", "-3"):
         assert main(build + ["--threads", bad]) == 1
         assert "argument --threads" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+    # --threads has no environment fallback: the variable is not read
+    monkeypatch.setenv("FVT_THREADS", "x")
+    assert main(build) == 0
 
 
 def spy_reads(monkeypatch):
@@ -560,13 +588,64 @@ def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+FAMILY = ["--family", "separable", "--dims", "5,5,5", "--h", "4"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["build", "--input", "{fvt}", "--family", "gaussian_bump",
+                  "--dims", "9,9,9", "--h", "300", "--iters", "1"],
+                 "argument --family: not allowed with argument --input",
+                 id="build-input-and-family"),
+    pytest.param(["build", "--input", "{fvt}", "--dims", "9,9,9",
+                  "--iters", "1"],
+                 "argument --dims: not allowed with argument --input",
+                 id="build-input-dims"),
+    pytest.param(["compare", "--input", "{fvt}", "--h", "4", "--iters", "1"],
+                 "argument --h: not allowed with argument --input",
+                 id="compare-input-h"),
+    pytest.param(["hosvd", "--input", "{fvt}", "--dims", "5,5,5",
+                  "--rank", "2,2,2"],
+                 "argument --dims: not allowed with argument --input",
+                 id="hosvd-input-dims"),
+    pytest.param(["hosvd", "--dims", "5,5,5", "--h", "4"],
+                 "one of the arguments --input --family is required",
+                 id="hosvd-no-source"),
+    pytest.param(["gen", *FAMILY, "--tol", "0.5"],
+                 "unrecognized arguments: --tol", id="gen-tol"),
+    pytest.param(["gen", "--input", "{fvt}"],
+                 "the following arguments are required: --family",
+                 id="gen-input"),
+    pytest.param(["hosvd", "--family", "separable", "--dims", "20,20,20",
+                  "--h", "8", "--gram", "bogus"], "argument --gram",
+                 id="hosvd-gram-bogus"),
+    pytest.param(["build", *FAMILY, "--gram", "dense:", "--iters", "1"],
+                 "argument --gram", id="build-gram-no-file"),
+    pytest.param(["gen", *FAMILY, "--gram", "diagonal"], "argument --gram",
+                 id="gen-gram-no-colon"),
+])
+def test_conflicting_source_flags_exit_1_before_any_read(
+        tmp_path, capsys, monkeypatch, argv, named):
+    fvt = tmp_path / "g.fvt"
+    save_fvt(BTensor(np.ones((5, 5, 5, 4)), InnerProduct.identity(4)), fvt)
+    reads = spy_reads(monkeypatch)
+    monkeypatch.setattr(cli, "load_fvt", reads.append)
+    monkeypatch.setattr(cli, "read_dims", reads.append)
+    argv = [str(fvt) if t == "{fvt}" else t for t in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.fvt"]
+
+
 # a command line per command that runs, as flag -> value; the typed flags
 # (all but --family) are the ones a malformed value replaces
 SOURCE = {"--family": "separable", "--dims": "4,4,4", "--h": "2",
-          "--seed": "0", "--tol": "1e-12"}
+          "--seed": "0", "--gram": "identity"}
+TOL = {"--tol": "1e-12"}
 ABC = {"--iters": "1", "--aux": "2", "--rook": "1", "--threads": "1"}
-LINES = {"gen": SOURCE, "hosvd": {**SOURCE, "--rank": "2,2,2"},
-         "build": {**SOURCE, **ABC}, "compare": {**SOURCE, **ABC},
+LINES = {"gen": SOURCE, "hosvd": {**SOURCE, **TOL, "--rank": "2,2,2"},
+         "build": {**SOURCE, **TOL, **ABC},
+         "compare": {**SOURCE, **TOL, **ABC},
          "eval": {"--params": "0.5,0.5,0.5"}}
 TYPED = {command: sorted(set(line) - {"--family"})
          for command, line in LINES.items()}

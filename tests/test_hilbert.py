@@ -3,12 +3,12 @@ import pytest
 
 from fvtensor.hilbert import (
     InnerProduct,
+    InnerProductError,
     NonPositiveWeightError,
     NonSPDError,
     NonSymmetricError,
     dot,
     norm,
-    validate,
 )
 
 from conftest import GRAM_KINDS, make_ip
@@ -46,10 +46,6 @@ def test_norm_zero_and_pythagoras():
     assert norm([3.0, 4.0], InnerProduct.identity(2)) == pytest.approx(5.0)
     assert norm([1.0, 1.0], InnerProduct.diagonal([2.0, 3.0])) == \
         pytest.approx(np.sqrt(5.0))
-
-
-def test_validate_identity_ok():
-    validate(InnerProduct.identity(3))
 
 
 def test_validate_negative_weight():
@@ -92,6 +88,85 @@ def test_immutability():
     ip = InnerProduct.diagonal([1.0, 2.0])
     with pytest.raises(ValueError):
         ip.weights[0] = 5.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, error", [
+    pytest.param(lambda: InnerProduct(0), InnerProductError, id="h-0"),
+    pytest.param(lambda: InnerProduct(-2, "dense", gram=np.eye(2)),
+                 InnerProductError, id="h-negative"),
+    pytest.param(lambda: InnerProduct.identity(0), InnerProductError,
+                 id="identity-h-0"),
+    pytest.param(lambda: InnerProduct.diagonal([]), InnerProductError,
+                 id="diagonal-empty"),
+    pytest.param(lambda: InnerProduct.dense(np.zeros((0, 0))),
+                 InnerProductError, id="dense-empty"),
+    pytest.param(lambda: InnerProduct(2, "sparse"), InnerProductError,
+                 id="unknown-kind"),
+    pytest.param(lambda: InnerProduct(3, "diagonal", weights=[1.0, 2.0]),
+                 InnerProductError, id="weights-short"),
+    pytest.param(lambda: InnerProduct(2, "diagonal"), InnerProductError,
+                 id="weights-missing"),
+    pytest.param(lambda: InnerProduct(1, "diagonal", weights=[[1.0, 2.0]]),
+                 InnerProductError, id="weights-long"),
+    pytest.param(lambda: InnerProduct.diagonal([1.0, NAN]),
+                 NonPositiveWeightError, id="weights-nan"),
+    pytest.param(lambda: InnerProduct(2, "diagonal", weights=[INF, 1.0]),
+                 NonPositiveWeightError, id="weights-inf"),
+    pytest.param(lambda: InnerProduct.diagonal([1.0, 0.0]),
+                 NonPositiveWeightError, id="weights-zero"),
+    pytest.param(lambda: InnerProduct.diagonal([1.0, -1.0]),
+                 NonPositiveWeightError, id="weights-negative"),
+    pytest.param(lambda: InnerProduct(2, "dense", gram=np.ones((2, 3))),
+                 InnerProductError, id="gram-non-square"),
+    pytest.param(lambda: InnerProduct.dense(np.ones((2, 3))),
+                 InnerProductError, id="gram-non-square-classmethod"),
+    pytest.param(lambda: InnerProduct(3, "dense", gram=np.eye(2)),
+                 InnerProductError, id="gram-wrong-h"),
+    pytest.param(lambda: InnerProduct(2, "dense"), InnerProductError,
+                 id="gram-missing"),
+    pytest.param(lambda: InnerProduct.dense([[1.0, NAN], [NAN, 1.0]]),
+                 NonSPDError, id="gram-nan"),
+    pytest.param(lambda: InnerProduct.dense([[INF, 0.0], [0.0, 1.0]]),
+                 NonSPDError, id="gram-inf"),
+    pytest.param(lambda: InnerProduct.dense(np.zeros((2, 2))), NonSPDError,
+                 id="gram-zero"),
+    pytest.param(lambda: InnerProduct(2, "dense",
+                                      gram=[[1.0, 0.5], [0.0, 1.0]]),
+                 NonSymmetricError, id="gram-asymmetric"),
+    pytest.param(lambda: InnerProduct.dense([[1.0, 2.0], [2.0, 1.0]]),
+                 NonSPDError, id="gram-indefinite"),
+    pytest.param(lambda: InnerProduct.dense([[1.0, 1.0], [1.0, 1.0]]),
+                 NonSPDError, id="gram-singular"),
+])
+def test_constructor_refuses_bad_specs(make, error):
+    # the exact type: fvt and the CLI report InnerProductError subclasses
+    with pytest.raises(InnerProductError) as info:
+        make()
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_stored_arrays_are_read_only_copies(kind):
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((4, 4))
+    arg = {"identity": None, "diagonal": 0.5 + rng.random(4),
+           "dense": (M @ M.T + 4 * np.eye(4)) / 4}[kind]
+    # each kind reads only its own argument
+    ip = InnerProduct(4, kind, weights=arg, gram=arg)
+    stored = [a for a in (ip.weights, ip.gram, ip.chol) if a is not None]
+    assert len(stored) == (0 if kind == "identity" else 2)
+    for a in stored:
+        assert not a.flags.writeable
+        assert arg is None or not np.shares_memory(a, arg)
+    if arg is not None:
+        # the caller's array is neither frozen nor read later
+        before = ip.weights.copy() if kind == "diagonal" else ip.gram.copy()
+        arg[...] = 7.0
+        assert np.array_equal(
+            ip.weights if kind == "diagonal" else ip.gram, before)
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)

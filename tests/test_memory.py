@@ -23,6 +23,7 @@ from fvtensor.btensor import (
     fro_norm,
     hosvd,
 )
+from fvtensor import cli
 from fvtensor.cli import main
 from fvtensor.fvt import load_fvt, save_fvt
 from fvtensor.hilbert import InnerProduct
@@ -123,9 +124,31 @@ def test_hosvd_of_a_one_way_tensor_copies_nothing():
     assert peak < res.decomp.core.data.nbytes + SHARE * A.data.nbytes
 
 
-def test_compare_keeps_one_copy_of_the_tensor(tensor, path, tmp_path):
+class Stop(Exception):
+    pass
+
+
+def test_compare_keeps_one_copy_of_the_tensor(tensor, path, tmp_path,
+                                              monkeypatch):
     out = tmp_path / "c.tsv"
     code, peak = peak_above_start(lambda: main(
         ["compare", "--input", path, "--iters", "4", "--out", str(out)]))
     assert code == 0
     assert peak - tensor.data.nbytes < SHARE * tensor.data.nbytes
+    # a (2, 60, 60) tensor under the same Gram, whose mode-0 slices are
+    # each half of it: compare whitens it in place, and must not do so one
+    # such slice at a time.  The run stops where the sampler is made, so
+    # the peak is that of the load and the whitening: the later passes
+    # hold a few slabs at once, over a quarter of a tensor seven slabs long
+    thin = make_tensor(FamilySpec("separable", (2, 60, 60), 64,
+                                  gram=tensor.ip.kind))
+    save_fvt(thin, tmp_path / "thin.fvt")
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(cli, "CachedOracle", stop)
+    _, peak = peak_above_start(lambda: pytest.raises(Stop, main, [
+        "compare", "--input", str(tmp_path / "thin.fvt"), "--iters", "4",
+        "--out", str(out)]))
+    assert peak - thin.data.nbytes < SHARE * thin.data.nbytes

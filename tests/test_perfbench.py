@@ -1,10 +1,11 @@
-"""The benchmark tracer in ``perfbench/spans.py`` binds library names.
+"""The benchmark in ``perfbench/`` binds library names and command lines.
 
-``Tracer.install`` wraps every public function of the traced layers and
-a fixed list of ``CachedOracle`` and ``InnerProduct`` methods by name, and
-raises ``KeyError`` when one of those methods is gone.  These tests keep
-the library's names, the harness and the per-layer metrics of
-``BENCHMARK.json`` in step.
+``Tracer.install`` (``perfbench/spans.py``) wraps every public function
+of the traced layers and a fixed list of ``CachedOracle`` and
+``InnerProduct`` methods by name, and raises ``KeyError`` when one of
+those methods is gone; ``perfbench/worker.py`` runs ``fvt`` command
+lines.  These tests keep the library's names, its command-line syntax,
+the harness and the per-layer metrics of ``BENCHMARK.json`` in step.
 """
 
 import importlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import fvtensor.aca as aca
 import fvtensor.btensor as btensor
+import fvtensor.cli as cli
 import fvtensor.problems as problems
 from fvtensor.sampler import CachedOracle
 
@@ -64,3 +66,23 @@ def test_per_layer_metrics_name_live_spans(monkeypatch):
     named = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
              if m["name"].endswith((".calls", ".self_s"))}
     assert named - live <= STALE
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # every fvt line a workload runs must parse as it is written
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    lines = [worker.build_argv(wl.DIMS, wl.H, wl.ITERS, tmp_path / "m.json")
+             for wl in (worker.BuildBump, worker.EvalRom)]
+    monkeypatch.setattr(worker, "run_cli", lambda argv: lines.append(argv)
+                        or True)
+    compare = worker.CompareDense(1, str(tmp_path))
+    compare.setup()
+    compare.op(0)
+    commands = []
+    for argv in lines:
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        commands.append(args.command)
+        assert args.func.__name__ == f"_cmd_{args.command}"
+    assert commands == ["build", "build", "gen", "compare"]
