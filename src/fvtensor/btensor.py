@@ -394,7 +394,9 @@ def hosvd_error(res, ranks):
     over the ``d`` disjoint slabs ``C[:r_1, ..., :r_(k-1), r_k:, ...]``.
     It is exact up to the numerical-rank tail that ``hosvd`` drops, and
     no entry of ``A`` is read.  Ranks above the core's size keep the
-    whole mode.
+    whole mode.  ``fvt compare`` scores its sweep models against the same
+    reference: :func:`error_norm` of the core and the model's factors
+    mapped by ``U_k^T``, so both of its error columns share it.
     """
     C = res.decomp.core
     ranks = [int(r) for r in ranks]
@@ -433,7 +435,14 @@ def error_norm(A, model):
     into one slab-sized array, from which the slab of ``A`` is subtracted
     in place.  Each slab adds ``w @ w`` for its whitened difference ``w``:
     one BLAS dot, and no Gram product once the Gram is the identity.
+    A model whose factor rows or coefficient length differ from ``A``'s
+    dims or ``h`` is a ``ValueError``; the Gram is not compared, so a
+    model may be scored under another geometry than its own.
     """
+    shape = tuple(len(F) for F in model.factors) + (model.core.h,)
+    if shape != A.data.shape:
+        raise ValueError(f"model of shape {shape} cannot be scored against "
+                         f"a tensor of shape {A.data.shape}")
     sq = 0.0
     for cut in _cuts(A, 1):
         M = _contract(model.core.data, [F[cut] if k == 1 else F

@@ -26,6 +26,7 @@ from .btensor import (
     DEFAULT_TOL,
     SLAB,
     BTensor,
+    TuckerDecomp,
     error_norm,
     fro_norm,
     hosvd,
@@ -261,17 +262,26 @@ def _cmd_hosvd(args):
 
 
 def _cmd_compare(args):
-    """Score each sweep's model as the sweep yields it; the HOSVD rows come
-    from the core of one full HOSVD, without reading ``A`` again.
+    """Score each sweep's model as the sweep yields it, in the coordinates
+    of one reference HOSVD ``A ~ G x_k U_k``, without reading ``A`` again.
 
     Whitening is an isometry from H onto Euclidean R^h, so norms, HOSVD
     spectra, rook pivots and cross factors are the same in whitened
     coordinates.  ``A`` is whitened in place, at most ``SLAB`` floats of
     its flat ``(N, h)`` view at a time, and taken under the identity Gram;
     the sweep samples that, so no later pass over the tensor pays a Gram
-    product, and the process holds one copy of the tensor.  The reference HOSVD is truncated at ``--tol`` or
-    the default tolerance, whichever is smaller: the sweep stops at
-    ``--tol``, and a reference cut there would score its ranks as exact.
+    product, and the process holds one copy of the tensor.
+    The reference HOSVD is truncated at ``--tol`` or the default
+    tolerance, whichever is smaller: the sweep stops at ``--tol``, and a
+    reference cut there would score its ranks as exact.
+
+    Both error columns are measured against the reference ``G x_k U_k``.
+    ``hosvd_error`` is read off the core ``G``.  ``abc_error`` scores the
+    model ``M = C x_k F_k`` as ``G - C x_k (U_k^T F_k)``, a pass over the
+    core: with ``P`` the product of the projections onto the ``U_k``, that
+    is ``P(A - M)``, and it differs from ``A - M`` in norm by at most
+    ``|A - G x_k U_k| + |M - M x_k P_k|``, both from the tail the
+    reference drops.
     """
     A, _, _ = _load_source(args, need_dense=True)
     data = np.ascontiguousarray(A.data)
@@ -287,9 +297,12 @@ def _cmd_compare(args):
     full = hosvd(A, None, min(args.tol, DEFAULT_TOL))
 
     lines = ["iterations\trank\tabc_error\thosvd_error\thosvd_bound\tevals\n"]
+    G, U = full.decomp.core, full.decomp.factors
     for model, report in abc_sweeps(cached, _abc_config(args, cached.dims)):
         rk = report.rank_history[-1]
-        e_abc = error_norm(A, model) / norm_a
+        local = TuckerDecomp(model.core, [Uk.T @ F for Uk, F in
+                                          zip(U, model.factors)])
+        e_abc = error_norm(G, local) / norm_a
         e_h = hosvd_error(full, rk) / norm_a
         bound = hosvd_error_bound(full.sigmas, rk) / norm_a
         rank_str = "(" + ", ".join(str(r) for r in rk) + ")"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -670,6 +671,26 @@ def test_relative_error_matches_direct(rng, kind, monkeypatch):
     assert error_norm(A, model) == pytest.approx(diff, rel=1e-10)
     with pytest.raises(ValueError):
         relative_error(BTensor(np.zeros_like(A.data), ip), model)
+
+
+def test_error_norm_refuses_a_model_of_another_shape(rng):
+    # a model of a (5, 5, 5), h=3 tensor broadcast against a (5, 5, 1)
+    # tensor once returned a number; the Gram is not compared, so a model
+    # under the identity Gram is still scored against a dense-Gram tensor
+    A = rand_bt(rng, (5, 5, 5), 3)
+    model = hosvd(A).decomp
+    for dims, h in (((5, 5, 1), 3), ((5, 5, 5), 2), ((5, 5), 3),
+                    ((5, 5, 5, 1), 3)):
+        B = rand_bt(rng, dims, h)
+        shapes = rf"\(5, 5, 5, 3\).*{re.escape(str(B.data.shape))}"
+        with pytest.raises(ValueError, match=shapes):
+            error_norm(B, model)
+        with pytest.raises(ValueError, match=shapes):
+            relative_error(B, model)
+    dense = BTensor(A.data, make_ip("dense", 3, rng))
+    assert error_norm(dense, model) == pytest.approx(
+        fro_norm(BTensor(A.data - assemble(model).data, dense.ip)),
+        abs=1e-12 * fro_norm(dense))
 
 
 def test_scalar_consistency_all_ops(rng):
