@@ -24,9 +24,9 @@ ip_g = fv.InnerProduct.dense((M @ M.T + 6 * np.eye(6)) / 6)
 
 u = rng.standard_normal(6)
 v = rng.standard_normal(6)
-print("dot under identity:", fv.dot(u, v, ip_id))
-print("dot under weights: ", fv.dot(u, v, ip_w))
-print("dot under dense G: ", fv.dot(u, v, ip_g))
+print("pair under identity:", ip_id.pair(u, v))
+print("pair under weights: ", ip_w.pair(u, v))
+print("pair under dense G: ", ip_g.pair(u, v))
 
 # a 5x4 matrix whose column-rank (2) and row-rank (2) both live at the
 # sampled rows I and columns J, so the cross recovers it exactly

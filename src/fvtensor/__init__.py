@@ -9,7 +9,7 @@ cross-sampling algorithm driven by a cached entry oracle, and interpolatory
 reduced-order models built on top of the sampled decompositions.
 """
 
-from .hilbert import InnerProduct, dot, norm
+from .hilbert import InnerProduct
 from .bmatrix import SVDFactors, adjoint_apply, pinv_apply, svd
 from .btensor import (
     BTensor,

@@ -107,25 +107,20 @@ class _ResidualRowView:
         return self.cached.ip.pair(vals, vals)
 
     def col_norms(self, j):
-        return _norms(self._sq_norms(
-            [[int(j)] if l == self.k else a for l, a in enumerate(self.aux)]))
+        grids = [[int(j)] if l == self.k else a for l, a in enumerate(self.aux)]
+        return np.sqrt(self._sq_norms(grids)).reshape(-1)
 
     def row_norms(self, i):
         grids = _fiber_grids(self.cached.dims, self.aux, self.k, i)
         self.fibers.append(self.cached.gather(grids))
-        return _norms(self._sq_norms(grids, self.fibers[-1]))
+        return np.sqrt(self._sq_norms(grids, self.fibers[-1])).reshape(-1)
 
     def all_col_norms(self):
         dims = self.cached.dims
         sq = self._sq_norms([np.arange(n) if l == self.k else self.aux[l]
                              for l, n in enumerate(dims)])
         axes = tuple(l for l in range(len(dims)) if l != self.k)
-        return _norms(np.sum(sq, axis=axes))
-
-
-def _norms(sq):
-    """Flat norms from squared norms; round-off negatives become 0."""
-    return np.sqrt(np.maximum(sq, 0.0)).reshape(-1)
+        return np.sqrt(np.sum(sq, axis=axes))
 
 
 def _fiber_grids(dims, aux, k, c):

@@ -7,16 +7,16 @@ matrix is the 2-way case, an ``(m, n, h)`` array: scalar matrices act on
 it through :func:`~fvtensor.btensor.mode_mul`, its cross approximation
 is :func:`~fvtensor.btensor.tucker_cross` at two index sets, and
 :func:`~fvtensor.btensor.tucker_rank` gives its (row rank, column rank).
-The functions here take 2-way tensors only; the adjoint contracts
-against the Hilbert-space inner product.
+The functions here take 2-way tensors only.
 
 Whitening each entry (:meth:`~fvtensor.hilbert.InnerProduct.whiten`) maps
 a function-valued array isometrically onto a real one, whose mode-``k``
 matrix (:func:`_fiber_rows`) has the singular values and right singular
 vectors of the transposed mode-``k`` unfolding.  Every factorization, here
 and in the tensor layer, reads that one matrix: SVD, numerical rank and
-the applied pseudoinverse are each one LAPACK call on it, and numerical
-rank counts the singular values above ``tol_rel`` times the largest one.
+the applied pseudoinverse are each one LAPACK call on it, the adjoint
+product is one product of two such matrices, and numerical rank counts
+the singular values above ``tol_rel`` times the largest one.
 Singular values and right singular vectors alone are read off its
 triangular factor, by TSQR above ``TSQR_BLOCK`` rows.  The block is 1024
 rows, so that a block of a mode matrix with 100 columns (0.8 MB) stays in
@@ -24,6 +24,7 @@ a 2 MB L2 cache while LAPACK factors it; a 4096-row block (3.2 MB) does
 not, and measured slower (see :func:`_r_factor`).
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +110,11 @@ def adjoint_apply(A, B):
     """Columnwise adjoint product ``A* B`` as a real ``(n, k)`` matrix.
 
     Entry ``(j, l)`` sums the H-inner products of column ``l`` of ``B``
-    against column ``j`` of ``A``.
+    against column ``j`` of ``A``: one product of the whitened matrices
+    (:func:`_whitened`) that :func:`svd` and :func:`pinv_apply` factor.
     """
     _same_rows(A, B)
-    return np.einsum("ijh,ilh->jl", A.data, A.ip.apply(B.data))
+    return _whitened(A).T @ _whitened(B)
 
 
 def _fiber_rows(w, k):
@@ -167,10 +169,10 @@ def _leaves(blocks):
 
 
 def _r_factor(X):
-    """Triangular factor of the QR factorization of a tall real ``X``.
+    """Triangular factor of the QR factorization of a tall real matrix.
 
-    ``X`` is a matrix, or an iterable of row blocks that stack to one (the
-    blocks are read one at a time, so a generator never holds ``X``).  Its
+    ``X`` is an iterable of row blocks that stack to the matrix (the
+    blocks are read one at a time, so a generator never holds it).  Its
     rows are read in leaves of ``TSQR_BLOCK`` rows (:func:`_leaves`): the
     leaves of the stacked matrix, whatever the blocks, so a stream and the
     matrix it stacks to give the same bits.  One leaf, at most
@@ -187,15 +189,13 @@ def _r_factor(X):
     a 40^3, h=144 tensor, took 0.41, 0.41 and 0.43 s.
     Of the two equal sizes the smaller leaves wider matrices in cache.
     """
-    if isinstance(X, np.ndarray):
-        X = (X,)
     R = [np.linalg.qr(leaf, mode="r") for leaf in _leaves(X)]
     return R[0] if len(R) == 1 else np.linalg.qr(np.vstack(R), mode="r")
 
 
 def _sigma_v(X, tol_rel=DEFAULT_TOL):
-    """Truncated singular values and right singular vectors of a real ``X``
-    (a matrix or an iterable of its row blocks).
+    """Truncated singular values and right singular vectors of a real
+    matrix, given as an iterable of its row blocks ``X``.
 
     They are read off the triangular factor of ``X`` (:func:`_r_factor`),
     so the tall left singular factor is never formed.  Singular vectors
@@ -245,8 +245,12 @@ def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):
 
 
 def _canonical_index_set(I, size, what):
-    """Sorted distinct indices of ``I``; ``ValueError`` unless in ``[0, size)``."""
-    idx = sorted(set(int(i) for i in I))
+    """Sorted distinct indices of ``I``; ``ValueError`` unless integers
+    in ``[0, size)``."""
+    try:
+        idx = sorted(set(operator.index(i) for i in I))
+    except TypeError:
+        raise ValueError(f"{what} index set holds a non-integer") from None
     if not idx:
         raise ValueError(f"empty {what} index set")
     if idx[0] < 0 or idx[-1] >= size:

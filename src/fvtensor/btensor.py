@@ -9,6 +9,7 @@ slowest, which is numpy's C order, so unfoldings are plain reshapes.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -341,6 +342,18 @@ def _st_hosvd(A, tol_rel):
     return sigmas, [V.T for V in Vt], buf
 
 
+def _check_ranks(ranks, d):
+    """``ranks`` as a list of one nonnegative integer per mode of a
+    ``d``-way tensor; anything else is a ``ValueError``."""
+    try:
+        ranks = [operator.index(r) for r in ranks]
+    except TypeError:
+        raise ValueError(f"ranks must be integers, got {ranks!r}") from None
+    if len(ranks) != d or any(r < 0 for r in ranks):
+        raise ValueError(f"need {d} nonnegative ranks, got {tuple(ranks)}")
+    return ranks
+
+
 def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     """Higher-order SVD truncated to the requested rank tuple.
 
@@ -361,19 +374,13 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     leading block times the last factor, one product.  So no product the
     size of a large share of the tensor is formed.
     Requested ranks above the numerical rank are clamped (and reported),
-    never an error; a negative rank is a ``ValueError``.  The per-mode
+    never an error; ranks that are not one nonnegative integer per mode
+    are a ``ValueError``.  The per-mode
     singular value vectors are returned whole, so the quasi-optimality
     bound can be evaluated.
     """
     d = A.d
-    if ranks is None:
-        ranks = A.dims
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != d:
-        raise ValueError(f"expected {d} ranks, got {len(ranks)}")
-    if any(r < 0 for r in ranks):
-        raise ValueError(f"ranks must be nonnegative, got {tuple(ranks)}")
-
+    ranks = _check_ranks(A.dims if ranks is None else ranks, d)
     sigmas, factors, buf = _st_hosvd(A, tol_rel)
     achieved = [min(r, s.size) for r, s in zip(ranks, sigmas)]
     factors = [V[:, :r] for V, r in zip(factors, achieved)]
@@ -399,15 +406,13 @@ def hosvd_error(res, ranks):
     mapped by ``U_k^T``, so both of its error columns share it.
     """
     C = res.decomp.core
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != C.d or any(r < 0 for r in ranks):
-        raise ValueError(f"need {C.d} nonnegative ranks, got {tuple(ranks)}")
+    ranks = _check_ranks(ranks, C.d)
     sq = 0.0
     for k in range(C.d):
         kept = tuple(slice(r) for r in ranks[:k])
         slab = C.data[kept + (slice(ranks[k], None),)]
         sq += float(np.sum(C.ip.pair(slab, slab)))
-    return float(np.sqrt(max(sq, 0.0)))
+    return float(np.sqrt(sq))
 
 
 def hosvd_error_bound(sigmas, ranks):
@@ -417,10 +422,11 @@ def hosvd_error_bound(sigmas, ranks):
     tensor projected on the factors of the modes before ``k``, which at
     the default ``tol_rel`` equals the mode-``k`` unfolding's up to
     round-off, so this is the bound of De Lathauwer, De Moor &
-    Vandewalle on the error of the truncated HOSVD."""
+    Vandewalle on the error of the truncated HOSVD.  ``ranks`` must be
+    one nonnegative integer per mode, as for :func:`hosvd`."""
     tail = 0.0
-    for s, r in zip(sigmas, ranks):
-        t = s[int(r):]
+    for s, r in zip(sigmas, _check_ranks(ranks, len(sigmas))):
+        t = s[r:]
         tail += float(t @ t)
     return float(np.sqrt(tail))
 

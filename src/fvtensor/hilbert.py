@@ -7,10 +7,12 @@ dense SPD matrix.  Every other module is parameterized over an
 :class:`InnerProduct`.
 
 With the Cholesky factorization ``G = L L^T`` of the Gram matrix, the map
-``x -> L^T x`` is an isometry from H onto Euclidean R^h.  It carries a
-function-valued matrix onto an ordinary real matrix with the same
-singular values, so rank-revealing linear algebra runs in LAPACK on
-whitened coordinates.
+``x -> L^T x`` is an isometry from H onto Euclidean R^h, and the only way
+the geometry enters a computation.  Inner products and norms are
+Euclidean ones of whitened coefficients, and a function-valued matrix is
+carried onto an ordinary real matrix with the same singular values, so
+rank-revealing linear algebra runs in LAPACK on whitened coordinates.
+The Gram product :meth:`InnerProduct.apply` has no caller in the library.
 """
 
 import numpy as np
@@ -133,7 +135,7 @@ class InnerProduct:
         1, so the last bits of an entry would depend on its grid's shape.
         It is written into an array of ``x``'s shape, not returned as a
         reshaped view: numpy reuses an owning temporary in place in
-        :meth:`pair`'s product.
+        :meth:`pair`'s product of two arrays.
         """
         x = self._check(x)
         if self.kind == "identity":
@@ -168,13 +170,15 @@ class InnerProduct:
         return x.T.reshape(y.shape)
 
     def pair(self, x, y):
-        """Entrywise H-inner products; contracts the last axis."""
-        return np.sum(np.asarray(x, dtype=float) * self.apply(y), axis=-1)
+        """Entrywise H-inner products: the Euclidean products of the
+        whitened vectors along the last axis (``x`` is whitened once when
+        ``y is x``), so a squared norm is a sum of squares."""
+        xw = self.whiten(x)
+        return np.sum(xw * (xw if y is x else self.whiten(y)), axis=-1)
 
     def norms(self, x):
         """Entrywise H-norms along the last axis."""
-        # SPD Gram makes the quadratic form nonnegative up to round-off
-        return np.sqrt(np.maximum(self.pair(x, x), 0.0))
+        return np.sqrt(self.pair(x, x))
 
     def __eq__(self, other):
         if not isinstance(other, InnerProduct):
@@ -185,29 +189,4 @@ class InnerProduct:
 
     def __repr__(self):
         return f"InnerProduct(h={self.h}, kind={self.kind!r})"
-
-
-def _check_pair(u, v, ip):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (ip.h,) or v.shape != (ip.h,):
-        raise ValueError(
-            f"expected coefficient vectors of length {ip.h}, "
-            f"got {u.shape} and {v.shape}"
-        )
-    return u, v
-
-
-def dot(u, v, ip):
-    """H-inner product of two coefficient vectors."""
-    u, v = _check_pair(u, v, ip)
-    out = float(u @ ip.apply(v))
-    if not np.isfinite(out):
-        raise ValueError("inner product is not finite")
-    return out
-
-
-def norm(u, ip):
-    """H-norm of a coefficient vector."""
-    return np.sqrt(max(dot(u, u, ip), 0.0))
 

@@ -14,6 +14,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 
+def _int_indices(a):
+    """``a`` as an int64 array; ``IndexError`` if it holds an index of a
+    dtype other than integer or bool (a float is refused, not truncated)."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "biu":
+        raise IndexError(f"indices must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class EntryOracle:
     """Pure multi-index -> coefficient-vector map with known dims and ip."""
 
@@ -34,9 +43,9 @@ class EntryOracle:
 class CachedOracle:
     """Memoizing wrapper around an :class:`EntryOracle`.
 
-    Every read goes through :meth:`get_many`: the batch is range-checked
-    as one integer array, its missing entries are evaluated (in parallel
-    when ``threads > 1``), checked for shape and finiteness, and committed
+    Every read goes through :meth:`get_many`: the batch is checked as one
+    integer array, its missing entries are evaluated (in parallel when
+    ``threads > 1``), checked for shape and finiteness, and committed
     under one lock acquisition before anything is returned.  ``count``
     equals the number of distinct multi-indices ever evaluated.
     Concurrent first evaluations of the same index are permitted; the
@@ -78,11 +87,12 @@ class CachedOracle:
 
         Missing entries are evaluated, in parallel when ``threads > 1``;
         the output ordering follows the input regardless of schedule.  A
-        wrong-arity or out-of-range index raises ``IndexError`` before any
-        evaluation, a non-finite value ``ValueError`` before any caching.
+        non-integer, wrong-arity or out-of-range index raises
+        ``IndexError`` before any evaluation, a non-finite value
+        ``ValueError`` before any caching.
         """
         try:
-            idx = np.asarray(indices, dtype=np.int64).reshape(len(indices), self.d)
+            idx = _int_indices(indices).reshape(len(indices), self.d)
         except ValueError:
             raise IndexError(f"expected {self.d} indices per entry") from None
         bad = np.flatnonzero(np.any((idx < 0) | (idx >= self.dims), axis=1))
@@ -123,7 +133,7 @@ class CachedOracle:
 
     def gather(self, grids):
         """Subtensor on a product grid, shaped like the grid plus ``(h,)``."""
-        arrs = [np.asarray(g, dtype=np.int64).reshape(-1) for g in grids]
+        arrs = [_int_indices(g).reshape(-1) for g in grids]
         if len(arrs) != self.d:
             raise IndexError("need one index list per mode")
         flat = np.stack(np.meshgrid(*arrs, indexing="ij"), axis=-1)

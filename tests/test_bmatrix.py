@@ -97,6 +97,12 @@ def test_adjoint_apply(rng):
     assert np.allclose(out2, 2.0 * (M.T @ N))
     with pytest.raises(ValueError):
         adjoint_apply(BTensor(M[:, :, None], ip1), BTensor(N[:, :, None], ip2))
+    # the whitened product is the Gram route under every kind of Gram
+    for kind in GRAM_KINDS:
+        ip = make_ip(kind, 5, rng)
+        A, B = rand_bm(rng, 6, 3, 5, ip), rand_bm(rng, 6, 4, 5, ip)
+        want = np.einsum("ijh,ilh->jl", A.data, ip.apply(B.data))
+        assert np.allclose(adjoint_apply(A, B), want, rtol=1e-12, atol=1e-12)
 
 
 def test_matrix_functions_reject_other_orders(rng):
@@ -207,7 +213,7 @@ def test_sigma_v_tsqr_matches_whitened_svd(kind):
     A, M_w = _whitened_test_matrix(rng, ip, 3 * TSQR_BLOCK // 14, 6, sigma)
     assert TSQR_BLOCK < M_w.shape[0] < 2 * TSQR_BLOCK
     assert np.allclose(_whitened(A), M_w, rtol=0.0, atol=1e-12)
-    s, V = _sigma_v(M_w)
+    s, V = _sigma_v([M_w])
     _, s_ref, Vh_ref = np.linalg.svd(M_w, full_matrices=False)
     assert s.size == whitened_rank(M_w) == 5
     assert np.abs(s - s_ref[:5]).max() <= 1e-14 * s_ref[0]
@@ -224,9 +230,9 @@ def test_sigma_v_sign_convention(monkeypatch):
     rng = np.random.default_rng(41)
     ip = make_ip("dense", 9, rng)
     _, M_w = _whitened_test_matrix(rng, ip, 600, 8, 0.7 ** np.arange(8))
-    s_tsqr, V_tsqr = _sigma_v(M_w)
+    s_tsqr, V_tsqr = _sigma_v([M_w])
     monkeypatch.setattr(bmatrix, "TSQR_BLOCK", 10**9)
-    s_one, V_one = _sigma_v(M_w)
+    s_one, V_one = _sigma_v([M_w])
     for V in (V_tsqr, V_one):
         lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
         assert np.all(lead > 0.0)
@@ -238,7 +244,7 @@ def test_r_factor_of_a_stream_is_the_r_factor_of_its_stack():
     # ragged row blocks of a 2.5-leaf matrix: empty blocks, blocks that
     # cross a leaf boundary and one that ends on it.  The stream is read in
     # the leaves of the stacked matrix, so R has the same bits as the TSQR
-    # of those leaves written out here, and as the matrix itself.
+    # of those leaves written out here, and as the matrix as one block.
     rng = np.random.default_rng(43)
     X = rng.standard_normal((5 * TSQR_BLOCK // 2, 6))
     sizes = [0, 700, 1, 0, 600, 747, 300, 0, X.shape[0] - 2348]
@@ -248,12 +254,12 @@ def test_r_factor_of_a_stream_is_the_r_factor_of_its_stack():
               for i in range(0, X.shape[0], TSQR_BLOCK)]
     want = np.linalg.qr(np.vstack(leaves), mode="r").tobytes()
     assert _r_factor(iter(blocks)).tobytes() == want
-    assert _r_factor(X).tobytes() == want
+    assert _r_factor([X]).tobytes() == want
     # a stream of at most one leaf is one QR of its stack
     head = X[:TSQR_BLOCK]
     one = np.linalg.qr(head, mode="r").tobytes()
     assert _r_factor(iter([head[:0], head[:300], head[300:]])).tobytes() == one
-    assert _r_factor(head).tobytes() == one
+    assert _r_factor([head]).tobytes() == one
 
 
 # --- pseudoinverse application ----------------------------------------------

@@ -212,6 +212,18 @@ def test_tucker_cross_rejects_out_of_range_sets(rng, monkeypatch, source):
         assert src.count == 0
 
 
+@pytest.mark.parametrize("source", ["tensor", "oracle"])
+@pytest.mark.parametrize("bad", [0.9, np.nan, "1"], ids=["float", "nan", "string"])
+def test_tucker_cross_rejects_non_integer_sets(rng, source, bad):
+    # 0.9 is not truncated to index 0, nor "1" parsed as index 1
+    A = rand_bt(rng, (4, 5, 6), 3)
+    src = A if source == "tensor" else CachedOracle(EntryOracle.from_tensor(A))
+    with pytest.raises(ValueError, match="mode-0 index set holds a non-integer"):
+        tucker_cross(src, [[bad], [1], [2]])
+    if source == "oracle":
+        assert src.count == 0
+
+
 def test_tucker_cross_matches_matrix_cross(rng):
     # d = 2 is matrix cross approximation: the scalar F pinv(core) Pt at
     # h = 1, and under a dense Gram the same with both factors solved in
@@ -534,6 +546,8 @@ def test_hosvd_rejects_negative_ranks(rng):
     A = rand_bt(rng, (4, 3, 5), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         hosvd(A, (-1, 2, 2))
+    with pytest.raises(ValueError, match="integers"):
+        hosvd(A, (1.5, 2, 2))
     res = hosvd(A, (0, 2, 2))
     assert res.ranks == (0, 2, 2) and not res.clamped
     assert res.decomp.core.dims == (0, 2, 2)
@@ -636,10 +650,13 @@ def test_hosvd_error_matches_error_norm(kind, dims):
                                                          rel=1e-12)
     # ranks past the core keep the whole mode
     assert hosvd_error(full, [r + 2 for r in full.ranks]) == 0.0
-    with pytest.raises(ValueError):
-        hosvd_error(full, full.ranks[:-1])
-    with pytest.raises(ValueError):
-        hosvd_error(full, (-1,) + full.ranks[1:])
+    # the bound reads the same rank tuple: a short one does not drop a
+    # mode, and a negative rank does not count from the end
+    for bad in (full.ranks[:-1], (-1,) + full.ranks[1:]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hosvd_error(full, bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hosvd_error_bound(full.sigmas, bad)
 
 
 def test_fro_norm_cases(rng):

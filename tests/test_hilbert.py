@@ -7,8 +7,6 @@ from fvtensor.hilbert import (
     NonPositiveWeightError,
     NonSPDError,
     NonSymmetricError,
-    dot,
-    norm,
 )
 
 from conftest import GRAM_KINDS, make_ip
@@ -16,35 +14,31 @@ from conftest import GRAM_KINDS, make_ip
 
 def test_dot_orthonormal_identity():
     ip = InnerProduct.identity(2)
-    assert dot([1.0, 0.0], [0.0, 1.0], ip) == 0.0
+    assert ip.pair([1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_dot_diagonal_direct():
     ip = InnerProduct.diagonal([2.0, 3.0])
-    assert dot([1.0, 1.0], [1.0, 1.0], ip) == pytest.approx(5.0)
+    assert ip.pair([1.0, 1.0], [1.0, 1.0]) == pytest.approx(5.0)
 
 
 def test_dot_dense_direct():
     ip = InnerProduct.dense([[2.0, 1.0], [1.0, 2.0]])
-    assert dot([1.0, 0.0], [0.0, 1.0], ip) == pytest.approx(1.0)
+    assert ip.pair([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
 
 def test_dot_dimension_mismatch():
     ip = InnerProduct.identity(3)
     with pytest.raises(ValueError):
-        dot([1.0, 2.0], [1.0, 2.0, 3.0], ip)
-
-
-def test_dot_nonfinite():
-    ip = InnerProduct.identity(2)
+        ip.pair([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        dot([np.inf, 0.0], [1.0, 0.0], ip)
+        ip.pair([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_norm_zero_and_pythagoras():
-    assert norm([0.0, 0.0], InnerProduct.identity(2)) == 0.0
-    assert norm([3.0, 4.0], InnerProduct.identity(2)) == pytest.approx(5.0)
-    assert norm([1.0, 1.0], InnerProduct.diagonal([2.0, 3.0])) == \
+    assert InnerProduct.identity(2).norms([0.0, 0.0]) == 0.0
+    assert InnerProduct.identity(2).norms([3.0, 4.0]) == pytest.approx(5.0)
+    assert InnerProduct.diagonal([2.0, 3.0]).norms([1.0, 1.0]) == \
         pytest.approx(np.sqrt(5.0))
 
 
@@ -77,9 +71,9 @@ def test_symmetry_positivity_cauchy_schwarz():
         ip = make_ip(GRAM_KINDS[trial % 3], h, rng)
         u = rng.standard_normal(h)
         v = rng.standard_normal(h)
-        duv, dvu = dot(u, v, ip), dot(v, u, ip)
+        duv, dvu = ip.pair(u, v), ip.pair(v, u)
         assert abs(duv - dvu) <= 1e-12 * (1.0 + abs(duv))
-        duu, dvv = dot(u, u, ip), dot(v, v, ip)
+        duu, dvv = ip.pair(u, u), ip.pair(v, v)
         assert duu > 0.0
         assert duv**2 <= duu * dvv * (1.0 + 1e-10)
 
@@ -171,15 +165,25 @@ def test_stored_arrays_are_read_only_copies(kind):
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)
 def test_whiten_is_an_isometry(kind):
-    # Euclidean products of whitened vectors are H-inner products, and
-    # unwhiten inverts whiten, on batches along the last axis
+    # Euclidean products of whitened vectors are H-inner products: pair
+    # is exactly that product, and it agrees with the Gram route; unwhiten
+    # inverts whiten, on batches along the last axis
     rng = np.random.default_rng(43)
     ip = make_ip(kind, 5, rng)
     x = rng.standard_normal((3, 4, 5))
     y = rng.standard_normal((3, 4, 5))
     xw, yw = ip.whiten(x), ip.whiten(y)
-    assert np.allclose(np.sum(xw * yw, axis=-1), ip.pair(x, y),
+    assert np.array_equal(ip.pair(x, y), np.sum(xw * yw, axis=-1))
+    assert np.allclose(ip.pair(x, y), np.sum(x * ip.apply(y), axis=-1),
                        rtol=1e-12, atol=1e-12)
+    assert np.allclose(ip.pair(x, x), np.sum(x * ip.apply(x), axis=-1),
+                       rtol=1e-12, atol=1e-12)
+    # the norm is the root of the whitened sum of squares, bit for bit,
+    # so it needs no clamp: even a tiny vector's norm is never negative
+    for z in (x, 1e-160 * x, np.zeros((2, 5))):
+        n = ip.norms(z)
+        assert np.array_equal(n, np.sqrt(ip.pair(z, z)))
+        assert np.all(n >= 0.0)
     assert np.allclose(ip.unwhiten(xw), x, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError):
         ip.whiten(np.zeros((2, 4)))
@@ -197,8 +201,8 @@ def _assert_dense_flat_product(method, factor):
         flat = (x.reshape(-1, 144) @ M).reshape(shape)
         gx = getattr(ip, method)(x)
         assert np.array_equal(gx, flat)
-        # an owning result lets pair's product reuse it in place; a view
-        # cost one more full-size allocation per dense pair
+        # an owning result lets pair's product of two arrays reuse the
+        # whitened one in place; a view cost one more full-size allocation
         assert gx.base is None and gx.flags.c_contiguous
 
 

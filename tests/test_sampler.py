@@ -50,6 +50,27 @@ def test_get_out_of_range(rng, read, bad):
     assert calls == [] and c.count == 0
 
 
+NON_INTEGER = {"float": 0.7, "nan": np.nan, "string": "1"}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("bad", sorted(NON_INTEGER))
+def test_non_integer_index_refused(rng, read, bad):
+    # a float index is refused, not truncated to an entry it then counts;
+    # a string is not parsed, and a NaN is not an arity fault
+    _, c = counting_oracle(rng, (3, 4), 2)
+    calls = []
+    fn = c.oracle.fn
+    c.oracle.fn = lambda idx: calls.append(idx) or fn(idx)
+    with pytest.raises(IndexError, match="indices must be integers"):
+        READS[read](c, (NON_INTEGER[bad], 1))
+    assert calls == [] and c.count == 0
+    # an empty batch or grid has no index to refuse
+    assert c.get_many([]).shape == (0, 2)
+    assert c.gather([[], [1]]).shape == (0, 1, 2)
+    assert c.count == 0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_oracle_value_rejected(rng, bad):
     A, c = counting_oracle(rng, (3, 4), 2)
