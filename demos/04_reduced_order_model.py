@@ -1,9 +1,10 @@
 """From sampled decomposition to a reduced-order model.
 
-The model couples the sampled core with per-mode grids and interpolation
-bases.  Evaluation encodes the query point into reduced coefficients
-(basis values times the scalar factors) and decodes by contracting the
-core; at sampled grid nodes this reproduces the stored solutions exactly.
+The model couples the sampled core with one interpolation basis per mode,
+which holds that mode's parameter grid.  Evaluation encodes the query
+point into reduced coefficients (basis values times the scalar factors)
+and decodes by contracting the core; at sampled grid nodes this
+reproduces the stored solutions exactly.
 A coarse-resolution model is transferred to a finer discretization by
 resampling only the core.
 """
@@ -32,7 +33,7 @@ rm = rom_from_parts(model, param_grids(coarse), ["hat"] * 3)
 
 # interpolatory on the sampled subgrid
 I = model.index_sets
-node = tuple(rm.grid.nodes[k][I[k][0]] for k in range(3))
+node = tuple(rm.bases[k].nodes[I[k][0]] for k in range(3))
 print("value at a sampled node equals the stored core entry:",
       np.array_equal(rom_eval(rm, node), model.core.data[0, 0, 0]))
 
@@ -40,7 +41,7 @@ print("value at a sampled node equals the stored core entry:",
 query = (0.37, 0.52, 0.81)
 u = rom_eval(rm, query)
 truth = fv.make_oracle(coarse).fn(tuple(
-    int(np.argmin(np.abs(rm.grid.nodes[k] - query[k]))) for k in range(3)))
+    int(np.argmin(np.abs(rm.bases[k].nodes - query[k]))) for k in range(3)))
 print("prediction at", query, "-> coefficient vector of length", u.size)
 print("nearest-node sanity gap:",
       np.linalg.norm(u - truth) / np.linalg.norm(truth))

@@ -37,7 +37,6 @@ from .aca import (
 )
 from .rom import (
     Basis1D,
-    ParamGrid,
     RomModel,
     basis_eval,
     decode,

@@ -33,6 +33,28 @@ DEFAULT_TOL = 1e-12
 TSQR_BLOCK = 1024  # rows of the whitened matrix per TSQR block
 
 
+def _int_indices(a):
+    """``a`` as an int64 array; ``IndexError`` if it holds an index of a
+    dtype other than integer or bool (a float is refused, not truncated)."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "biu":
+        raise IndexError(f"indices must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
+def _grid_indices(grids, dims):
+    """A product grid over ``dims`` as one int64 index vector per mode;
+    ``IndexError`` unless it has one list per mode, of integers (see
+    :func:`_int_indices`) in ``[0, dims[k])``."""
+    if len(grids) != len(dims):
+        raise IndexError("need one index list per mode")
+    arrs = [_int_indices(g).reshape(-1) for g in grids]
+    for k, (a, n) in enumerate(zip(arrs, dims)):
+        if a.size and (a.min() < 0 or a.max() >= n):
+            raise IndexError(f"mode {k} index out of range for size {n}")
+    return arrs
+
+
 class BTensor:
     """Dense d-way array of Hilbert-space elements.
 
@@ -65,11 +87,9 @@ class BTensor:
         return self.data.shape[-1]
 
     def gather(self, grids):
-        """Subtensor on the product of per-mode index lists."""
-        arrs = [np.asarray(g, dtype=int) for g in grids]
-        if len(arrs) != self.d:
-            raise IndexError("need one index list per mode")
-        return self.data[np.ix_(*arrs)]
+        """Subtensor on the product of per-mode index lists, checked by
+        :func:`_grid_indices` (an ``IndexError`` if one is bad)."""
+        return self.data[np.ix_(*_grid_indices(grids, self.dims))]
 
     def __repr__(self):
         return f"BTensor({'x'.join(map(str, self.dims))} over R^{self.h})"

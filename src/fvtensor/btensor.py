@@ -20,6 +20,7 @@ from .bmatrix import (
     DEFAULT_TOL,
     _canonical_index_set,
     _fiber_rows,
+    _grid_indices,
     _pinv_solve,
     _r_factor,
     _sigma_v,
@@ -270,11 +271,11 @@ def model_gather(model, grids):
     ``(len(grids[0]), ..., len(grids[d-1]), h)``: the core contracted
     with the factor rows at the grids (:func:`_contract`), so a single
     fiber against a large core never forms the core's full width at the
-    fiber's length.
+    fiber's length.  The grid is checked as in :meth:`BTensor.gather`.
     """
+    rows = _grid_indices(grids, [F.shape[0] for F in model.factors])
     return _contract(model.core.data,
-                     [F[np.asarray(g, dtype=int)]
-                      for F, g in zip(model.factors, grids)])
+                     [F[g] for F, g in zip(model.factors, rows)])
 
 
 def assemble(model):

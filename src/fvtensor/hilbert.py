@@ -172,9 +172,13 @@ class InnerProduct:
     def pair(self, x, y):
         """Entrywise H-inner products: the Euclidean products of the
         whitened vectors along the last axis (``x`` is whitened once when
-        ``y is x``), so a squared norm is a sum of squares."""
+        ``y is x``, and squared in place if that made an array of its own),
+        so a squared norm is a sum of squares."""
         xw = self.whiten(x)
-        return np.sum(xw * (xw if y is x else self.whiten(y)), axis=-1)
+        if y is not x:
+            return np.sum(xw * self.whiten(y), axis=-1)
+        own = xw is not x and xw.flags.owndata
+        return np.sum(np.multiply(xw, xw, out=xw if own else None), axis=-1)
 
     def norms(self, x):
         """Entrywise H-norms along the last axis."""

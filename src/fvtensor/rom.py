@@ -1,12 +1,12 @@
 """Interpolatory reduced-order models on sampled Tucker-cross data.
 
-A model couples a Tucker-cross approximation with one parameter grid and
-one interpolation basis per mode.  Evaluation is an encoder-decoder pass:
-the (nonlinear) encoder evaluates the basis at the query point and
-contracts it with the scalar factors, the multilinear decoder contracts
-the reduced coefficients against the sampled core.  At grid nodes whose
-indices were sampled, the delta property of the bases pushes through and
-the model reproduces the stored solution exactly.
+A model couples a Tucker-cross approximation with one interpolation basis
+per mode, which holds that mode's parameter grid.  Evaluation is an
+encoder-decoder pass: the (nonlinear) encoder evaluates the basis at the
+query point and contracts it with the scalar factors, the multilinear
+decoder contracts the reduced coefficients against the sampled core.  At
+grid nodes whose indices were sampled, the delta property of the bases
+pushes through and the model reproduces the stored solution exactly.
 """
 
 import json
@@ -15,6 +15,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,32 +31,9 @@ class DomainError(ValueError):
 
 
 @dataclass
-class ParamGrid:
-    """Strictly increasing finite node vectors, one per parametric dimension."""
-
-    nodes: list
-
-    def __post_init__(self):
-        checked = []
-        for k, x in enumerate(self.nodes):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            if x.size < 1:
-                raise ValueError(f"grid for mode {k} is empty")
-            if not np.all(np.isfinite(x)):
-                raise ValueError(f"grid for mode {k} holds a non-finite node")
-            if x.size > 1 and np.any(np.diff(x) <= 0.0):
-                raise ValueError(f"grid for mode {k} is not strictly increasing")
-            checked.append(x)
-        self.nodes = checked
-
-    @property
-    def sizes(self):
-        return tuple(x.size for x in self.nodes)
-
-
-@dataclass
 class Basis1D:
-    """Delta-property interpolation basis bound to one grid axis."""
+    """Delta-property interpolation basis on one mode's parameter grid,
+    which it checks: ``nodes`` nonempty, finite, strictly increasing."""
 
     kind: str
     nodes: np.ndarray
@@ -63,7 +41,14 @@ class Basis1D:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        self.nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
+        x = np.asarray(self.nodes, dtype=float).reshape(-1)
+        if x.size < 1:
+            raise ValueError("grid is empty")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("grid holds a non-finite node")
+        if np.any(np.diff(x) <= 0.0):
+            raise ValueError("grid is not strictly increasing")
+        self.nodes = x
 
     @cached_property
     def weights(self):
@@ -133,31 +118,42 @@ def basis_eval(basis, alpha):
 
 @dataclass
 class RomModel:
-    """Tucker-cross model plus grids and bases for off-grid evaluation."""
+    """Tucker-cross model plus one basis per mode for off-grid evaluation;
+    basis ``k`` holds one grid node per row of factor ``k``."""
 
     model: TuckerCrossModel
-    grid: ParamGrid
     bases: list
 
     def __post_init__(self):
-        sizes = self.grid.sizes
-        if len(self.bases) != len(sizes):
-            raise ValueError("need one basis per parametric dimension")
-        for k, (Fk, n) in enumerate(zip(self.model.factors, sizes)):
-            if Fk.shape[0] != n:
-                raise ValueError(
-                    f"factor {k} has {Fk.shape[0]} rows but the grid has {n} nodes"
-                )
+        factors = self.model.factors
+        if len(self.bases) != len(factors):
+            raise ValueError(f"{len(self.bases)} bases for a model of "
+                             f"order {len(factors)}")
+        for k, (Fk, b) in enumerate(zip(factors, self.bases)):
+            if Fk.shape[0] != b.nodes.size:
+                raise ValueError(f"factor {k} has {Fk.shape[0]} rows but "
+                                 f"the grid has {b.nodes.size} nodes")
 
     @property
     def ip(self):
         return self.model.ip
 
+    @property
+    def grid(self):  # the bases' nodes, read as rm.grid.nodes by perfbench
+        return SimpleNamespace(nodes=[b.nodes for b in self.bases])
+
 
 def rom_from_parts(model, nodes, kinds):
-    grid = ParamGrid(list(nodes))
-    bases = [Basis1D(kind, x) for kind, x in zip(kinds, grid.nodes)]
-    return RomModel(model=model, grid=grid, bases=bases)
+    """A :class:`RomModel` with a ``kinds[k]`` basis on ``nodes[k]``; a bad
+    node vector is a ``ValueError`` naming its mode."""
+    bases = []
+    for k, (kind, x) in enumerate(zip(kinds, nodes, strict=True)):
+        try:
+            bases.append(Basis1D(kind, x))
+        except ValueError as e:
+            msg = str(e).replace("grid", f"grid for mode {k}", 1)
+            raise ValueError(msg) from None
+    return RomModel(model=model, bases=bases)
 
 
 def encode(rm, alphas):
@@ -206,7 +202,7 @@ def reuse_factors(rm, fine_cached):
         factors=[Fk.copy() for Fk in model.factors],
         dims=model.dims,
     )
-    return RomModel(model=fine_model, grid=rm.grid, bases=list(rm.bases))
+    return RomModel(model=fine_model, bases=list(rm.bases))
 
 
 def _hex_list(arr):
@@ -233,7 +229,7 @@ def save_model(rm, path):
         "version": 1,
         "dims": [int(n) for n in rm.model.dims],
         "index_sets": [[int(i) + 1 for i in I] for I in rm.model.index_sets],
-        "grids": [_hex_list(x) for x in rm.grid.nodes],
+        "grids": [_hex_list(b.nodes) for b in rm.bases],
         "basis": [b.kind for b in rm.bases],
         "factors": [
             {"rows": int(F.shape[0]), "cols": int(F.shape[1]),
@@ -250,7 +246,8 @@ def save_model(rm, path):
 def load_model(path):
     """Load a ROM saved by :func:`save_model`, checking what it loads.
 
-    Mode ``k``'s index set must be sorted, distinct and inside
+    Mode ``k``'s size and indices must be JSON integers, not floats or
+    booleans; its index set must be sorted, distinct and inside
     ``[0, dims[k])``; its length must be the core's size in mode ``k``;
     and factor ``k`` must be a finite ``dims[k] x |I_k|`` matrix.  A
     violation is a ``ValueError`` naming the mode.
@@ -262,14 +259,16 @@ def load_model(path):
     core_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                              doc["core_file"])
     core = load_fvt(core_path)
-    dims = tuple(int(n) for n in doc["dims"])
+    dims = tuple(doc["dims"])
     sets, docs = doc["index_sets"], doc["factors"]
     if not len(sets) == len(docs) == core.d == len(dims):
         raise ValueError(f"{len(dims)} dims, {len(sets)} index sets, "
                          f"{len(docs)} factors and a core of order {core.d}")
     index_sets, factors = [], []
     for k, (n, raw, F) in enumerate(zip(dims, sets, docs)):
-        I = [int(i) - 1 for i in raw]
+        if not all(type(i) is int for i in (n, *raw)):
+            raise ValueError(f"mode {k} size or index set holds a non-integer")
+        I = [i - 1 for i in raw]
         if _canonical_index_set(I, n, f"mode {k}") != I:
             raise ValueError(f"mode {k} index set is not sorted and distinct")
         shape = (n, len(I))

@@ -13,14 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-
-def _int_indices(a):
-    """``a`` as an int64 array; ``IndexError`` if it holds an index of a
-    dtype other than integer or bool (a float is refused, not truncated)."""
-    a = np.asarray(a)
-    if a.size and a.dtype.kind not in "biu":
-        raise IndexError(f"indices must be integers, got dtype {a.dtype}")
-    return a.astype(np.int64, copy=False)
+from .bmatrix import _grid_indices, _int_indices
 
 
 class EntryOracle:
@@ -133,9 +126,7 @@ class CachedOracle:
 
     def gather(self, grids):
         """Subtensor on a product grid, shaped like the grid plus ``(h,)``."""
-        arrs = [_int_indices(g).reshape(-1) for g in grids]
-        if len(arrs) != self.d:
-            raise IndexError("need one index list per mode")
+        arrs = _grid_indices(grids, self.dims)
         flat = np.stack(np.meshgrid(*arrs, indexing="ij"), axis=-1)
         vals = self.get_many(flat.reshape(-1, self.d))
         return vals.reshape(tuple(len(a) for a in arrs) + (self.ip.h,))

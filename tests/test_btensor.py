@@ -430,6 +430,32 @@ def test_model_gather_entry_matches_assemble(rng):
     assert np.allclose(gathered, B.data[np.ix_(*grids)], atol=1e-12)
 
 
+DENSE_GATHERS = {
+    "BTensor.gather": lambda A, model, grids: A.gather(grids),
+    "model_gather": lambda A, model, grids: model_gather(model, grids),
+}
+
+
+@pytest.mark.parametrize("gather", sorted(DENSE_GATHERS))
+@pytest.mark.parametrize("bad, named", [
+    (0.7, "indices must be integers"),
+    (np.nan, "indices must be integers"),
+    (-1, "mode 0 index out of range for size 6"),
+    (6, "mode 0 index out of range for size 6"),
+])
+def test_dense_gather_refuses_a_bad_grid(rng, gather, bad, named):
+    # the same index rule as CachedOracle.gather: a float is not truncated
+    # to entry 0 and a negative index does not wrap to the last entry
+    A = rand_bt(rng, (6, 5, 4), 3)
+    model = tucker_cross(A, [[0, 3], [1, 4], [0, 2]])
+    read = DENSE_GATHERS[gather]
+    with pytest.raises(IndexError, match=named):
+        read(A, model, [[bad], [1], [2]])
+    with pytest.raises(IndexError, match="one index list per mode"):
+        read(A, model, [[0], [1]])
+    assert read(A, model, [[], [1], [2]]).shape == (0, 1, 1, 3)
+
+
 def test_model_gather_rank_one_and_zero_core(rng):
     ip = InnerProduct.identity(3)
     core = BTensor(rng.standard_normal((1, 1, 3)), ip)

@@ -264,6 +264,21 @@ def test_eval_non_finite_grid_node_exit_2(tmp_path, capsys, node):
                  id="index-unsorted"),
     pytest.param(lambda d: d["factors"].pop(),
                  "3 dims, 3 index sets, 2 factors", id="missing-factor"),
+    # each of these was once truncated by int() and loaded
+    pytest.param(lambda d: d["index_sets"][0].__setitem__(
+        0, d["index_sets"][0][0] + 0.7),
+                 "mode 0 size or index set holds a non-integer",
+                 id="float-index"),
+    pytest.param(lambda d: d["index_sets"][1].__setitem__(
+        0, str(d["index_sets"][1][0])),
+                 "mode 1 size or index set holds a non-integer",
+                 id="string-index"),
+    pytest.param(lambda d: d["index_sets"][2].__setitem__(0, True),
+                 "mode 2 size or index set holds a non-integer",
+                 id="bool-index"),
+    pytest.param(lambda d: d["dims"].__setitem__(0, 6.5),
+                 "mode 0 size or index set holds a non-integer",
+                 id="float-dims"),
 ])
 def test_eval_refuses_an_inconsistent_model_exit_2(tmp_path, capsys, edit,
                                                    named):

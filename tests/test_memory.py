@@ -124,6 +124,24 @@ def test_hosvd_of_a_one_way_tensor_copies_nothing():
     assert peak < res.decomp.core.data.nbytes + SHARE * A.data.nbytes
 
 
+@pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+def test_squared_norms_hold_one_batch(kind):
+    # pair(x, x) squares the whitened batch in place when whitening made
+    # an array of its own, so it holds one batch-sized array, not two
+    rng = np.random.default_rng(73)
+    h = 256
+    M = rng.standard_normal((h, h))
+    ip = {"identity": InnerProduct.identity(h),
+          "diagonal": InnerProduct.diagonal(rng.uniform(0.5, 2.0, h)),
+          "dense": InnerProduct.dense((M @ M.T + h * np.eye(h)) / h)}[kind]
+    x = rng.standard_normal((2000, h))
+    before = x.copy()
+    sq, peak = peak_above_start(lambda: ip.pair(x, x))
+    assert peak <= 1.1 * x.nbytes
+    assert np.array_equal(x, before)
+    assert sq.tobytes() == np.sum(ip.whiten(x) ** 2, axis=-1).tobytes()
+
+
 class Stop(Exception):
     pass
 

@@ -13,7 +13,6 @@ from fvtensor.problems import FamilySpec, make_oracle, param_grids
 from fvtensor.rom import (
     Basis1D,
     DomainError,
-    ParamGrid,
     basis_eval,
     decode,
     encode,
@@ -38,12 +37,42 @@ def build_rom(rng, dims=(7, 6, 5), h=4, sets=None, kinds=None):
 # --- bases ---------------------------------------------------------------
 
 def test_param_grid_validation():
+    for kind in ("hat", "lagrange"):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            Basis1D(kind, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="empty"):
+            Basis1D(kind, [])
+        assert Basis1D(kind, [0.0, 0.5, 1.0]).nodes.size == 3
+        assert Basis1D(kind, [2.0]).nodes.size == 1
+
+
+@pytest.mark.parametrize("kind", ["hat", "lagrange"])
+@pytest.mark.parametrize("nodes, named", [
+    ([0.0, 0.0, 1.0], "grid is not strictly increasing"),
+    ([0.0, 1.0, 0.5], "grid is not strictly increasing"),
+    ([1.0, 0.0], "grid is not strictly increasing"),
+    ([0.0, math.nan], "grid holds a non-finite node"),
+    ([math.nan], "grid holds a non-finite node"),
+    ([], "grid is empty"),
+])
+def test_basis_refuses_a_bad_grid(kind, nodes, named):
+    # a basis owns its grid: repeated nodes would give Lagrange weights of
+    # -inf, a NaN node hat values of NaN
+    with pytest.raises(ValueError, match=named):
+        Basis1D(kind, nodes)
+
+
+def test_rom_from_parts_needs_one_grid_per_mode(rng):
+    A = BTensor(rng.standard_normal((4, 3, 2, 2)), InnerProduct.identity(2))
+    model = tucker_cross(A, [[0, 1], [1], [0]])
+    grids = [np.linspace(0.0, 1.0, n) for n in (4, 3)]
+    with pytest.raises(ValueError, match="2 bases for a model of order 3"):
+        rom_from_parts(model, grids, ["hat", "hat"])
     with pytest.raises(ValueError):
-        ParamGrid([[0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
-        ParamGrid([[]])
-    g = ParamGrid([[0.0, 0.5, 1.0], [2.0]])
-    assert g.sizes == (3, 1)
+        rom_from_parts(model, grids + [[0.0, 1.0]], ["hat"] * 2)
+    with pytest.raises(ValueError, match="factor 2 has 2 rows but the grid "
+                                         "has 3 nodes"):
+        rom_from_parts(model, grids + [[0.0, 0.5, 1.0]], ["hat"] * 3)
 
 
 @given(st.one_of(
@@ -56,14 +85,23 @@ def test_param_grid_validation():
 @example([-math.inf, 0.0, 1.0])
 def test_param_grid_accepts_exactly_the_valid_node_vectors(x):
     # a node vector is valid when it is nonempty, finite and strictly
-    # increasing; an invalid one is a ValueError naming its mode
+    # increasing; an invalid one is a ValueError from the basis, and one
+    # naming its mode from rom_from_parts
     valid = (len(x) > 0 and all(math.isfinite(t) for t in x)
              and all(a < b for a, b in zip(x, x[1:])))
+    A = BTensor(np.ones((1, max(len(x), 1), 1)), InnerProduct.identity(1))
+    model = tucker_cross(A, [[0], [0]])
     if valid:
-        assert ParamGrid([[0.0], x]).sizes == (1, len(x))
+        for kind in ("hat", "lagrange"):
+            assert Basis1D(kind, x).nodes.tolist() == x
+        rm = rom_from_parts(model, [[0.0], x], ["hat"] * 2)
+        assert rm.bases[1].nodes.size == len(x)
     else:
+        for kind in ("hat", "lagrange"):
+            with pytest.raises(ValueError):
+                Basis1D(kind, x)
         with pytest.raises(ValueError, match="mode 1"):
-            ParamGrid([[0.0], x])
+            rom_from_parts(model, [[0.0], x], ["hat"] * 2)
 
 
 @pytest.mark.parametrize("kind", ["hat", "lagrange"])
@@ -130,13 +168,13 @@ def test_encode_at_sampled_nodes_gives_factor_rows(rng):
     A, rm = build_rom(rng)
     model = rm.model
     for k, I in enumerate(model.index_sets):
-        alphas = [rm.grid.nodes[l][model.index_sets[l][0]] for l in range(3)]
-        alphas[k] = rm.grid.nodes[k][I[1]]
+        alphas = [rm.bases[l].nodes[model.index_sets[l][0]] for l in range(3)]
+        alphas[k] = rm.bases[k].nodes[I[1]]
         vecs = encode(rm, alphas)
         assert np.array_equal(vecs[k], model.factors[k][I[1]])
     # at any grid node the reduced vector is that node's factor row
-    vecs = encode(rm, [rm.grid.nodes[0][5], rm.grid.nodes[1][2],
-                       rm.grid.nodes[2][4]])
+    vecs = encode(rm, [rm.bases[0].nodes[5], rm.bases[1].nodes[2],
+                       rm.bases[2].nodes[4]])
     assert np.array_equal(vecs[0], model.factors[0][5])
     assert np.array_equal(vecs[1], model.factors[1][2])
     assert np.array_equal(vecs[2], model.factors[2][4])
@@ -149,8 +187,8 @@ def test_rom_subgrid_exactness(rng):
     for i, gi in enumerate(model.index_sets[0]):
         for j, gj in enumerate(model.index_sets[1]):
             for k, gk in enumerate(model.index_sets[2]):
-                alphas = (rm.grid.nodes[0][gi], rm.grid.nodes[1][gj],
-                          rm.grid.nodes[2][gk])
+                alphas = (rm.bases[0].nodes[gi], rm.bases[1].nodes[gj],
+                          rm.bases[2].nodes[gk])
                 val = rom_eval(rm, alphas)
                 assert np.array_equal(val, model.core.data[i, j, k])
                 assert np.allclose(val, A.data[gi, gj, gk],
@@ -282,14 +320,14 @@ def test_model_roundtrip_bit_exact(tmp_path, rng):
     assert back.model.core.data.tobytes() == rm.model.core.data.tobytes()
     for F1, F2 in zip(rm.model.factors, back.model.factors):
         assert F1.tobytes() == F2.tobytes()
-    for g1, g2 in zip(rm.grid.nodes, back.grid.nodes):
-        assert g1.tobytes() == g2.tobytes()
+    for b1, b2 in zip(rm.bases, back.bases):
+        assert b1.nodes.tobytes() == b2.nodes.tobytes()
     # evaluation after the round trip is bitwise identical
     q = (0.13, -0.02, 0.05)
     assert rom_eval(back, q).tobytes() == rom_eval(rm, q).tobytes()
     # and exact at a sampled subgrid node
     I = rm.model.index_sets
-    node = tuple(rm.grid.nodes[k][I[k][0]] for k in range(3))
+    node = tuple(rm.bases[k].nodes[I[k][0]] for k in range(3))
     assert np.array_equal(rom_eval(back, node), rm.model.core.data[0, 0, 0])
     # the folded R factors are not saved, so a loaded model cannot be
     # grown incrementally
