@@ -192,7 +192,11 @@ def abc_sweeps(cached, cfg):
     ``(model, report)`` after each one.  In each sweep every mode is
     scanned by rook pivoting on the residual restricted to the auxiliary
     index sets, and every mode that is not saturated receives the index
-    the scan found.  The model at the enlarged index sets is
+    the scan found.  In the first sweep mode ``k``'s scan runs through
+    the indices that modes ``l < k`` have just received in place of their
+    auxiliary sets, so the 1 x ... x 1 core is an entry the scans found
+    large, not one where d independent picks happen to meet; every
+    factor is solved against it.  The model at the enlarged index sets is
     :func:`tucker_cross` with the last sweep's model as ``prev``: only the
     fibers and core entries new at the enlarged sets are read, and the
     fibers are folded into the last model's triangular factors, so the
@@ -237,7 +241,8 @@ def abc_sweeps(cached, cfg):
       entry of cross(index_sets), the core included, once.
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
-      the auxiliary sets.
+      the auxiliary sets (in the first sweep, in the chosen indices, which
+      are auxiliary too).
     - So each evaluation lies in cross(``report.aux_sets``).
     """
     dims = cached.dims
@@ -254,7 +259,9 @@ def abc_sweeps(cached, cfg):
             used = set(sets[k])
             if len(used) == dims[k]:
                 continue
-            view = _ResidualRowView(cached, model, aux, k)
+            # sweep 1 scans through the indices it has already chosen
+            scan = aux if model is not None else sets[:k] + aux[k:]
+            view = _ResidualRowView(cached, model, scan, k)
             chosen = None
             for _ in range(6):
                 _, j = rook_pivot(view, int(rng.integers(dims[k])), cfg.n_rook)

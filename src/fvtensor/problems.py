@@ -16,6 +16,12 @@ multi-index or broadcastable index arrays: :func:`make_oracle` evaluates
 it entry by entry, :func:`make_tensor` over the whole grid, and the two
 agree bit for bit, so the dense tensor is the oracle's exact reference.
 
+Each family has one geometry: ``separable`` and ``lowrank_plus_decay``
+the identity Gram, ``gaussian_bump`` its quadrature weights.  To study a
+family under another Gram, put that inner product on the tensor or the
+oracle the family gave, ``BTensor(A.data, ip)`` or
+``EntryOracle(oracle.dims, ip, oracle.fn)``, as ``--gram`` does.
+
 Externally computed snapshot tensors enter through the FVT format
 (:func:`fvtensor.fvt.load_fvt` / :func:`fvtensor.fvt.save_fvt`).
 """
@@ -53,7 +59,6 @@ class FamilySpec:
     family: str
     dims: tuple
     h: int
-    gram: str | None = None
     seed: int = 0
     params: dict = field(default_factory=dict)
 
@@ -102,12 +107,11 @@ def _space_vectors(rng, n_terms, h):
     return np.stack([_chebyshev_profile(c, xi) for c in coeffs], axis=1)
 
 
-def _mode_profiles(rng, dims, n_terms):
-    """Smooth per-mode coefficient profiles on uniform grids over [0, 1]."""
+def _mode_profiles(rng, grids, n_terms):
+    """Smooth per-mode coefficient profiles on the given parameter grids."""
     out = []
-    for n in dims:
-        x = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
-        C = np.empty((n, n_terms))
+    for x in grids:
+        C = np.empty((x.size, n_terms))
         for t in range(n_terms):
             a = rng.standard_normal(3)
             phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -116,28 +120,12 @@ def _mode_profiles(rng, dims, n_terms):
     return out
 
 
-def _gram_for(spec, default_weights=None):
-    kind = spec.gram
-    if kind in (None, "diagonal") and default_weights is not None:
-        return InnerProduct.diagonal(default_weights)
-    if kind in (None, "identity"):
-        return InnerProduct.identity(spec.h)
-    rng = np.random.default_rng([int(spec.seed), 7919])
-    if kind == "diagonal":
-        return InnerProduct.diagonal(0.5 + rng.random(spec.h))
-    if kind == "dense":
-        M = rng.standard_normal((spec.h, spec.h))
-        G = (M @ M.T + spec.h * np.eye(spec.h)) / spec.h
-        return InnerProduct.dense(G)
-    raise ValueError(f"unknown gram kind {kind!r}")
-
-
 def _sum_of_terms(spec):
     """Inner product and entry formula ``terms(idx)`` of a sum-of-terms
     family; ``idx`` is one multi-index or broadcastable index arrays."""
     amplitudes = _amplitudes(spec)
     rng = np.random.default_rng([int(spec.seed), 0])
-    profiles = _mode_profiles(rng, spec.dims, len(amplitudes))
+    profiles = _mode_profiles(rng, param_grids(spec), len(amplitudes))
     V = _space_vectors(rng, len(amplitudes), spec.h) * amplitudes
 
     def terms(idx):
@@ -146,7 +134,7 @@ def _sum_of_terms(spec):
             W = W * C[i]
         return np.einsum("...t,ht->...h", W, V)
 
-    return _gram_for(spec), terms
+    return InnerProduct.identity(spec.h), terms
 
 
 def _amplitudes(spec):
@@ -190,7 +178,7 @@ def _bump(spec):
         amp = (gamma[k] / ge) ** (0.5 * sdim)
         return amp * np.exp(-((px - a) ** 2 + (py - b) ** 2) / ge)
 
-    return _gram_for(spec, weights), alpha, beta, bump
+    return InnerProduct.diagonal(weights), alpha, beta, bump
 
 
 def _spatial_axis(n):

@@ -8,7 +8,9 @@ are never exercised to produce the expected values.
 import numpy as np
 import pytest
 
+from fvtensor.btensor import BTensor
 from fvtensor.hilbert import InnerProduct
+from fvtensor.problems import make_tensor
 
 GRAM_KINDS = ("identity", "diagonal", "dense")
 
@@ -20,6 +22,13 @@ def make_ip(kind, h, rng):
         return InnerProduct.diagonal(0.5 + rng.random(h))
     M = rng.standard_normal((h, h))
     return InnerProduct.dense((M @ M.T + h * np.eye(h)) / h)
+
+
+def tensor_under(spec, kind):
+    """``make_tensor(spec)`` with its Gram replaced by ``make_ip(kind)``,
+    drawn from an rng seeded by the spec's seed."""
+    ip = make_ip(kind, spec.h, np.random.default_rng([int(spec.seed), 7919]))
+    return BTensor(make_tensor(spec).data, ip)
 
 
 def gram_matrix(ip):
@@ -43,6 +52,18 @@ def rng():
 
 def scalar_unfold(T, k):
     return np.moveaxis(T, k, 0).reshape(T.shape[k], -1)
+
+
+def cross_size(sets, dims):
+    """Number of multi-indices in ``sets[l]`` for all modes but at most one."""
+    s = [len(S) for S in sets]
+    others = [int(np.prod(s[:k] + s[k + 1:])) for k in range(len(s))]
+    return int(np.prod(s)) + sum((n - s[k]) * others[k]
+                                 for k, n in enumerate(dims))
+
+
+def in_cross(idx, sets):
+    return sum(i not in S for i, S in zip(idx, sets)) <= 1
 
 
 def fiber_slab(T, sets, k):

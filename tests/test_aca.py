@@ -2,10 +2,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fvtensor import aca, problems
+from fvtensor import aca, cli, problems
 from fvtensor.aca import (
     TIE_RTOL,
     AbcConfig,
@@ -24,7 +24,7 @@ from fvtensor.btensor import (
 from fvtensor.hilbert import InnerProduct
 from fvtensor.sampler import CachedOracle, EntryOracle
 
-from conftest import GRAM_KINDS, make_ip
+from conftest import GRAM_KINDS, cross_size, in_cross, make_ip, tensor_under
 
 
 def tensor_oracle(A, threads=1):
@@ -391,3 +391,59 @@ def test_invalid_config_raises_before_any_read(case):
     with pytest.raises(ValueError):
         tucker_abc(c, cfg)
     assert c.count == 0
+
+
+# --- the sweep's contract on random instances -------------------------------
+
+INSTANCE = dict(dims=st.lists(st.integers(3, 7), min_size=2, max_size=4),
+                h=st.integers(1, 6), kind=st.sampled_from(GRAM_KINDS),
+                rank=st.integers(1, 3), seed=st.integers(0, 1000),
+                n_aux=st.integers(1, 3))
+
+
+def family_sweeps(dims, h, kind, rank, n_noise, seed, n_aux, n_rook, n_iter):
+    """A ``lowrank_plus_decay`` tensor under a ``kind`` Gram, its cached
+    oracle, and the sweeps on it, configured as ``fvt compare`` would."""
+    A = tensor_under(problems.FamilySpec(
+        "lowrank_plus_decay", dims, h, seed=seed,
+        params={"rank": rank, "n_noise": n_noise}), kind)
+    c = tensor_oracle(A)
+    cfg = AbcConfig(n_iter=n_iter, init_aux=cli._draw_aux(dims, n_aux, seed),
+                    n_rook=n_rook, seed=seed)
+    return A, c, abc_sweeps(c, cfg)
+
+
+# Sweep 1 solves every factor against one core entry, which its scans
+# choose large, so the model stays within a few |A|: 1.73 |A| at worst
+# over 1,800 random draws.  n_rook = 0 reads no entry before it picks, so
+# that entry is wherever d uniform draws meet and nothing bounds the
+# factors: such runs have reached 4.5e7 |A|.  Later sweeps are not bounded
+# yet (ROADMAP item 17).
+@settings(max_examples=40, deadline=None)
+@given(**INSTANCE, n_noise=st.integers(0, 12), n_rook=st.sampled_from([1, 2]))
+@example(dims=[3, 3, 3, 7], h=1, kind="identity", rank=2, n_noise=3,
+         seed=39, n_aux=2, n_rook=1)
+def test_abc_first_sweep_model_error_is_bounded(dims, h, kind, rank, n_noise,
+                                                seed, n_aux, n_rook):
+    A, _, sweeps = family_sweeps(dims, h, kind, rank, n_noise, seed, n_aux,
+                                 n_rook, n_iter=1)
+    model, _ = next(sweeps)
+    err = fro_norm(BTensor(A.data - assemble(model).data, A.ip))
+    assert err <= 10.0 * fro_norm(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**INSTANCE, n_noise=st.integers(0, 12),
+       n_rook=st.sampled_from([0, 1, 2]))
+def test_abc_reads_cross_of_index_sets_within_cross_of_aux(
+        dims, h, kind, rank, n_noise, seed, n_aux, n_rook):
+    # criterion 6 on random instances, after every sweep:
+    # cross(I) <= evaluated <= cross(aux)
+    _, c, sweeps = family_sweeps(dims, h, kind, rank, n_noise, seed, n_aux,
+                                 n_rook, n_iter=4)
+    for _, report in sweeps:
+        index_sets = [set(S) for S in report.index_sets]
+        aux_sets = [set(S) for S in report.aux_sets]
+        assert sum(in_cross(idx, index_sets) for idx in c.cache) \
+            == cross_size(report.index_sets, c.dims)
+        assert all(in_cross(idx, aux_sets) for idx in c.cache)

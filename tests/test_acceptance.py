@@ -33,10 +33,13 @@ from fvtensor.sampler import CachedOracle, EntryOracle
 
 from conftest import (
     GRAM_KINDS,
+    cross_size,
+    in_cross,
     make_ip,
     scalar_cross,
     scalar_hosvd,
     scalar_tucker_cross,
+    tensor_under,
 )
 
 
@@ -124,11 +127,10 @@ def test_criterion_2_subgrid_interpolation(crit1_results):
             "lowrank_plus_decay",
             tuple(int(rng.integers(6, 12)) for _ in range(3)),
             int(rng.integers(2, 13)),
-            gram=GRAM_KINDS[trial % 3],
             seed=300 + trial,
             params={"rank": 3, "rho": 0.6, "n_noise": 5},
         )
-        A = make_tensor(spec)
+        A = tensor_under(spec, GRAM_KINDS[trial % 3])
         cached = CachedOracle(EntryOracle.from_tensor(A))
         aux = [sorted(rng.choice(n, size=2, replace=False).tolist())
                for n in A.dims]
@@ -158,13 +160,12 @@ def test_criterion_3_hosvd_bound():
                 int(rng.integers(4, 11)))
         h = int(rng.integers(2, 21))
         spec = FamilySpec(
-            "lowrank_plus_decay", dims, h,
-            gram=GRAM_KINDS[trial % 3], seed=500 + trial,
+            "lowrank_plus_decay", dims, h, seed=500 + trial,
             params={"rank": int(rng.integers(1, 4)),
                     "rho": float(rng.uniform(0.3, 0.7)),
                     "n_noise": int(rng.integers(3, 8))},
         )
-        A = make_tensor(spec)
+        A = tensor_under(spec, GRAM_KINDS[trial % 3])
         full = hosvd(A)
         avail = tuple(s.size for s in full.sigmas)
         for _ in range(5):
@@ -244,18 +245,6 @@ def test_criterion_5_kronecker_identity():
     assert _report(5, ok, f"10 tensors x 3 modes, worst gap {worst:.2e}")
 
 
-def _cross_size(sets, dims):
-    """Number of multi-indices in ``sets[l]`` for all modes but at most one."""
-    s = [len(S) for S in sets]
-    others = [int(np.prod(s[:k] + s[k + 1:])) for k in range(len(s))]
-    return int(np.prod(s)) + sum((n - s[k]) * others[k]
-                                 for k, n in enumerate(dims))
-
-
-def _in_cross(idx, sets):
-    return sum(i not in S for i, S in zip(idx, sets)) <= 1
-
-
 def test_criterion_6_sample_budget():
     # The budget is the sampling footprint that the adaptive sweep promises.
     # The final model is tucker_cross at report.index_sets; its docstring
@@ -280,12 +269,12 @@ def test_criterion_6_sample_budget():
     dims = cached.dims
     total = int(np.prod(dims))
     count = cached.count
-    floor = _cross_size(report.index_sets, dims)
-    budget = _cross_size(report.aux_sets, dims)
+    floor = cross_size(report.index_sets, dims)
+    budget = cross_size(report.aux_sets, dims)
     index_sets = [set(S) for S in report.index_sets]
     aux_sets = [set(S) for S in report.aux_sets]
-    n_model = sum(_in_cross(idx, index_sets) for idx in cached.cache)
-    n_outside = sum(not _in_cross(idx, aux_sets) for idx in cached.cache)
+    n_model = sum(in_cross(idx, index_sets) for idx in cached.cache)
+    n_outside = sum(not in_cross(idx, aux_sets) for idx in cached.cache)
     ok = (n_model == floor and n_outside == 0 and count <= budget
           and elapsed <= 60.0)
     assert _report(6, ok, f"{count} distinct evaluations of {total} "

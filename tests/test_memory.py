@@ -27,15 +27,17 @@ from fvtensor import cli
 from fvtensor.cli import main
 from fvtensor.fvt import load_fvt, save_fvt
 from fvtensor.hilbert import InnerProduct
-from fvtensor.problems import FamilySpec, make_tensor
+from fvtensor.problems import FamilySpec
+
+from conftest import tensor_under
 
 SHARE = 0.25  # of the tensor's bytes: the most a pass may allocate
 
 
 @pytest.fixture(scope="module", params=["diagonal", "dense"])
 def tensor(request):
-    return make_tensor(FamilySpec("separable", (30, 30, 30), 64,
-                                  gram=request.param))
+    return tensor_under(FamilySpec("separable", (30, 30, 30), 64),
+                        request.param)
 
 
 @pytest.fixture
@@ -158,8 +160,8 @@ def test_compare_keeps_one_copy_of_the_tensor(tensor, path, tmp_path,
     # such slice at a time.  The run stops where the sampler is made, so
     # the peak is that of the load and the whitening: the later passes
     # hold a few slabs at once, over a quarter of a tensor seven slabs long
-    thin = make_tensor(FamilySpec("separable", (2, 60, 60), 64,
-                                  gram=tensor.ip.kind))
+    thin = tensor_under(FamilySpec("separable", (2, 60, 60), 64),
+                        tensor.ip.kind)
     save_fvt(thin, tmp_path / "thin.fvt")
 
     def stop(*args, **kwargs):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvtensor.btensor import BTensor, hosvd, hosvd_error_bound, tucker_rank
+from fvtensor.cli import main
 from fvtensor.fvt import (
     BadMagic,
     BadVersion,
@@ -37,6 +38,17 @@ def test_family_spec_validation():
                         ("separable", "rho")):
         with pytest.raises(ValueError, match=repr(key)):
             FamilySpec(family, (3, 3, 3), 4, params={key: 0.5})
+    # amplitude parameters are read when the family is made
+    for family, params, match in (
+            ("separable", {"rank": 0}, "rank"),
+            ("lowrank_plus_decay", {"rank": 0}, "rank"),
+            ("lowrank_plus_decay", {"rho": 0.0}, "rho"),
+            ("lowrank_plus_decay", {"rho": 1.0}, "rho"),
+            ("lowrank_plus_decay", {"n_noise": -1}, "n_noise")):
+        spec = FamilySpec(family, (3, 3, 3), 4, params=params)
+        for make in (make_oracle, make_tensor):
+            with pytest.raises(ValueError, match=match):
+                make(spec)
 
 
 def test_separable_rank_one():
@@ -233,6 +245,21 @@ def test_fvt_bad_version(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(BadVersion):
         load_fvt(path)
+
+
+@pytest.mark.parametrize("header, match", [
+    (struct.pack("<II", 1, 0), "order must be positive"),
+    (struct.pack("<II2QQB", 1, 2, 0, 3, 2, 0), "dims and h must be positive"),
+    (struct.pack("<II2QQB", 1, 2, 2, 3, 0, 0), "dims and h must be positive"),
+    (struct.pack("<II2QQB", 1, 2, 2, 3, 2, 7), "unknown gram kind 7"),
+])
+def test_fvt_header_refusals(tmp_path, capsys, header, match):
+    path = tmp_path / "x.fvt"
+    path.write_bytes(b"FVT1" + header)
+    with pytest.raises(FvtError, match=match):
+        load_fvt(path)
+    assert main(["info", "--input", str(path)]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_fvt_truncated(tmp_path, rng):
