@@ -46,7 +46,9 @@ class Basis1D:
             raise ValueError("grid is empty")
         if not np.all(np.isfinite(x)):
             raise ValueError("grid holds a non-finite node")
-        if np.any(np.diff(x) <= 0.0):
+        # compare neighbours, not their difference: the difference of two
+        # finite nodes can overflow
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("grid is not strictly increasing")
         self.nodes = x
 

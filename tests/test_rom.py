@@ -83,6 +83,8 @@ def test_rom_from_parts_needs_one_grid_per_mode(rng):
 @example([math.nan])
 @example([0.0, math.inf])
 @example([-math.inf, 0.0, 1.0])
+@example([1.7976931348623157e+308, -9.9792015476736e+291])
+@example([-1.7976931348623157e+308, 1.7976931348623157e+308])
 def test_param_grid_accepts_exactly_the_valid_node_vectors(x):
     # a node vector is valid when it is nonempty, finite and strictly
     # increasing; an invalid one is a ValueError from the basis, and one
