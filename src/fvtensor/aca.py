@@ -2,7 +2,8 @@
 
 Grows one index per sweep in each mode that is not saturated: a start
 column is drawn uniformly at random, refined by rook pivoting on a lazily
-evaluated residual row matrix restricted to auxiliary index sets, and the
+evaluated residual row matrix through the index sets of the modes that
+grew earlier in the sweep and the auxiliary sets of the rest, and the
 index found joins the mode's set unless the chosen columns already carry
 the rank of the mode's fiber slab and of the fibers the scan read.  The
 run stops after a sweep in which no mode grows.  The Tucker-cross model
@@ -30,8 +31,8 @@ class AbcConfig:
     """Knobs of the adaptive run.
 
     ``init_aux`` holds one non-empty auxiliary index set per mode.
-    ``n_rook`` is the number of rook rounds per scan, and ``seed`` seeds
-    the uniform draw of each scan's start column.  ``tol_rel``, in
+    ``n_rook >= 1`` is the number of rook rounds per scan, and ``seed``
+    seeds the uniform draw of each scan's start column.  ``tol_rel``, in
     ``[0, 1)``, truncates the pseudoinverses and the ranks of the
     saturation test.  A run ends after a sweep in which no mode grows
     (see :func:`abc_sweeps`), so it may run fewer than ``n_iter`` sweeps.
@@ -47,8 +48,8 @@ class AbcConfig:
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
-        if self.n_rook < 0:
-            raise ValueError("n_rook must be nonnegative")
+        if self.n_rook < 1:
+            raise ValueError("n_rook must be at least 1")
         if not 0.0 <= self.tol_rel < 1.0:
             raise ValueError(f"tol_rel must lie in [0, 1), got {self.tol_rel}")
         if len(self.init_aux) != len(dims):
@@ -79,9 +80,9 @@ class AbcReport:
 
 
 class _ResidualRowView:
-    """Residual row matrix over the auxiliary sets, one mode at a time.
+    """Residual row matrix over given index sets, one mode at a time.
 
-    Rows are big-endian combinations of the other modes' auxiliary sets,
+    Rows are big-endian combinations of the other modes' sets in ``aux``,
     columns the full mode-``k`` range.  Entries are evaluated on demand:
     the tensor side goes through the cache, the model side through factor
     contractions.  The fibers that :meth:`row_norms` read are kept for
@@ -139,16 +140,16 @@ def rook_pivot(view, j_start, n_rook):
     of the current column, then the largest entry of that row; ties go to
     the smallest index, and norms within ``TIE_RTOL`` of the largest
     count as ties, so a tie that holds in exact arithmetic is not broken
-    by round-off.  With ``n_rook = 0`` no entry is inspected and
-    ``(None, j_start)`` is returned.
+    by round-off.  ``n_rook >= 1`` rounds are run.
     """
+    if n_rook < 1:
+        raise ValueError("n_rook must be at least 1")
     m, n = view.shape
     if m == 0 or n == 0:
         raise ValueError("cannot pivot on an empty matrix")
     j = int(j_start)
     if not 0 <= j < n:
         raise IndexError(f"start column {j} out of range")
-    i = None
     for _ in range(int(n_rook)):
         i = _first_max(view.col_norms(j))
         j = _first_max(view.row_norms(i))
@@ -170,11 +171,9 @@ def _carried(view, model, tol_rel):
     """Whether the mode-``k`` columns ``I`` of ``model`` carry the rank of
     its slab, with triangular factor ``R``, stacked on the whitened fibers
     the scan read, ranks counting singular values above ``tol_rel`` times
-    the largest; never, if the scan read none.  Columns that carry the
-    stack carry ``R``, so ``R`` alone is tested first, against the rank
-    of ``R[:, I]`` that :func:`tucker_cross` counted in its solve."""
-    if not view.fibers:
-        return False
+    the largest.  Columns that carry the stack carry ``R``, so ``R``
+    alone is tested first, against the rank of ``R[:, I]`` that
+    :func:`tucker_cross` counted in its solve."""
     k = view.k
     R, I = model.r_factors[k], model.index_sets[k]
     if _matrix_rank(R, tol_rel) > model.ranks[k]:
@@ -190,13 +189,13 @@ def abc_sweeps(cached, cfg):
 
     A generator: it runs up to ``cfg.n_iter`` sweeps and yields
     ``(model, report)`` after each one.  In each sweep every mode is
-    scanned by rook pivoting on the residual restricted to the auxiliary
-    index sets, and every mode that is not saturated receives the index
-    the scan found.  In the first sweep mode ``k``'s scan runs through
-    the indices that modes ``l < k`` have just received in place of their
-    auxiliary sets, so the 1 x ... x 1 core is an entry the scans found
-    large, not one where d independent picks happen to meet; every
-    factor is solved against it.  The model at the enlarged index sets is
+    scanned by rook pivoting on the residual over the scan sets, and
+    every mode that is not saturated receives the index the scan found.
+    The scan sets start as the auxiliary sets, and a mode that grows puts
+    its index set in their place, so mode ``k`` scans through the index
+    sets of the modes ``l < k`` that grew in the sweep: new core entries
+    cross where the scans found the residual large, not where d
+    independent picks meet.  The model at the enlarged index sets is
     :func:`tucker_cross` with the last sweep's model as ``prev``: only the
     fibers and core entries new at the enlarged sets are read, and the
     fibers are folded into the last model's triangular factors, so the
@@ -217,8 +216,7 @@ def abc_sweeps(cached, cfg):
     above ``cfg.tol_rel`` times the largest).  The slab alone only bounds
     the rank of the mode's unfolding from below; a scanned fiber that the
     chosen columns do not carry raises the rank of ``M``, so the mode
-    grows.  The test reads no entry beyond the scan's; a scan that read
-    no fiber (``n_rook = 0``) never saturates a mode.  A saturated mode
+    grows.  The test reads no entry beyond the scan's.  A saturated mode
     gets no index in that sweep, and a mode with every column used is
     not scanned.
 
@@ -229,7 +227,7 @@ def abc_sweeps(cached, cfg):
 
     If a pivot lands on an index already in the set, a fresh start column
     is drawn up to five times; failing that, the unused column with the
-    largest residual norm over the auxiliary rows is taken (ties as in
+    largest residual norm over the scanned rows is taken (ties as in
     :func:`rook_pivot`).
 
     Sampling footprint.  Let cross(S) be the multi-indices that lie in the
@@ -241,8 +239,7 @@ def abc_sweeps(cached, cfg):
       entry of cross(index_sets), the core included, once.
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans and the fallback read only fibers whose other indices lie in
-      the auxiliary sets (in the first sweep, in the chosen indices, which
-      are auxiliary too).
+      the auxiliary sets or in the index sets, which are auxiliary too.
     - So each evaluation lies in cross(``report.aux_sets``).
     """
     dims = cached.dims
@@ -255,12 +252,11 @@ def abc_sweeps(cached, cfg):
     report = AbcReport()
     for _ in range(cfg.n_iter):
         grown = False
+        scan = list(aux)
         for k in range(d):
             used = set(sets[k])
             if len(used) == dims[k]:
                 continue
-            # sweep 1 scans through the indices it has already chosen
-            scan = aux if model is not None else sets[:k] + aux[k:]
             view = _ResidualRowView(cached, model, scan, k)
             chosen = None
             for _ in range(6):
@@ -275,7 +271,7 @@ def abc_sweeps(cached, cfg):
             if model is not None and _carried(view, model, cfg.tol_rel):
                 continue
             grown = True
-            sets[k] = sorted(used | {chosen})
+            sets[k] = scan[k] = sorted(used | {chosen})
             if chosen not in aux[k]:
                 aux[k] = sorted(aux[k] + [chosen])
 

@@ -343,6 +343,7 @@ def _cmd_info(args):
         raise ValueError(
             f"{path} is neither an FVT tensor nor a JSON file") from None
     if isinstance(doc, dict) and doc.get("format") == "fvt-rom":
+        rom._check_doc(doc)
         sets = doc["index_sets"]
         print(f"ROM model: dims={tuple(doc['dims'])} "
               f"rank={tuple(len(I) for I in sets)} basis={doc['basis']} "
@@ -375,7 +376,7 @@ def build_parser():
     def add_abc(p):
         p.add_argument("--threads", type=_int_at_least(1), default=1)
         p.add_argument("--iters", type=_int_at_least(1), required=True)
-        p.add_argument("--rook", type=_int_at_least(0), default=1)
+        p.add_argument("--rook", type=_int_at_least(1), default=1)
         p.add_argument("--aux", type=_int_at_least(1), default=3)
 
     p = sub.add_parser("gen", help="generate a synthetic tensor file")

@@ -245,6 +245,26 @@ def save_model(rm, path):
         f.write("\n")
 
 
+def _check_doc(doc):
+    """Refuse a ROM document whose fields are not of the JSON types that
+    :func:`save_model` writes, with a ``ValueError`` naming the field."""
+    for key in ("dims", "index_sets", "grids", "basis", "factors"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"ROM field {key!r} is not a list")
+    if not isinstance(doc.get("core_file"), str):
+        raise ValueError("ROM field 'core_file' is not a string")
+    if not all(isinstance(I, list) for I in doc["index_sets"]):
+        raise ValueError("ROM field 'index_sets' holds a non-list")
+    if not all(isinstance(F, dict) for F in doc["factors"]):
+        raise ValueError("ROM field 'factors' holds a non-object")
+    data = [F.get("data") for F in doc["factors"]]
+    for key, rows in (("grids", doc["grids"]), ("factors", data)):
+        if not all(isinstance(r, list) and all(isinstance(v, str) for v in r)
+                   for r in rows):
+            raise ValueError(f"ROM field {key!r} must hold lists of hex "
+                             f"strings")
+
+
 def load_model(path):
     """Load a ROM saved by :func:`save_model`, checking what it loads.
 
@@ -252,12 +272,15 @@ def load_model(path):
     booleans; its index set must be sorted, distinct and inside
     ``[0, dims[k])``; its length must be the core's size in mode ``k``;
     and factor ``k`` must be a finite ``dims[k] x |I_k|`` matrix.  A
-    violation is a ``ValueError`` naming the mode.
+    violation is a ``ValueError`` naming the mode; a field of another
+    JSON type is one naming the field.
     """
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != "fvt-rom" or doc.get("version") != 1:
+    if not (isinstance(doc, dict) and doc.get("format") == "fvt-rom"
+            and doc.get("version") == 1):
         raise ValueError("not a version-1 ROM file")
+    _check_doc(doc)
     core_path = os.path.join(os.path.dirname(os.path.abspath(path)),
                              doc["core_file"])
     core = load_fvt(core_path)

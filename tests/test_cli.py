@@ -292,6 +292,20 @@ def test_eval_non_finite_grid_node_exit_2(tmp_path, capsys, node):
     pytest.param(lambda d: d["dims"].__setitem__(0, 6.5),
                  "mode 0 size or index set holds a non-integer",
                  id="float-dims"),
+    # each of these once raised an uncaught TypeError or AttributeError
+    pytest.param(lambda d: [d], "not a version-1 ROM file", id="json-list"),
+    pytest.param(lambda d: d["grids"][1].__setitem__(0, 0.5),
+                 "ROM field 'grids' must hold lists of hex strings",
+                 id="number-node"),
+    pytest.param(lambda d: d["factors"][2]["data"].__setitem__(0, 1.0),
+                 "ROM field 'factors' must hold lists of hex strings",
+                 id="number-factor-entry"),
+    pytest.param(lambda d: d.update(basis=5), "ROM field 'basis' is not a list",
+                 id="basis-number"),
+    pytest.param(lambda d: d.update(index_sets=None),
+                 "ROM field 'index_sets' is not a list", id="index-sets-null"),
+    pytest.param(lambda d: d.update(core_file=3),
+                 "ROM field 'core_file' is not a string", id="core-file-number"),
 ])
 def test_eval_refuses_an_inconsistent_model_exit_2(tmp_path, capsys, edit,
                                                    named):
@@ -302,11 +316,33 @@ def test_eval_refuses_an_inconsistent_model_exit_2(tmp_path, capsys, edit,
     with open(model) as f:
         doc = json.load(f)
     assert all(len(I) >= 2 for I in doc["index_sets"])
-    edit(doc)
+    edited = edit(doc)
+    with open(model, "w") as f:
+        # an edit returns a list only to replace the whole document
+        json.dump(edited if isinstance(edited, list) else doc, f)
+    capsys.readouterr()
+    assert main(["eval", "--model", model, "--params", "0.5,0.5,0.5"]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    pytest.param("index_sets", None, "ROM field 'index_sets' is not a list",
+                 id="index-sets-null"),
+    pytest.param("dims", 7, "ROM field 'dims' is not a list",
+                 id="dims-number"),
+])
+def test_info_refuses_a_malformed_model_exit_2(tmp_path, capsys, field, value,
+                                               named):
+    model = str(tmp_path / "m.json")
+    assert main(["build", "--family", "separable", "--dims", "5,4,3",
+                 "--h", "2", "--iters", "1", "--out", model]) == 0
+    with open(model) as f:
+        doc = json.load(f)
+    doc[field] = value
     with open(model, "w") as f:
         json.dump(doc, f)
     capsys.readouterr()
-    assert main(["eval", "--model", model, "--params", "0.5,0.5,0.5"]) == 2
+    assert main(["info", "--input", model]) == 2
     assert named in capsys.readouterr().err
 
 
@@ -667,6 +703,8 @@ def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                  id="compare-iters"),
     pytest.param("build", ["--iters", "2", "--rook", "-1"], "argument --rook",
                  id="build-rook"),
+    pytest.param("build", ["--iters", "2", "--rook", "0"], "argument --rook",
+                 id="build-rook-zero"),
     pytest.param("build", ["--iters", "2", "--aux", "0"], "argument --aux",
                  id="build-aux"),
     pytest.param("compare", ["--iters", "2", "--aux", "x"], "argument --aux",
