@@ -1,12 +1,14 @@
 """Adaptive cross sampling of function-valued tensors.
 
 Grows one index per sweep in each mode that is not saturated: a start
-column is drawn uniformly at random, refined by rook pivoting on a lazily
-evaluated residual row matrix through the index sets of the modes that
-grew earlier in the sweep and the auxiliary sets of the rest, and the
-index found joins the mode's set unless the chosen columns already carry
-the rank of the mode's fiber slab and of the fibers the scan read.  The
-run stops after a sweep in which no mode grows.  The Tucker-cross model
+column is drawn uniformly at random and refined by rook pivoting on a
+lazily evaluated residual row matrix through the index sets of the modes
+that grew earlier in the sweep and the auxiliary sets of the rest.  A
+mode is saturated when its chosen columns carry the rank of its fiber
+slab and of the fibers the scan read; otherwise it gains the column of
+that stack which adds the most rank, or the rook's column when that adds
+nearly as much (one step of column-pivoted QR, as in Q-DEIM).  The run
+stops after a sweep in which no mode grows.  The Tucker-cross model
 is updated to the enlarged sets by folding in the new fibers only.  The
 residual matrices are never materialized beyond the scanned entries.
 """
@@ -20,10 +22,12 @@ from .bmatrix import (
     _canonical_index_set,
     _fiber_rows,
     _matrix_rank,
+    _truncated_scalar_svd,
 )
 from .btensor import model_gather, tucker_cross
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
+KEEP_RATIO = 0.5  # share of the largest projected norm that keeps the rook's pick
 
 
 @dataclass
@@ -86,7 +90,7 @@ class _ResidualRowView:
     columns the full mode-``k`` range.  Entries are evaluated on demand:
     the tensor side goes through the cache, the model side through factor
     contractions.  The fibers that :meth:`row_norms` read are kept for
-    the saturation test.
+    the saturation test and the choice of the new index.
     """
 
     def __init__(self, cached, model, aux, k):
@@ -115,13 +119,6 @@ class _ResidualRowView:
         grids = _fiber_grids(self.cached.dims, self.aux, self.k, i)
         self.fibers.append(self.cached.gather(grids))
         return np.sqrt(self._sq_norms(grids, self.fibers[-1])).reshape(-1)
-
-    def all_col_norms(self):
-        dims = self.cached.dims
-        sq = self._sq_norms([np.arange(n) if l == self.k else self.aux[l]
-                             for l, n in enumerate(dims)])
-        axes = tuple(l for l in range(len(dims)) if l != self.k)
-        return np.sqrt(np.sum(sq, axis=axes))
 
 
 def _fiber_grids(dims, aux, k, c):
@@ -167,20 +164,37 @@ def _first_max(norms):
     return int(np.flatnonzero(norms >= top * (1.0 - TIE_RTOL))[0])
 
 
-def _carried(view, model, tol_rel):
-    """Whether the mode-``k`` columns ``I`` of ``model`` carry the rank of
-    its slab, with triangular factor ``R``, stacked on the whitened fibers
-    the scan read, ranks counting singular values above ``tol_rel`` times
-    the largest.  Columns that carry the stack carry ``R``, so ``R``
-    alone is tested first, against the rank of ``R[:, I]`` that
-    :func:`tucker_cross` counted in its solve."""
+def _new_index(view, model, j, tol_rel):
+    """The index that mode ``k = view.k`` of ``model`` should gain, or
+    ``None`` when its columns ``I`` carry ``M``, the slab's triangular
+    factor ``R`` stacked on the whitened fibers the scan read.
+
+    ``I`` carries ``M`` when the rank of ``M[:, I]`` reaches that of
+    ``M``, ranks counting singular values above ``tol_rel`` times the
+    largest.  Columns that carry the stack carry ``R``, so ``R`` alone is
+    tested first, against the rank of ``R[:, I]`` that
+    :func:`tucker_cross` counted in its solve.  Otherwise every column of
+    ``M`` is projected off the span of ``M[:, I]`` (its singular vectors
+    above the same cut): the rook's column ``j`` is kept when it is
+    unused and its projected norm is at least ``KEEP_RATIO`` times the
+    largest over the unused columns, and else the unused column with the
+    largest projected norm is taken, ties as in :func:`_first_max`.  This
+    is one step of column-pivoted QR on ``M`` (Q-DEIM), so the new index
+    adds rank to the mode.  ``j`` may be ``None``.
+    """
     k = view.k
-    R, I = model.r_factors[k], model.index_sets[k]
-    if _matrix_rank(R, tol_rel) > model.ranks[k]:
-        return False
+    R, I = model.r_factors[k], list(model.index_sets[k])
     rows = (_fiber_rows(view.cached.ip.whiten(f), k) for f in view.fibers)
     M = np.vstack([R, *rows])
-    return _matrix_rank(M, tol_rel) <= _matrix_rank(M[:, I], tol_rel)
+    if (_matrix_rank(R, tol_rel) <= model.ranks[k]
+            and _matrix_rank(M, tol_rel) <= _matrix_rank(M[:, I], tol_rel)):
+        return None
+    U = _truncated_scalar_svd(M[:, I], tol_rel)[0]
+    norms = np.linalg.norm(M - U @ (U.T @ M), axis=0)
+    norms[I] = -1.0
+    if j is not None and norms[j] >= KEEP_RATIO * norms.max():
+        return j
+    return _first_max(norms)
 
 
 def abc_sweeps(cached, cfg):
@@ -190,12 +204,12 @@ def abc_sweeps(cached, cfg):
     A generator: it runs up to ``cfg.n_iter`` sweeps and yields
     ``(model, report)`` after each one.  In each sweep every mode is
     scanned by rook pivoting on the residual over the scan sets, and
-    every mode that is not saturated receives the index the scan found.
-    The scan sets start as the auxiliary sets, and a mode that grows puts
-    its index set in their place, so mode ``k`` scans through the index
-    sets of the modes ``l < k`` that grew in the sweep: new core entries
-    cross where the scans found the residual large, not where d
-    independent picks meet.  The model at the enlarged index sets is
+    every mode that is not saturated receives one new index (see New
+    index).  The scan sets start as the auxiliary sets, and a mode that
+    grows puts its index set in their place, so mode ``k`` scans through
+    the index sets of the modes ``l < k`` that grew in the sweep: new
+    core entries cross where the scans found the residual large, not
+    where d independent picks meet.  The model at the enlarged index sets is
     :func:`tucker_cross` with the last sweep's model as ``prev``: only the
     fibers and core entries new at the enlarged sets are read, and the
     fibers are folded into the last model's triangular factors, so the
@@ -220,15 +234,24 @@ def abc_sweeps(cached, cfg):
     gets no index in that sweep, and a mode with every column used is
     not scanned.
 
+    New index.  In sweep 1 a mode takes the column ``j`` its scan found.
+    Later, a mode that is not saturated projects every column of ``M``
+    off the span of ``M[:, I_k]``; it keeps ``j`` when its projected norm
+    is at least ``KEEP_RATIO`` times the largest over the unused
+    columns, and otherwise takes the unused column with the largest
+    projected norm (ties as in :func:`rook_pivot`).  So every new index
+    adds rank to its mode, and no sweep reads fibers for an index that
+    the model's rank does not count.
+
     Stopping.  After a sweep in which no mode grows, the model is the
     last sweep's, so the generator sets ``report.converged`` and stops.
     This is the only stopping rule besides ``cfg.n_iter``, and it sees
     only what the scans read.
 
     If a pivot lands on an index already in the set, a fresh start column
-    is drawn up to five times; failing that, the unused column with the
-    largest residual norm over the scanned rows is taken (ties as in
-    :func:`rook_pivot`).
+    is drawn up to five times; each draw's scan adds its fibers to ``M``.
+    When every draw lands in the set there is no ``j``, and the new index
+    is the largest projected column of ``M``; a saturated mode gets none.
 
     Sampling footprint.  Let cross(S) be the multi-indices that lie in the
     sets ``S[l]`` in all modes but at most one; it has
@@ -238,8 +261,9 @@ def abc_sweeps(cached, cfg):
       ``report.index_sets``; over the sweeps so far it has read each
       entry of cross(index_sets), the core included, once.
     - Every chosen index joins its mode's auxiliary set, and the rook
-      scans and the fallback read only fibers whose other indices lie in
-      the auxiliary sets or in the index sets, which are auxiliary too.
+      scans read only fibers whose other indices lie in the auxiliary
+      sets or in the index sets, which are auxiliary too; the new index
+      is chosen from what the scans read.
     - So each evaluation lies in cross(``report.aux_sets``).
     """
     dims = cached.dims
@@ -264,12 +288,10 @@ def abc_sweeps(cached, cfg):
                 if j not in used:
                     chosen = j
                     break
-            if chosen is None:
-                norms = view.all_col_norms()
-                norms[sorted(used)] = -1.0
-                chosen = _first_max(norms)
-            if model is not None and _carried(view, model, cfg.tol_rel):
-                continue
+            if model is not None:
+                chosen = _new_index(view, model, chosen, cfg.tol_rel)
+                if chosen is None:
+                    continue
             grown = True
             sets[k] = scan[k] = sorted(used | {chosen})
             if chosen not in aux[k]:

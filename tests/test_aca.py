@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from fvtensor import aca, cli, problems
 from fvtensor.aca import (
+    KEEP_RATIO,
     TIE_RTOL,
     AbcConfig,
+    _new_index,
     _ResidualRowView,
     abc_sweeps,
     rook_pivot,
     tucker_abc,
 )
+from fvtensor.bmatrix import _matrix_rank
 from fvtensor.btensor import (
     BTensor,
     assemble,
@@ -113,6 +116,75 @@ def test_rook_final_row_argmax_contract(rng):
     assert row[j] == row.max()
     with pytest.raises(ValueError):
         rook_pivot(SimpleNamespace(shape=(0, 3)), 0, 1)
+
+
+# --- the new index of a mode -------------------------------------------------
+
+def new_index(M, I, j, tol_rel=1e-12):
+    """:func:`_new_index` for mode 1 of a 2-way tensor whose stacked matrix
+    is ``M``: the slab's triangular factor is ``M``'s first row, and the
+    other rows are one scanned fiber under the identity Gram."""
+    M = np.asarray(M, dtype=float)
+    R, F = M[:1], M[1:]
+    view = SimpleNamespace(
+        k=1, cached=SimpleNamespace(ip=InnerProduct.identity(len(F))),
+        fibers=[F.T[None]])
+    model = SimpleNamespace(r_factors=[None, R], index_sets=[None, tuple(I)],
+                            ranks=[None, _matrix_rank(R[:, I], tol_rel)])
+    return _new_index(view, model, j, tol_rel)
+
+
+def test_new_index_none_when_index_set_carries_the_stack():
+    # rank one: column 0 carries every row, the fiber's included
+    M = np.outer([1.0, 2.0, -1.0], [1.0, 3.0, 0.5, 2.0])
+    for j in (None, 1, 3):
+        assert new_index(M, [0], j) is None
+    # two columns carry a rank-two stack, whichever the rook found
+    M = np.array([[1.0, 0.0, 1.0, 2.0],
+                  [0.0, 1.0, 1.0, -1.0],
+                  [1.0, 1.0, 2.0, 1.0]])
+    assert new_index(M, [0, 1], 2) is None
+    assert new_index(M, [2, 3], None) is None
+
+
+def test_new_index_keeps_the_rook_pick_within_the_ratio():
+    # off the span of column 0 the columns 1, 2, 3 have norms 3, 2, 1
+    M = np.array([[1.0, 1.0, 1.0, 1.0],
+                  [0.0, 3.0, 0.0, 0.0],
+                  [0.0, 0.0, 2.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0]])
+    assert new_index(M, [0], 1) == 1      # the largest
+    assert new_index(M, [0], 2) == 2      # 2 >= KEEP_RATIO * 3
+    assert KEEP_RATIO * 3 > 1.0
+    assert new_index(M, [0], 3) == 1      # below the ratio: the largest
+    assert new_index(M, [0], None) == 1   # every draw landed in I
+    # a projected norm at the ratio exactly still keeps the pick
+    M[2, 2] = KEEP_RATIO * 3.0
+    assert new_index(M, [0], 2) == 2
+
+
+def test_new_index_ties_go_to_the_smallest_index():
+    # columns 1 and 3 tie off the span of column 2, the latter by 1 ulp
+    M = np.array([[1.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 2.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, np.nextafter(2.0, 3.0), 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.5]])
+    assert new_index(M, [2], None) == 1
+    assert new_index(M, [2], 4) == 1
+    M[3, 3] = 2.0
+    assert new_index(M, [2], 3) == 3      # a tie keeps the rook's pick
+
+
+def test_new_index_takes_the_largest_projected_column(rng):
+    # against the residual of a least-squares fit on M[:, I]
+    for _ in range(20):
+        M = rng.standard_normal((6, 7)) * rng.uniform(0.1, 2.0, 7)
+        I = [1, 4]
+        coef = np.linalg.lstsq(M[:, I], M, rcond=None)[0]
+        norms = np.linalg.norm(M - M[:, I] @ coef, axis=0)
+        norms[I] = -1.0
+        assert new_index(M, I, None) == int(np.argmax(norms))
 
 
 # --- the adaptive loop ---------------------------------------------------------
@@ -278,6 +350,19 @@ def test_abc_mode_saturation_skips(rng, monkeypatch):
         assert len(report.index_sets[1]) == 4
         assert scanned == [[0, 1, 2], [0, 1, 2], [1, 2], [1, 2]]
         assert report.n_iter_run == 4 and not report.converged
+
+
+def test_abc_set_sizes_equal_ranks_every_sweep():
+    # each new index adds rank to its mode, so no mode holds an index its
+    # model's rank does not count (the rook's pick alone left mode 2 at
+    # 12 indices and rank 8 here)
+    dims = (40, 40, 40)
+    c = CachedOracle(problems.make_oracle(
+        problems.FamilySpec("gaussian_bump", dims, 64, seed=0)))
+    cfg = AbcConfig(n_iter=12, init_aux=cli._draw_aux(dims, 3, 0))
+    for model, report in abc_sweeps(c, cfg):
+        assert tuple(len(I) for I in report.index_sets) == model.ranks
+    assert report.n_iter_run == 12 and model.ranks[2] < 12
 
 
 def test_abc_sets_stop_at_exact_rank(rng):
