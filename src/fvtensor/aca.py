@@ -1,6 +1,6 @@
 """Adaptive cross sampling of function-valued tensors.
 
-Grows one index per sweep in each mode that is not saturated: a start
+Grows one index per sweep in each mode that is not saturated: one start
 column is drawn uniformly at random and refined by rook pivoting on a
 lazily evaluated residual row matrix through the index sets of the modes
 that grew earlier in the sweep and the auxiliary sets of the rest.  A
@@ -13,6 +13,7 @@ is updated to the enlarged sets by folding in the new fibers only.  The
 residual matrices are never materialized beyond the scanned entries.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ class AbcConfig:
 
     def validate(self, dims):
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
+        _integers(n_iter=self.n_iter, n_rook=self.n_rook, seed=self.seed)
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
         if self.n_rook < 1:
@@ -60,6 +62,14 @@ class AbcConfig:
             raise ValueError("need one auxiliary index set per mode")
         return [_canonical_index_set(aux, n, f"mode-{k} auxiliary")
                 for k, (aux, n) in enumerate(zip(self.init_aux, dims))]
+
+
+def _integers(**knobs):
+    """The ``knobs``' values as ints; a non-integer is a ``ValueError``."""
+    try:
+        return [operator.index(v) for v in knobs.values()]
+    except TypeError:
+        raise ValueError(f"need integers, got {knobs!r}") from None
 
 
 @dataclass
@@ -139,15 +149,15 @@ def rook_pivot(view, j_start, n_rook):
     count as ties, so a tie that holds in exact arithmetic is not broken
     by round-off.  ``n_rook >= 1`` rounds are run.
     """
+    j, n_rook = _integers(j_start=j_start, n_rook=n_rook)
     if n_rook < 1:
         raise ValueError("n_rook must be at least 1")
     m, n = view.shape
     if m == 0 or n == 0:
         raise ValueError("cannot pivot on an empty matrix")
-    j = int(j_start)
     if not 0 <= j < n:
         raise IndexError(f"start column {j} out of range")
-    for _ in range(int(n_rook)):
+    for _ in range(n_rook):
         i = _first_max(view.col_norms(j))
         j = _first_max(view.row_norms(i))
     return i, j
@@ -180,19 +190,19 @@ def _new_index(view, model, j, tol_rel):
     largest over the unused columns, and else the unused column with the
     largest projected norm is taken, ties as in :func:`_first_max`.  This
     is one step of column-pivoted QR on ``M`` (Q-DEIM), so the new index
-    adds rank to the mode.  ``j`` may be ``None``.
+    adds rank to the mode.  One SVD of ``M[:, I]`` gives its rank and span.
     """
     k = view.k
     R, I = model.r_factors[k], list(model.index_sets[k])
     rows = (_fiber_rows(view.cached.ip.whiten(f), k) for f in view.fibers)
     M = np.vstack([R, *rows])
-    if (_matrix_rank(R, tol_rel) <= model.ranks[k]
-            and _matrix_rank(M, tol_rel) <= _matrix_rank(M[:, I], tol_rel)):
-        return None
     U = _truncated_scalar_svd(M[:, I], tol_rel)[0]
+    if (_matrix_rank(R, tol_rel) <= model.ranks[k]
+            and _matrix_rank(M, tol_rel) <= U.shape[1]):
+        return None
     norms = np.linalg.norm(M - U @ (U.T @ M), axis=0)
     norms[I] = -1.0
-    if j is not None and norms[j] >= KEEP_RATIO * norms.max():
+    if norms[j] >= KEEP_RATIO * norms.max():
         return j
     return _first_max(norms)
 
@@ -234,24 +244,19 @@ def abc_sweeps(cached, cfg):
     gets no index in that sweep, and a mode with every column used is
     not scanned.
 
-    New index.  In sweep 1 a mode takes the column ``j`` its scan found.
+    New index.  Sweep 1 takes the column ``j`` a mode's one scan found.
     Later, a mode that is not saturated projects every column of ``M``
-    off the span of ``M[:, I_k]``; it keeps ``j`` when its projected norm
-    is at least ``KEEP_RATIO`` times the largest over the unused
-    columns, and otherwise takes the unused column with the largest
-    projected norm (ties as in :func:`rook_pivot`).  So every new index
-    adds rank to its mode, and no sweep reads fibers for an index that
-    the model's rank does not count.
+    off the span of ``M[:, I_k]``; it keeps ``j`` when ``j`` is unused
+    and its projected norm is at least ``KEEP_RATIO`` times the largest
+    over the unused columns, and otherwise (a ``j`` in ``I_k`` too) takes
+    the unused column with the largest projected norm (ties as in
+    :func:`rook_pivot`).  So every new index adds rank to its mode, and
+    no sweep reads fibers for an index its model's rank does not count.
 
     Stopping.  After a sweep in which no mode grows, the model is the
     last sweep's, so the generator sets ``report.converged`` and stops.
     This is the only stopping rule besides ``cfg.n_iter``, and it sees
     only what the scans read.
-
-    If a pivot lands on an index already in the set, a fresh start column
-    is drawn up to five times; each draw's scan adds its fibers to ``M``.
-    When every draw lands in the set there is no ``j``, and the new index
-    is the largest projected column of ``M``; a saturated mode gets none.
 
     Sampling footprint.  Let cross(S) be the multi-indices that lie in the
     sets ``S[l]`` in all modes but at most one; it has
@@ -278,24 +283,18 @@ def abc_sweeps(cached, cfg):
         grown = False
         scan = list(aux)
         for k in range(d):
-            used = set(sets[k])
-            if len(used) == dims[k]:
+            if len(sets[k]) == dims[k]:
                 continue
             view = _ResidualRowView(cached, model, scan, k)
-            chosen = None
-            for _ in range(6):
-                _, j = rook_pivot(view, int(rng.integers(dims[k])), cfg.n_rook)
-                if j not in used:
-                    chosen = j
-                    break
+            _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
             if model is not None:
-                chosen = _new_index(view, model, chosen, cfg.tol_rel)
-                if chosen is None:
+                j = _new_index(view, model, j, cfg.tol_rel)
+                if j is None:
                     continue
             grown = True
-            sets[k] = scan[k] = sorted(used | {chosen})
-            if chosen not in aux[k]:
-                aux[k] = sorted(aux[k] + [chosen])
+            sets[k] = scan[k] = sorted(sets[k] + [j])
+            if j not in aux[k]:
+                aux[k] = sorted(aux[k] + [j])
 
         model = tucker_cross(cached, sets, cfg.tol_rel, prev=model)
         report.rank_history.append(model.ranks)

@@ -16,7 +16,7 @@ from fvtensor.aca import (
     rook_pivot,
     tucker_abc,
 )
-from fvtensor.bmatrix import _matrix_rank
+from fvtensor.bmatrix import _fiber_rows, _matrix_rank
 from fvtensor.btensor import (
     BTensor,
     assemble,
@@ -137,14 +137,14 @@ def new_index(M, I, j, tol_rel=1e-12):
 def test_new_index_none_when_index_set_carries_the_stack():
     # rank one: column 0 carries every row, the fiber's included
     M = np.outer([1.0, 2.0, -1.0], [1.0, 3.0, 0.5, 2.0])
-    for j in (None, 1, 3):
+    for j in (0, 1, 3):
         assert new_index(M, [0], j) is None
     # two columns carry a rank-two stack, whichever the rook found
     M = np.array([[1.0, 0.0, 1.0, 2.0],
                   [0.0, 1.0, 1.0, -1.0],
                   [1.0, 1.0, 2.0, 1.0]])
     assert new_index(M, [0, 1], 2) is None
-    assert new_index(M, [2, 3], None) is None
+    assert new_index(M, [2, 3], 3) is None
 
 
 def test_new_index_keeps_the_rook_pick_within_the_ratio():
@@ -157,7 +157,7 @@ def test_new_index_keeps_the_rook_pick_within_the_ratio():
     assert new_index(M, [0], 2) == 2      # 2 >= KEEP_RATIO * 3
     assert KEEP_RATIO * 3 > 1.0
     assert new_index(M, [0], 3) == 1      # below the ratio: the largest
-    assert new_index(M, [0], None) == 1   # every draw landed in I
+    assert new_index(M, [0], 0) == 1      # a pick in I: the largest
     # a projected norm at the ratio exactly still keeps the pick
     M[2, 2] = KEEP_RATIO * 3.0
     assert new_index(M, [0], 2) == 2
@@ -170,7 +170,7 @@ def test_new_index_ties_go_to_the_smallest_index():
                   [0.0, 0.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, np.nextafter(2.0, 3.0), 0.0],
                   [0.0, 0.0, 0.0, 0.0, 0.5]])
-    assert new_index(M, [2], None) == 1
+    assert new_index(M, [2], 2) == 1
     assert new_index(M, [2], 4) == 1
     M[3, 3] = 2.0
     assert new_index(M, [2], 3) == 3      # a tie keeps the rook's pick
@@ -184,7 +184,7 @@ def test_new_index_takes_the_largest_projected_column(rng):
         coef = np.linalg.lstsq(M[:, I], M, rcond=None)[0]
         norms = np.linalg.norm(M - M[:, I] @ coef, axis=0)
         norms[I] = -1.0
-        assert new_index(M, I, None) == int(np.argmax(norms))
+        assert new_index(M, I, I[0]) == int(np.argmax(norms))
 
 
 # --- the adaptive loop ---------------------------------------------------------
@@ -352,6 +352,42 @@ def test_abc_mode_saturation_skips(rng, monkeypatch):
         assert report.n_iter_run == 4 and not report.converged
 
 
+def test_abc_pick_inside_the_index_set_is_not_redrawn(rng, monkeypatch):
+    # a later sweep whose rook pick lands in I_k scans that mode once, and
+    # the mode grows by the largest column of M off the span of M[:, I_k]
+    picks, grown = [], []
+
+    def counting_rook(view, j_start, n_rook):
+        i, j = rook_pivot(view, j_start, n_rook)
+        picks.append((view.model, view.k, j))
+        return i, j
+
+    def recording_new_index(view, model, j, tol_rel):
+        k, I = view.k, list(model.index_sets[view.k])
+        rows = [_fiber_rows(view.cached.ip.whiten(f), k) for f in view.fibers]
+        M = np.vstack([model.r_factors[k], *rows])
+        coef = np.linalg.lstsq(M[:, I], M, rcond=None)[0]
+        norms = np.linalg.norm(M - M[:, I] @ coef, axis=0)
+        norms[I] = -1.0
+        new = _new_index(view, model, j, tol_rel)
+        grown.append((model, k, new, int(np.argmax(norms))))
+        return new
+
+    monkeypatch.setattr(aca, "rook_pivot", counting_rook)
+    monkeypatch.setattr(aca, "_new_index", recording_new_index)
+    A = BTensor(rng.standard_normal((6, 6, 6, 3)), InnerProduct.identity(3))
+    cfg = AbcConfig(n_iter=4, init_aux=[[0, 3], [1, 4], [2, 5]], seed=0)
+    tucker_abc(tensor_oracle(A), cfg)
+    inside = [(model, k) for model, k, j in picks
+              if model is not None and j in model.index_sets[k]]
+    assert inside
+    for model, k in inside:
+        assert [m is model and l == k for m, l, _ in picks].count(True) == 1
+        (new, best), = [(new, best) for m, l, new, best in grown
+                        if m is model and l == k]
+        assert new == best and new not in model.index_sets[k]
+
+
 def test_abc_set_sizes_equal_ranks_every_sweep():
     # each new index adds rank to its mode, so no mode holds an index its
     # model's rank does not count (the rook's pick alone left mode 2 at
@@ -430,7 +466,8 @@ def test_abc_config_validation(rng):
     assert c.count == 0
 
 
-CONFIG_FAULTS = ("n_iter", "n_rook", "tol_rel", "aux_count", "aux_set")
+CONFIG_FAULTS = ("n_iter", "n_rook", "tol_rel", "aux_count", "aux_set",
+                 "non_integer")
 
 
 @st.composite
@@ -460,6 +497,9 @@ def invalid_configs(draw):
         kw["init_aux"][k] = draw(
             st.just([]) | st.lists(bad, min_size=1).map(
                 lambda out: kw["init_aux"][k] + out))
+    if "non_integer" in faults:
+        knob = draw(st.sampled_from(["n_iter", "n_rook", "seed"]))
+        kw[knob] = draw(st.floats() | st.sampled_from([None, "1", [1]]))
     if "aux_count" in faults:
         m = draw(st.integers(0, 4).filter(lambda m: m != len(dims)))
         kw["init_aux"] = (kw["init_aux"] + [[0]] * m)[:m]
@@ -479,7 +519,7 @@ def test_invalid_config_raises_before_any_read(case):
 
 # --- the sweep's contract on random instances -------------------------------
 
-INSTANCE = dict(dims=st.lists(st.integers(3, 7), min_size=2, max_size=4),
+INSTANCE = dict(dims=st.lists(st.integers(3, 9), min_size=2, max_size=4),
                 h=st.integers(1, 6), kind=st.sampled_from(GRAM_KINDS),
                 rank=st.integers(1, 3), seed=st.integers(0, 1000),
                 n_aux=st.integers(1, 3))
