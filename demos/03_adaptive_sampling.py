@@ -5,8 +5,11 @@ is how an expensive parameter-to-solution map would be wrapped.  Each
 sweep draws a uniformly random start column per mode, refines it by rook
 pivoting on the lazily evaluated residual, adds the index found unless
 the mode's chosen columns already carry the rank of every fiber it has
-seen, and folds the new fibers into the Tucker-cross model; the counter
-shows how little of the tensor the run actually looked at.
+seen, and folds the new fibers into the Tucker-cross model.  The fibers
+run through the first few chosen indices of the other modes, not through
+all of them, so a sweep's model reads far fewer entries than the full
+cross of its index sets; the counter shows how little of the tensor the
+run actually looked at.
 """
 
 import numpy as np
@@ -22,13 +25,13 @@ rng = np.random.default_rng(2)
 aux = [sorted(rng.choice(30, size=3, replace=False).tolist()) for _ in range(3)]
 cfg = fv.AbcConfig(n_iter=8, init_aux=aux, n_rook=1, seed=2)
 
-model, report = fv.tucker_abc(oracle, cfg)
-
 total = 30 * 30 * 30
 print("iter  rank        evals   share   rel.error")
-for s, (rk, ev) in enumerate(zip(report.rank_history, report.evals_by_iter), 1):
-    m_s = fv.tucker_cross(oracle, report.index_set_history[s - 1])
-    err = fv.relative_error(A, m_s)
+for model, report in fv.abc_sweeps(oracle, cfg):
+    s, rk = report.n_iter_run, report.rank_history[-1]
+    ev = report.evals_by_iter[-1]
+    err = fv.relative_error(A, model)
     print(f"{s:4d}  {str(rk):10s}  {ev:5d}  {100 * ev / total:5.1f}%  {err:.3e}")
 
 print("\nfinal index sets:", report.index_sets)
+print("fibers read through:", model.fiber_sets)

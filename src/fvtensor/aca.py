@@ -7,10 +7,14 @@ that grew earlier in the sweep and the auxiliary sets of the rest.  A
 mode is saturated when its chosen columns carry the rank of its fiber
 slab and of the fibers the scan read; otherwise it gains the column of
 that stack which adds the most rank, or the rook's column when that adds
-nearly as much (one step of column-pivoted QR, as in Q-DEIM).  The run
-stops after a sweep in which no mode grows.  The Tucker-cross model
-is updated to the enlarged sets by folding in the new fibers only.  The
-residual matrices are never materialized beyond the scanned entries.
+nearly as much (one step of column-pivoted QR, as in Q-DEIM).  A sweep
+in which no mode grows draws one fresh auxiliary index per mode and scans
+again, and the run stops only if that scan grows nothing either.  The
+Tucker-cross model is updated to the enlarged sets by folding in the new
+fibers only, and each mode's fibers run through the first
+``FIBER_OVERSAMPLE`` chosen indices of the other modes, widened one index
+at a time while some mode's fibers carry less rank than its set size.
+The residual matrices are never materialized beyond the scanned entries.
 """
 
 import operator
@@ -29,6 +33,7 @@ from .btensor import model_gather, tucker_cross
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 KEEP_RATIO = 0.5  # share of the largest projected norm that keeps the rook's pick
+FIBER_OVERSAMPLE = 4  # chosen indices per mode the fibers start through
 
 
 @dataclass
@@ -176,8 +181,9 @@ def _first_max(norms):
 
 def _new_index(view, model, j, tol_rel):
     """The index that mode ``k = view.k`` of ``model`` should gain, or
-    ``None`` when its columns ``I`` carry ``M``, the slab's triangular
-    factor ``R`` stacked on the whitened fibers the scan read.
+    ``None`` when its columns ``I`` carry ``M``, the triangular factor
+    ``R`` of the slab of fibers through ``model.fiber_sets`` stacked on
+    the whitened fibers the scan read.
 
     ``I`` carries ``M`` when the rank of ``M[:, I]`` reaches that of
     ``M``, ranks counting singular values above ``tol_rel`` times the
@@ -207,6 +213,43 @@ def _new_index(view, model, j, tol_rel):
     return _first_max(norms)
 
 
+def _scan(cached, model, aux, chosen, rng, cfg):
+    """Scan every mode once and grow each mode that is not saturated by
+    its new index, appended to ``chosen[k]`` and joined to ``aux[k]``;
+    return whether some mode grew."""
+    dims = cached.dims
+    grown = False
+    scan = list(aux)
+    for k in range(len(dims)):
+        if len(chosen[k]) == dims[k]:
+            continue
+        view = _ResidualRowView(cached, model, scan, k)
+        _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
+        if model is not None:
+            j = _new_index(view, model, j, cfg.tol_rel)
+            if j is None:
+                continue
+        grown = True
+        chosen[k].append(j)
+        scan[k] = sorted(chosen[k])
+        if j not in aux[k]:
+            aux[k] = sorted(aux[k] + [j])
+    return grown
+
+
+def _add_witnesses(dims, aux, rng):
+    """Join to each ``aux[k]`` one index drawn uniformly from those
+    outside it, in mode order; return whether any mode had one."""
+    added = False
+    for k, n in enumerate(dims):
+        outside = np.setdiff1d(np.arange(n), aux[k])
+        if outside.size:
+            j = int(outside[rng.integers(outside.size)])
+            aux[k] = sorted(aux[k] + [j])
+            added = True
+    return added
+
+
 def abc_sweeps(cached, cfg):
     """Adaptive Tucker-cross approximation from sparse entry samples, one
     sweep at a time.
@@ -219,12 +262,12 @@ def abc_sweeps(cached, cfg):
     grows puts its index set in their place, so mode ``k`` scans through
     the index sets of the modes ``l < k`` that grew in the sweep: new
     core entries cross where the scans found the residual large, not
-    where d independent picks meet.  The model at the enlarged index sets is
-    :func:`tucker_cross` with the last sweep's model as ``prev``: only the
-    fibers and core entries new at the enlarged sets are read, and the
-    fibers are folded into the last model's triangular factors, so the
-    model updates read each entry once.  ``report`` is one object,
-    updated in place: at each yield it holds the per-iteration ranks,
+    where d independent picks meet.  The model at the enlarged index sets
+    is :func:`tucker_cross` with the last sweep's model as ``prev``: only
+    the fibers (see Fiber sets) and core entries new at the enlarged sets
+    are read, and the fibers are folded into the last model's triangular
+    factors, so the model updates read each entry once.  ``report`` is one
+    object, updated in place: at each yield it holds the per-iteration ranks,
     budgets and index-set snapshots so far, and the current index and
     auxiliary sets.  Each sweep's ranks are its model's ``ranks``, the
     numerical ranks that :func:`tucker_cross` counted when it solved the
@@ -232,13 +275,25 @@ def abc_sweeps(cached, cfg):
     (:func:`~fvtensor.btensor.tucker_rank`), taken without another SVD.
     Nothing runs, and ``cfg`` is not checked, until the first ``next``.
 
+    Fiber sets.  Each mode keeps its indices in the order they were
+    chosen, and the model's fibers run through the first ``m`` of them,
+    ``J_l`` (``fiber_sets``), with ``m`` starting at ``FIBER_OVERSAMPLE``:
+    mode ``k``'s slab holds the fibers whose index in each other mode
+    ``l`` lies in ``J_l``, not in all of ``I_l``.  When some mode's rank
+    through them falls short of its set size, ``ranks[k] < len(I_k)``,
+    ``m`` grows by one and the model is folded again from the one just
+    built, reading only the new fibers; this ends when no mode is short
+    or when ``J`` is the index sets.  So the ranks are the core's Tucker
+    ranks, and ``m`` never shrinks.
+
     Saturation.  Mode ``k`` is saturated in a sweep when its chosen
     columns ``I_k`` carry the rank of its fiber slab and of the
     mode-``k`` fibers its rook scan read: the rank of ``M[:, I_k]``
-    reaches that of ``M``, for ``M`` the slab's triangular factor ``R_k``
-    stacked on the whitened scanned fibers (ranks count singular values
-    above ``cfg.tol_rel`` times the largest).  The slab alone only bounds
-    the rank of the mode's unfolding from below; a scanned fiber that the
+    reaches that of ``M``, for ``M`` the triangular factor ``R_k`` of the
+    slab through ``J`` stacked on the whitened scanned fibers (ranks
+    count singular values above ``cfg.tol_rel`` times the largest).  The
+    slab alone only bounds the rank of the mode's unfolding from below,
+    and less tightly the fewer rows it has; a scanned fiber that the
     chosen columns do not carry raises the rank of ``M``, so the mode
     grows.  The test reads no entry beyond the scan's.  A saturated mode
     gets no index in that sweep, and a mode with every column used is
@@ -253,50 +308,55 @@ def abc_sweeps(cached, cfg):
     :func:`rook_pivot`).  So every new index adds rank to its mode, and
     no sweep reads fibers for an index its model's rank does not count.
 
-    Stopping.  After a sweep in which no mode grows, the model is the
+    Stopping.  When no mode grows in a sweep's scan, each mode not yet
+    wholly auxiliary joins one index to its auxiliary set, drawn
+    uniformly with the run's generator from the indices outside it, and
+    the sweep scans again through the widened sets; these are the only
+    draws besides the start columns, and only a run that would otherwise
+    stop makes them.  If that scan grows nothing either, the model is the
     last sweep's, so the generator sets ``report.converged`` and stops.
     This is the only stopping rule besides ``cfg.n_iter``, and it sees
     only what the scans read.
 
     Sampling footprint.  Let cross(S) be the multi-indices that lie in the
     sets ``S[l]`` in all modes but at most one; it has
-    ``prod(s_l) + sum_k (n_k - s_k) * prod_{l != k} s_l`` entries.
+    ``prod(s_l) + sum_k (n_k - s_k) * prod_{l != k} s_l`` entries.  Let
+    cross_J(I), for ``J_l`` a subset of ``I_l``, be the product of the
+    ``I_l`` and, for each ``k``, the mode-``k`` fibers through the ``J_l``
+    (``l != k``); it has
+    ``prod(s_l) + sum_k (n_k - s_k) * prod_{l != k} j_l`` entries.
 
     - The model of each sweep is :func:`tucker_cross` at
-      ``report.index_sets``; over the sweeps so far it has read each
-      entry of cross(index_sets), the core included, once.
+      ``report.index_sets`` through its ``fiber_sets``; over the sweeps
+      so far it has read each entry of cross_J(index_sets), the core
+      included, once.
     - Every chosen index joins its mode's auxiliary set, and the rook
       scans read only fibers whose other indices lie in the auxiliary
       sets or in the index sets, which are auxiliary too; the new index
       is chosen from what the scans read.
-    - So each evaluation lies in cross(``report.aux_sets``).
+    - So each evaluation lies in cross(``report.aux_sets``), and
+      cross_J(index_sets) is within it.
     """
-    dims = cached.dims
-    d = len(dims)
-    aux = cfg.validate(dims)
+    aux = cfg.validate(cached.dims)
     rng = np.random.default_rng(cfg.seed)
-    sets = [[] for _ in range(d)]
+    chosen = [[] for _ in aux]
+    m = FIBER_OVERSAMPLE
     model = None
 
     report = AbcReport()
     for _ in range(cfg.n_iter):
-        grown = False
-        scan = list(aux)
-        for k in range(d):
-            if len(sets[k]) == dims[k]:
-                continue
-            view = _ResidualRowView(cached, model, scan, k)
-            _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
-            if model is not None:
-                j = _new_index(view, model, j, cfg.tol_rel)
-                if j is None:
-                    continue
-            grown = True
-            sets[k] = scan[k] = sorted(sets[k] + [j])
-            if j not in aux[k]:
-                aux[k] = sorted(aux[k] + [j])
+        grown = _scan(cached, model, aux, chosen, rng, cfg)
+        if not grown and _add_witnesses(cached.dims, aux, rng):
+            grown = _scan(cached, model, aux, chosen, rng, cfg)
 
-        model = tucker_cross(cached, sets, cfg.tol_rel, prev=model)
+        sets = [sorted(c) for c in chosen]
+        while True:
+            model = tucker_cross(cached, sets, cfg.tol_rel, prev=model,
+                                 fiber_sets=[c[:m] for c in chosen])
+            if (all(r == len(I) for r, I in zip(model.ranks, sets))
+                    or all(len(c) <= m for c in chosen)):
+                break
+            m += 1
         report.rank_history.append(model.ranks)
         report.evals_by_iter.append(cached.count)
         report.index_set_history.append(tuple(tuple(I) for I in sets))

@@ -122,17 +122,22 @@ class TuckerCrossModel:
     ``(n_k, len(index_sets[k]))`` with the sampled rows pinned to unit
     vectors, so the assembled approximant interpolates the core exactly.
 
-    ``r_factors[k]`` is the triangular factor of the whitened mode-``k``
-    fiber slab that :func:`tucker_cross` folded in, at most
-    ``n_k x n_k``; a later call given this model as ``prev`` folds only
-    the new fibers into it.  ``ranks[k]`` is the numerical rank of
-    ``r_factors[k][:, index_sets[k]]``, the truncation of the
-    pseudoinverse that solved factor ``k``.  That matrix has the singular
-    values of the whitened core's mode-``k`` matrix, so ``ranks`` is the
-    core's :func:`tucker_rank` at the same ``tol_rel``, and
+    ``fiber_sets[l]``, a subset of ``index_sets[l]``, holds the mode-``l``
+    indices the fibers were read through: ``r_factors[k]`` is the
+    triangular factor of the whitened slab of the mode-``k`` fibers whose
+    index in every other mode ``l`` lies in ``fiber_sets[l]``, at most
+    ``n_k x n_k``, that :func:`tucker_cross` folded in; a later call given
+    this model as ``prev`` folds only the new fibers into it.
+    ``ranks[k]`` is the numerical rank of ``r_factors[k][:, index_sets[k]]``,
+    the truncation of the pseudoinverse that solved factor ``k``.  That
+    matrix has the singular values of the rows of the whitened core's
+    mode-``k`` matrix through ``fiber_sets``, so ``ranks[k]`` is at most
+    the core's :func:`tucker_rank` at the same ``tol_rel``, and equal to
+    it when the fibers run through the whole ``index_sets`` or when
+    ``ranks[k] == len(index_sets[k])``;
     :func:`~fvtensor.aca.abc_sweeps` reports it as ``rank_history``.
-    Both are ``None`` on a model built otherwise (e.g. loaded from disk),
-    are not saved, and take no part in comparisons.
+    The three are ``None`` on a model built otherwise (e.g. loaded from
+    disk), are not saved, and take no part in comparisons.
     """
 
     index_sets: tuple
@@ -141,6 +146,7 @@ class TuckerCrossModel:
     dims: tuple
     r_factors: list = field(default=None, repr=False, compare=False)
     ranks: tuple = field(default=None, repr=False, compare=False)
+    fiber_sets: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def ip(self):
@@ -181,48 +187,78 @@ def _grown_core(source, sets, prev, old):
     return BTensor(data, source.ip)
 
 
-def _old_sets(prev, source, sets):
-    """Index sets of ``prev``, checked to be foldable into ``sets``."""
+def _subsets(small, large, what):
+    """``ValueError`` unless each ``small[k]`` is a subset of ``large[k]``;
+    ``what`` names the two for the message."""
+    for k, (S, L) in enumerate(zip(small, large)):
+        if not set(S) <= set(L):
+            raise ValueError(f"mode-{k} {what}")
+
+
+def _fiber_sets(fiber_sets, sets, dims):
+    """``fiber_sets`` canonical, one subset of ``sets[k]`` per mode;
+    ``None`` stands for ``sets``."""
+    if fiber_sets is None:
+        return sets
+    if len(fiber_sets) != len(sets):
+        raise ValueError("need one fiber set per mode")
+    J = tuple(tuple(_canonical_index_set(Jk, n, f"mode-{k} fiber"))
+              for k, (Jk, n) in enumerate(zip(fiber_sets, dims)))
+    _subsets(J, sets, "fiber set is not a subset of its index set")
+    return J
+
+
+def _old_sets(prev, source, sets, fibers):
+    """Index and fiber sets of ``prev``, checked to be foldable into
+    ``sets`` and ``fibers``; ``(None, None)`` without ``prev``."""
     if prev is None:
-        return None
-    if prev.r_factors is None:
-        raise ValueError("prev carries no folded R factors; pass a model "
-                         "tucker_cross returned")
+        return None, None
+    if prev.r_factors is None or prev.fiber_sets is None:
+        raise ValueError("prev carries no folded R factors or fiber sets; "
+                         "pass a model tucker_cross returned")
     if tuple(prev.dims) != tuple(source.dims) or prev.ip != source.ip:
         raise ValueError("prev was built on a different tensor or geometry")
-    for k, (I0, I) in enumerate(zip(prev.index_sets, sets)):
-        if not set(I0) <= set(I):
-            raise ValueError(f"prev mode-{k} index set is not a subset "
-                             "of the new one")
-    return prev.index_sets
+    _subsets(prev.index_sets, sets,
+             "index set of prev is not a subset of the new one")
+    _subsets(prev.fiber_sets, fibers,
+             "fiber set of prev is not a subset of the new one")
+    return prev.index_sets, prev.fiber_sets
 
 
-def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
+def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
+                 fiber_sets=None):
     """Tucker-cross approximation of ``source`` at the given index sets.
 
     The core is the sampled subtensor.  Factor ``k`` solves the
     transposed core unfolding against the mode-``k`` fiber slab through
-    the applied pseudoinverse.  In whitened coordinates the core
-    unfolding is the slab's own columns at ``index_sets[k]``, so with the
-    slab ``Q R`` the factor is ``pinv(R[:, I_k]) R`` (truncated as in
-    :func:`~fvtensor.bmatrix.pinv_apply`), and only the triangular factor
-    ``R`` is kept.  Each entry is read once: given the model ``prev`` of
-    smaller index sets, only the fibers that are new at ``index_sets``
-    are gathered, whitened and folded into ``prev``'s ``R`` by TSQR over
-    ``R`` and their rows, read block by block as they are gathered
-    (:func:`~fvtensor.bmatrix._r_factor`; the stack is never formed), and
-    the core is ``prev``'s core plus the entries with a new index in some
-    mode.  Without ``prev`` every fiber is folded into an empty ``R``.
-    Only entries inside the cross (the core and the per-mode slabs) are
-    accessed, so ``source`` may be a lazy oracle.  The solve of factor
-    ``k`` counts the numerical rank of ``R[:, I_k]``; the model keeps the
-    counts as ``ranks``.  A ``prev`` whose sets are not subsets of
-    ``index_sets``, or that carries no ``R``, is a ``ValueError``.
+    the applied pseudoinverse.  The slab holds the mode-``k`` fibers
+    whose index in every other mode ``l`` lies in ``fiber_sets[l]``, a
+    subset ``J_l`` of ``index_sets[l]`` (``None``: the index sets
+    themselves, every fiber through the core), and the core unfolding is
+    cut to the same rows (Caiafa & Cichocki, LAA 433, 2010).  In whitened
+    coordinates those rows are the slab's own columns at ``index_sets[k]``,
+    so with the slab ``Q R`` the factor is ``pinv(R[:, I_k]) R``
+    (truncated as in :func:`~fvtensor.bmatrix.pinv_apply`), and only the
+    triangular factor ``R`` is kept.  Each entry is read once: given the
+    model ``prev`` of smaller index and fiber sets, only the fibers that
+    are new through ``fiber_sets`` are gathered, whitened and folded into
+    ``prev``'s ``R`` by TSQR over ``R`` and their rows, read block by block
+    as they are gathered (:func:`~fvtensor.bmatrix._r_factor`; the stack
+    is never formed), and the core is ``prev``'s core plus the entries
+    with a new index in some mode.  Without ``prev`` every fiber is folded
+    into an empty ``R``.  Only entries inside the cross (the core and the
+    per-mode slabs) are accessed, so ``source`` may be a lazy oracle.  The
+    solve of factor ``k`` counts the numerical rank of ``R[:, I_k]``; the
+    model keeps the counts as ``ranks``, and the fiber sets as
+    ``fiber_sets``.  A fiber set that is not a subset of its index set,
+    a ``prev`` whose index or fiber sets are not subsets of the new ones,
+    or a ``prev`` that carries no ``R`` or fiber sets, is a ``ValueError``.
     """
     dims = tuple(source.dims)
     sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
                  for k, I in enumerate(index_sets))
-    old = _old_sets(prev, source, sets)
+    J = _fiber_sets(fiber_sets, sets, dims)
+    old, old_J = _old_sets(prev, source, sets, J)
     core = _grown_core(source, sets, prev, old)
     factors = []
     r_factors = []
@@ -231,8 +267,8 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
         R = np.empty((0, n_k)) if prev is None else prev.r_factors[k]
         full = (range(n_k),)
         fibers = _fresh_grids(
-            sets[:k] + full + sets[k + 1:],
-            None if old is None else old[:k] + full + old[k + 1:])
+            J[:k] + full + J[k + 1:],
+            None if old is None else old_J[:k] + full + old_J[k + 1:])
         if fibers:
             R = _r_factor(chain([R], (
                 _fiber_rows(source.ip.whiten(source.gather(grids)), k)
@@ -246,7 +282,7 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None):
         ranks.append(rank)
     return TuckerCrossModel(index_sets=sets, core=core, factors=factors,
                             dims=dims, r_factors=r_factors,
-                            ranks=tuple(ranks))
+                            ranks=tuple(ranks), fiber_sets=J)
 
 
 def _contract(T, mats):

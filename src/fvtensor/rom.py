@@ -27,7 +27,8 @@ BASIS_KINDS = ("hat", "lagrange")
 
 
 class DomainError(ValueError):
-    """Query point not finite, or outside the grid span of a hat basis."""
+    """Query point not finite, outside the grid span of a hat basis, or
+    where the basis values are not finite."""
 
 
 @dataclass
@@ -55,11 +56,18 @@ class Basis1D:
     @cached_property
     def weights(self):
         """Barycentric weights of the Lagrange basis on ``nodes``; they
-        depend only on the nodes, so they are computed once."""
+        depend only on the nodes, so they are computed once.  They are
+        taken on the nodes scaled to an interval of length 4, whose
+        products of differences stay in range for hundreds of nodes
+        (Berrut & Trefethen, SIAM Rev. 46(3), 2004); the common factor
+        cancels in the barycentric formula.  A weight out of range is
+        left infinite or zero, and :func:`basis_eval` refuses it."""
         nodes = self.nodes
+        quarter = nodes[-1] / 4 - nodes[0] / 4  # a quarter of the span
         w = np.ones(nodes.size)
-        for i in range(nodes.size):
-            w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i))
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            for i in range(nodes.size):
+                w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i) / quarter)
         return w
 
 
@@ -97,8 +105,9 @@ def _lagrange_eval(nodes, weights, alpha):
     if alpha < nodes[0] or alpha > nodes[-1]:
         warnings.warn(f"extrapolating outside [{nodes[0]}, {nodes[-1]}]",
                       stacklevel=3)
-    terms = weights / diff
-    return terms / terms.sum()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = weights / diff
+        return terms / terms.sum()
 
 
 def basis_eval(basis, alpha):
@@ -108,14 +117,20 @@ def basis_eval(basis, alpha):
     outside the grid span; the barycentric Lagrange basis reproduces
     polynomials up to the grid degree and extrapolates with a warning.
     Both return an exact unit vector at grid nodes and refuse NaN or
-    infinite points.
+    infinite points, and values that are not finite (Lagrange weights out
+    of floating-point range, on thousands of nodes) are a
+    :class:`DomainError`.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"parameter {alpha} is not finite")
     if basis.kind == "hat":
         return _hat_eval(basis.nodes, alpha)
-    return _lagrange_eval(basis.nodes, basis.weights, alpha)
+    values = _lagrange_eval(basis.nodes, basis.weights, alpha)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{basis.nodes.size}-node Lagrange basis values "
+                          f"at {alpha} are not finite")
+    return values
 
 
 @dataclass

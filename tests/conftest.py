@@ -54,16 +54,25 @@ def scalar_unfold(T, k):
     return np.moveaxis(T, k, 0).reshape(T.shape[k], -1)
 
 
-def cross_size(sets, dims):
-    """Number of multi-indices in ``sets[l]`` for all modes but at most one."""
+def cross_size(sets, dims, fibers=None):
+    """Number of multi-indices in cross_J(sets): those in ``sets[l]`` in
+    every mode, and for each mode ``k`` those outside ``sets[k]`` at ``k``
+    and in ``fibers[l]`` (a subset of ``sets[l]``; ``None``: ``sets``)
+    at every other mode ``l``."""
     s = [len(S) for S in sets]
-    others = [int(np.prod(s[:k] + s[k + 1:])) for k in range(len(s))]
+    j = s if fibers is None else [len(F) for F in fibers]
+    others = [int(np.prod(j[:k] + j[k + 1:])) for k in range(len(j))]
     return int(np.prod(s)) + sum((n - s[k]) * others[k]
                                  for k, n in enumerate(dims))
 
 
-def in_cross(idx, sets):
-    return sum(i not in S for i, S in zip(idx, sets)) <= 1
+def in_cross(idx, sets, fibers=None):
+    """Whether ``idx`` lies in cross_J(sets), as in :func:`cross_size`."""
+    outside = [k for k, (i, S) in enumerate(zip(idx, sets)) if i not in S]
+    if len(outside) != 1 or fibers is None:
+        return len(outside) <= 1
+    k = outside[0]
+    return all(i in F for l, (i, F) in enumerate(zip(idx, fibers)) if l != k)
 
 
 def fiber_slab(T, sets, k):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fvtensor import aca, cli, problems
 from fvtensor.aca import (
+    FIBER_OVERSAMPLE,
     KEEP_RATIO,
     TIE_RTOL,
     AbcConfig,
@@ -230,6 +231,10 @@ def test_abc_rank_one_stops_once_saturated(rng, kind):
     assert len(converged) <= 2
     err = fro_norm(BTensor(assemble(model).data - A.data, ip)) / fro_norm(A)
     assert err <= 1e-10
+    # before stopping, the last sweep drew one fresh auxiliary index per
+    # mode and scanned again
+    for a, a0, I in zip(report.aux_sets, cfg.init_aux, report.index_sets):
+        assert len(a) == len(set(a0) | set(I)) + 1
 
 
 def test_abc_interpolates_core_every_iteration(rng):
@@ -249,9 +254,11 @@ def test_abc_interpolates_core_every_iteration(rng):
 def test_abc_sweeps_yield_each_sweep_model(rng):
     # each sweep's model folds the new fibers into the last one's R, so
     # (a) a replay of that chain on a fresh oracle gives the same bytes,
-    # and (b) the from-scratch model at the same sets agrees to round-off
+    # and (b) the from-scratch model at the same sets agrees to round-off;
+    # from sweep 5 on the sets outgrow FIBER_OVERSAMPLE, so the fibers run
+    # through proper subsets of them
     A = BTensor(rng.standard_normal((7, 6, 5, 3)), make_ip("dense", 3, rng))
-    cfg = AbcConfig(n_iter=4, init_aux=[[0, 3], [1, 4], [2]], seed=6)
+    cfg = AbcConfig(n_iter=6, init_aux=[[0, 3], [1, 4], [2]], seed=6)
     c = tensor_oracle(A)
     replay_oracle = tensor_oracle(A)
     replay = None
@@ -261,18 +268,21 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
         assert report.n_iter_run == yielded
         assert report.index_sets == report.index_set_history[-1]
         sets = report.index_set_history[yielded - 1]
-        replay = tucker_cross(replay_oracle, sets, prev=replay)
+        J = model.fiber_sets
+        assert all(len(Jk) == min(len(I), FIBER_OVERSAMPLE)
+                   for Jk, I in zip(J, sets))
+        replay = tucker_cross(replay_oracle, sets, prev=replay, fiber_sets=J)
         assert model.index_sets == replay.index_sets
         assert model.core.data.tobytes() == replay.core.data.tobytes()
         for F, F_ref in zip(model.factors, replay.factors):
             assert F.tobytes() == F_ref.tobytes()
-        scratch = tucker_cross(tensor_oracle(A), sets)
+        scratch = tucker_cross(tensor_oracle(A), sets, fiber_sets=J)
         assert model.index_sets == scratch.index_sets
         assert model.core.data.tobytes() == scratch.core.data.tobytes()
         B, B_ref = assemble(model), assemble(scratch)
         diff = BTensor(B.data - B_ref.data, A.ip)
         assert fro_norm(diff) <= 1e-10 * fro_norm(B_ref)
-    assert yielded == 4
+    assert yielded == 6 and max(map(len, sets)) > FIBER_OVERSAMPLE
     last, _ = tucker_abc(tensor_oracle(A), cfg)
     assert last.core.data.tobytes() == model.core.data.tobytes()
     for F, F_last in zip(model.factors, last.factors):
@@ -286,8 +296,9 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
 ])
 def test_abc_rank_history_is_core_tucker_rank(family, dims, h):
     # rank_history holds the ranks tucker_cross counted in its factor
-    # solves; they are the core's Tucker ranks only while each mode's R
-    # folds every fiber through the core
+    # solves through the fiber sets; they are the core's Tucker ranks
+    # because the sweep widens the fiber sets until each mode's rank
+    # reaches its set size, or until they are the index sets
     spec = problems.FamilySpec(family, dims, h, seed=0)
     c = CachedOracle(problems.make_oracle(spec))
     cfg = AbcConfig(n_iter=8, init_aux=[[0, 5, 9], [1, 6], [2, 7]], seed=4)
@@ -399,6 +410,25 @@ def test_abc_set_sizes_equal_ranks_every_sweep():
     for model, report in abc_sweeps(c, cfg):
         assert tuple(len(I) for I in report.index_sets) == model.ranks
     assert report.n_iter_run == 12 and model.ranks[2] < 12
+
+
+def test_abc_fiber_sets_widen_until_the_rows_carry_the_rank(rng):
+    # d = 2, h = 1: mode k's fibers through FIBER_OVERSAMPLE = 4 indices
+    # of the other mode are 4 rows, fewer than a rank-6 matrix's sets
+    # grow to, so the sweep widens the fiber sets until each mode's rank
+    # reaches its set size, and the model still recovers the matrix
+    assert FIBER_OVERSAMPLE < 6
+    A = exact_rank_tensor(rng, (12, 11), (6, 6), 1)
+    cfg = AbcConfig(n_iter=10, init_aux=[[0, 5], [3, 7]], seed=2)
+    widened = False
+    for model, report in abc_sweeps(tensor_oracle(A), cfg):
+        assert model.ranks == tuple(len(I) for I in report.index_sets)
+        widened |= any(len(J) > FIBER_OVERSAMPLE for J in model.fiber_sets)
+    assert widened and report.converged
+    assert model.fiber_sets == model.index_sets
+    assert tuple(len(I) for I in model.index_sets) == (6, 6)
+    err = fro_norm(BTensor(assemble(model).data - A.data, A.ip)) / fro_norm(A)
+    assert err <= 1e-10
 
 
 def test_abc_sets_stop_at_exact_rank(rng):
@@ -561,21 +591,51 @@ def test_abc_every_sweep_model_error_is_bounded(dims, h, kind, rank, n_noise,
             == tucker_rank(model.core)
 
 
+@settings(max_examples=10, deadline=None)
+@given(**INSTANCE, n_noise=st.just(0), n_rook=st.sampled_from([1, 2]))
+# ROADMAP item 17's two draws: without the fresh auxiliary index of a
+# sweep that grows nothing, both stopped after sweep 3 at ranks (2, 2),
+# at relative errors 9.38e-4 and 0.318
+@example(dims=[5, 3], h=1, kind="dense", rank=3, n_noise=0, seed=180,
+         n_aux=1, n_rook=2)
+@example(dims=[4, 5], h=1, kind="dense", rank=3, n_noise=0, seed=972,
+         n_aux=1, n_rook=2)
+def test_abc_recovers_exact_rank_within_12_sweeps(dims, h, kind, rank,
+                                                  n_noise, seed, n_aux,
+                                                  n_rook):
+    # without noise terms the tensor has Tucker rank at most `rank`, and
+    # the run stops only after a scan through one fresh auxiliary index
+    # per mode also grew nothing
+    A, _, sweeps = family_sweeps(dims, h, kind, rank, n_noise, seed, n_aux,
+                                 n_rook, n_iter=12)
+    for model, report in sweeps:
+        pass
+    assert report.converged
+    err = fro_norm(BTensor(A.data - assemble(model).data, A.ip))
+    assert err <= 1e-10 * fro_norm(A)
+
+
 @settings(max_examples=40, deadline=None)
 @given(**INSTANCE, n_noise=st.integers(0, 12), n_rook=st.sampled_from([1, 2]))
+# the sets outgrow FIBER_OVERSAMPLE in sweep 5, so J is a proper subset
+@example(dims=[9, 8, 7], h=2, kind="dense", rank=3, n_noise=12, seed=5,
+         n_aux=2, n_rook=1)
+@example(dims=[9, 9], h=1, kind="identity", rank=3, n_noise=12, seed=8,
+         n_aux=1, n_rook=2)
 def test_abc_reads_cross_of_index_sets_within_cross_of_aux(
         dims, h, kind, rank, n_noise, seed, n_aux, n_rook):
     # criterion 6 on random instances, after every sweep:
-    # cross(I) <= evaluated <= cross(aux); and the same sweeps on two
-    # threads give the same sets and model bytes
-    args = (dims, h, kind, rank, n_noise, seed, n_aux, n_rook, 4)
+    # cross_J(I) <= evaluated <= cross(aux), for J the model's fiber sets;
+    # and the same sweeps on two threads give the same sets and model bytes
+    args = (dims, h, kind, rank, n_noise, seed, n_aux, n_rook, 6)
     _, c, sweeps = family_sweeps(*args)
     _, _, sweeps2 = family_sweeps(*args, threads=2)
     for (model, report), (model2, report2) in zip(sweeps, sweeps2):
         index_sets = [set(S) for S in report.index_sets]
+        fiber_sets = [set(S) for S in model.fiber_sets]
         aux_sets = [set(S) for S in report.aux_sets]
-        assert sum(in_cross(idx, index_sets) for idx in c.cache) \
-            == cross_size(report.index_sets, c.dims)
+        assert sum(in_cross(idx, index_sets, fiber_sets) for idx in c.cache) \
+            == cross_size(report.index_sets, c.dims, model.fiber_sets)
         assert all(in_cross(idx, aux_sets) for idx in c.cache)
         assert report2.index_set_history == report.index_set_history
         assert model2.core.data.tobytes() == model.core.data.tobytes()

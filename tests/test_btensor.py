@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -29,6 +30,7 @@ from fvtensor.sampler import CachedOracle, EntryOracle
 
 from conftest import (
     GRAM_KINDS,
+    cross_size,
     fiber_slab,
     gram_matrix,
     make_ip,
@@ -411,6 +413,79 @@ def test_tucker_cross_rejects_unfoldable_prev(rng):
                               factors=prev.factors, dims=prev.dims)
     with pytest.raises(ValueError):
         tucker_cross(c, [[0, 2, 4], [1], [3]], prev=loaded)
+    assert c.count == count
+
+
+# --- fibers through subsets of the index sets ---------------------------------
+
+def test_tucker_cross_through_fiber_subsets_recovers_exact_rank(rng):
+    # each mode's fibers through J, the rank-carrying sets, carry the
+    # tensor's ranks although I holds two more indices per mode
+    for kind in GRAM_KINDS:
+        A, J = exact_rank_tensor(rng, (9, 8, 7), (2, 3, 2), 3,
+                                 make_ip(kind, 3, rng))
+        I = [sorted(Jk + [i for i in range(n) if i not in Jk][:2])
+             for Jk, n in zip(J, A.dims)]
+        c = CachedOracle(EntryOracle.from_tensor(A))
+        model = tucker_cross(c, I, fiber_sets=J)
+        assert model.fiber_sets == tuple(tuple(Jk) for Jk in J)
+        assert model.ranks == (2, 3, 2) == tucker_rank(model.core)
+        assert c.count == cross_size(I, A.dims, J) < cross_size(I, A.dims)
+        assert direct_rel_error(A, assemble(model)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_tucker_cross_prev_chain_through_growing_fiber_sets(rng, kind):
+    # sets and fiber sets grow along the chain; each link reads only the
+    # fibers new through its fiber sets, and the chain agrees with the
+    # from-scratch model at the same sets to round-off
+    A = rand_bt(rng, (7, 6, 8), 4, make_ip(kind, 4, rng))
+    chain = [([[0, 3], [1, 2], [2, 5]], [[0], [1], [5]]),
+             ([[0, 3, 6], [1, 2], [2, 4, 5]], [[0, 3], [1], [2, 5]]),
+             ([[0, 3, 6], [1, 2, 4], [2, 4, 5, 7]], [[0, 3], [1, 2], [2, 5]])]
+    c = CachedOracle(EntryOracle.from_tensor(A))
+    model = None
+    for I, J in chain:
+        model = tucker_cross(c, I, prev=model, fiber_sets=J)
+        assert c.count == cross_size(I, A.dims, J)
+        scratch = tucker_cross(A, I, fiber_sets=J)
+        assert model.core.data.tobytes() == scratch.core.data.tobytes()
+        assert model.ranks == scratch.ranks
+        ref = assemble(scratch)
+        assert direct_rel_error(ref, assemble(model)) <= 1e-10
+
+
+def test_tucker_cross_fiber_sets_none_are_the_index_sets(rng):
+    A = rand_bt(rng, (6, 5, 4), 3, make_ip("dense", 3, rng))
+    S0, S = [[0, 2], [1], [3]], [[0, 2, 5], [1, 4], [0, 3]]
+    for prev in (None, tucker_cross(A, S0)):
+        a = tucker_cross(A, S, prev=prev)
+        b = tucker_cross(A, S, prev=prev, fiber_sets=S)
+        assert a.fiber_sets == b.fiber_sets == a.index_sets
+        assert a.ranks == b.ranks
+        assert a.core.data.tobytes() == b.core.data.tobytes()
+        for x, y in zip(a.factors + a.r_factors, b.factors + b.r_factors):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_tucker_cross_rejects_bad_fiber_sets(rng):
+    A = rand_bt(rng, (6, 5, 4), 2)
+    c = CachedOracle(EntryOracle.from_tensor(A))
+    S = [[0, 2, 4], [1, 3], [0, 3]]
+    prev = tucker_cross(c, S, fiber_sets=[[0, 2], [1, 3], [3]])
+    count = c.count
+    for J, named in (([[0, 1], [1], [3]], "mode-0 fiber set is not a subset"),
+                     ([[0], [1], [3], [0]], "one fiber set per mode"),
+                     ([[0], [], [3]], "empty mode-1 fiber")):
+        with pytest.raises(ValueError, match=named):
+            tucker_cross(c, S, fiber_sets=J)
+    with pytest.raises(ValueError, match="mode-0 fiber set of prev"):
+        # prev's J_0 = {0, 2} is not a subset of the new J_0
+        tucker_cross(c, S, prev=prev, fiber_sets=[[0, 4], [1, 3], [0, 3]])
+    no_fibers = dataclasses.replace(prev, fiber_sets=None)
+    assert no_fibers.r_factors is not None
+    with pytest.raises(ValueError, match="no folded R factors or fiber sets"):
+        tucker_cross(c, S, prev=no_fibers)
     assert c.count == count
 
 

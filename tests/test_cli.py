@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fvtensor import aca, cli
+from fvtensor import aca, cli, rom
 from fvtensor.btensor import (
     BTensor,
     error_norm,
@@ -16,6 +17,7 @@ from fvtensor.btensor import (
     hosvd,
     hosvd_error,
     hosvd_error_bound,
+    tucker_cross,
 )
 from fvtensor.cli import main
 from fvtensor.fvt import load_fvt, save_fvt
@@ -233,6 +235,28 @@ def test_eval_nonfinite_params_exit_2(tmp_path, capsys):
     for params in ("nan,0.5,0.5", "0.5,inf,0.5"):
         assert main(["eval", "--model", model, "--params", params]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, code", [(200, 0), (3000, 2)])
+def test_eval_lagrange_model_on_a_fine_short_grid(tmp_path, capsys, n, code):
+    # a Lagrange basis on n nodes of [0.001, 0.1]: at 200 nodes eval
+    # printed NaN and exited 0; at 3000 the values leave floating-point
+    # range, which is a domain error
+    rng = np.random.default_rng(3)
+    A = BTensor(rng.standard_normal((n, 3, 2)), InnerProduct.identity(2))
+    rm = rom.rom_from_parts(tucker_cross(A, [[0, 50, 150], [0, 2]]),
+                            [np.linspace(0.001, 0.1, n), [0.0, 0.5, 1.0]],
+                            ["lagrange", "hat"])
+    path = str(tmp_path / "m.json")
+    rom.save_model(rm, path)
+    capsys.readouterr()
+    assert main(["eval", "--model", path, "--params", "0.0505,0.25"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        values = [float(v) for v in out.split()]
+        assert len(values) == 2 and all(math.isfinite(v) for v in values)
+    else:
+        assert "not finite" in err
 
 
 @pytest.mark.parametrize("node", ["nan", "inf", "-inf"])

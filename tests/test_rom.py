@@ -156,6 +156,30 @@ def test_lagrange_reproduces_quadratic():
             assert basis_eval(b, x) @ vals == pytest.approx(poly(x), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_lagrange_weights_stay_finite_on_a_short_interval(n):
+    # on the raw nodes the products of differences underflow (0.1^199 at
+    # n = 200) and every value was NaN.  Equispaced values grow to 1e16
+    # near the ends (Runge), so they sum to 1 up to round-off of their
+    # magnitudes there, and to 1e-14 at the centre
+    b = Basis1D("lagrange", np.linspace(0.001, 0.1, n))
+    assert np.all(np.isfinite(b.weights)) and np.all(b.weights != 0.0)
+    for x in np.linspace(0.0012, 0.0998, 9):
+        vals = basis_eval(b, x)
+        assert np.all(np.isfinite(vals))
+        assert abs(vals.sum() - 1.0) <= 1e-13 * np.abs(vals).sum()
+    assert basis_eval(b, 0.0505).sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(basis_eval(b, b.nodes[17]), np.eye(n)[17])
+
+
+def test_lagrange_values_out_of_range_raise_domain_error():
+    # at 3000 nodes the weights leave floating-point range even on an
+    # interval of length 4
+    b = Basis1D("lagrange", np.linspace(0.0, 1.0, 3000))
+    with pytest.raises(DomainError, match="not finite"):
+        basis_eval(b, 0.123)
+
+
 def test_lagrange_extrapolation_warns():
     b = Basis1D("lagrange", np.array([0.0, 0.5, 1.0]))
     with warnings.catch_warnings(record=True) as caught:
@@ -333,6 +357,6 @@ def test_model_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(rom_eval(back, node), rm.model.core.data[0, 0, 0])
     # the folded R factors are not saved, so a loaded model cannot be
     # grown incrementally
-    assert back.model.r_factors is None
+    assert back.model.r_factors is None and back.model.fiber_sets is None
     with pytest.raises(ValueError):
         tucker_cross(c, I, prev=back.model)
