@@ -4,20 +4,20 @@ Grows one index per sweep in each mode that is not saturated: one start
 column is drawn uniformly at random and refined by rook pivoting on a
 lazily evaluated residual row matrix through the index sets of the modes
 that grew earlier in the sweep and the auxiliary sets of the rest.  A
-mode is saturated when its chosen columns carry the rank of its fiber
-slab and of the fibers the scan read; otherwise it gains the column of
-that stack which adds the most rank, or the rook's column when that adds
-nearly as much (one step of column-pivoted QR, as in Q-DEIM).  A sweep
-in which no mode grows draws one fresh auxiliary index per mode and scans
-again, and the run stops only if that scan grows nothing either.  The
-Tucker-cross model is updated to the enlarged sets by folding in the new
-fibers only, and each mode's fibers run through the first
-``FIBER_OVERSAMPLE`` chosen indices of the other modes, widened one index
-at a time while some mode's fibers carry less rank than its set size.
-The residual matrices are never materialized beyond the scanned entries.
+mode is saturated when its chosen columns carry the rank of one stack,
+its fiber slab's triangular factor over the whitened fibers the scan
+read; otherwise it gains the column of that stack which adds the most
+rank, or the rook's column when that adds nearly as much (one step of
+column-pivoted QR, as in Q-DEIM).  A sweep in which no mode grows draws
+one fresh auxiliary index per mode and scans again, and the run stops
+only if that scan grows nothing either.  The Tucker-cross model is
+updated to the enlarged sets by folding in the new fibers only, and each
+mode's fibers run through the first ``FIBER_OVERSAMPLE`` chosen indices
+of the other modes, widened one index at a time while some mode's fibers
+carry less rank than its set size.  The residual matrices are never
+materialized beyond the scanned entries.
 """
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +26,7 @@ from .bmatrix import (
     DEFAULT_TOL,
     _canonical_index_set,
     _fiber_rows,
+    _integer,
     _matrix_rank,
     _truncated_scalar_svd,
 )
@@ -56,7 +57,8 @@ class AbcConfig:
 
     def validate(self, dims):
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
-        _integers(n_iter=self.n_iter, n_rook=self.n_rook, seed=self.seed)
+        for knob in ("n_iter", "n_rook", "seed"):
+            _integer(getattr(self, knob), f"{knob} must be an integer")
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
         if self.n_rook < 1:
@@ -67,14 +69,6 @@ class AbcConfig:
             raise ValueError("need one auxiliary index set per mode")
         return [_canonical_index_set(aux, n, f"mode-{k} auxiliary")
                 for k, (aux, n) in enumerate(zip(self.init_aux, dims))]
-
-
-def _integers(**knobs):
-    """The ``knobs``' values as ints; a non-integer is a ``ValueError``."""
-    try:
-        return [operator.index(v) for v in knobs.values()]
-    except TypeError:
-        raise ValueError(f"need integers, got {knobs!r}") from None
 
 
 @dataclass
@@ -154,7 +148,8 @@ def rook_pivot(view, j_start, n_rook):
     count as ties, so a tie that holds in exact arithmetic is not broken
     by round-off.  ``n_rook >= 1`` rounds are run.
     """
-    j, n_rook = _integers(j_start=j_start, n_rook=n_rook)
+    j = _integer(j_start, "j_start must be an integer")
+    n_rook = _integer(n_rook, "n_rook must be an integer")
     if n_rook < 1:
         raise ValueError("n_rook must be at least 1")
     m, n = view.shape
@@ -179,32 +174,25 @@ def _first_max(norms):
     return int(np.flatnonzero(norms >= top * (1.0 - TIE_RTOL))[0])
 
 
-def _new_index(view, model, j, tol_rel):
-    """The index that mode ``k = view.k`` of ``model`` should gain, or
-    ``None`` when its columns ``I`` carry ``M``, the triangular factor
-    ``R`` of the slab of fibers through ``model.fiber_sets`` stacked on
-    the whitened fibers the scan read.
+def _new_index(M, I, j, tol_rel):
+    """The column of ``M`` that a mode with chosen columns ``I`` should
+    gain, or ``None`` when ``I`` carries ``M``.
 
-    ``I`` carries ``M`` when the rank of ``M[:, I]`` reaches that of
-    ``M``, ranks counting singular values above ``tol_rel`` times the
-    largest.  Columns that carry the stack carry ``R``, so ``R`` alone is
-    tested first, against the rank of ``R[:, I]`` that
-    :func:`tucker_cross` counted in its solve.  Otherwise every column of
-    ``M`` is projected off the span of ``M[:, I]`` (its singular vectors
-    above the same cut): the rook's column ``j`` is kept when it is
-    unused and its projected norm is at least ``KEEP_RATIO`` times the
-    largest over the unused columns, and else the unused column with the
-    largest projected norm is taken, ties as in :func:`_first_max`.  This
-    is one step of column-pivoted QR on ``M`` (Q-DEIM), so the new index
-    adds rank to the mode.  One SVD of ``M[:, I]`` gives its rank and span.
+    ``M`` is the triangular factor ``R`` of the mode's fiber slab stacked
+    on the whitened fibers the scan read.  ``I`` carries ``M`` when the
+    rank of ``M[:, I]`` reaches that of ``M``, ranks counting singular
+    values above ``tol_rel`` times the largest; then ``I`` carries ``R``
+    too.  Otherwise every column of ``M`` is projected off the span of
+    ``M[:, I]`` (its singular vectors above the same cut): the rook's
+    column ``j`` is kept when it is unused and its projected norm is at
+    least ``KEEP_RATIO`` times the largest over the unused columns, and
+    else the unused column with the largest projected norm is taken, ties
+    as in :func:`_first_max`.  This is one step of column-pivoted QR on
+    ``M`` (Q-DEIM), so the new index adds rank to the mode.  One SVD of
+    ``M[:, I]`` gives its rank and span.
     """
-    k = view.k
-    R, I = model.r_factors[k], list(model.index_sets[k])
-    rows = (_fiber_rows(view.cached.ip.whiten(f), k) for f in view.fibers)
-    M = np.vstack([R, *rows])
     U = _truncated_scalar_svd(M[:, I], tol_rel)[0]
-    if (_matrix_rank(R, tol_rel) <= model.ranks[k]
-            and _matrix_rank(M, tol_rel) <= U.shape[1]):
+    if _matrix_rank(M, tol_rel) <= U.shape[1]:
         return None
     norms = np.linalg.norm(M - U @ (U.T @ M), axis=0)
     norms[I] = -1.0
@@ -226,7 +214,9 @@ def _scan(cached, model, aux, chosen, rng, cfg):
         view = _ResidualRowView(cached, model, scan, k)
         _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
         if model is not None:
-            j = _new_index(view, model, j, cfg.tol_rel)
+            M = np.vstack([model.r_factors[k], *(
+                _fiber_rows(cached.ip.whiten(f), k) for f in view.fibers)])
+            j = _new_index(M, list(model.index_sets[k]), j, cfg.tol_rel)
             if j is None:
                 continue
         grown = True
@@ -291,13 +281,14 @@ def abc_sweeps(cached, cfg):
     mode-``k`` fibers its rook scan read: the rank of ``M[:, I_k]``
     reaches that of ``M``, for ``M`` the triangular factor ``R_k`` of the
     slab through ``J`` stacked on the whitened scanned fibers (ranks
-    count singular values above ``cfg.tol_rel`` times the largest).  The
-    slab alone only bounds the rank of the mode's unfolding from below,
-    and less tightly the fewer rows it has; a scanned fiber that the
-    chosen columns do not carry raises the rank of ``M``, so the mode
-    grows.  The test reads no entry beyond the scan's.  A saturated mode
-    gets no index in that sweep, and a mode with every column used is
-    not scanned.
+    count singular values above ``cfg.tol_rel`` times the largest); if
+    ``M = M[:, I_k] X`` then ``R_k = R_k[:, I_k] X``, so ``R_k`` needs no
+    test of its own.  The slab alone only bounds the rank of the mode's
+    unfolding from below, and less tightly the fewer rows it has; a
+    scanned fiber that the chosen columns do not carry raises the rank of
+    ``M``, so the mode grows.  The test reads no entry beyond the scan's.
+    A saturated mode gets no index in that sweep, and a mode with every
+    column used is not scanned.
 
     New index.  Sweep 1 takes the column ``j`` a mode's one scan found.
     Later, a mode that is not saturated projects every column of ``M``

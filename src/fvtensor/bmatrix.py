@@ -33,6 +33,14 @@ DEFAULT_TOL = 1e-12
 TSQR_BLOCK = 1024  # rows of the whitened matrix per TSQR block
 
 
+def _integer(value, what):
+    """``value`` as an int; a float is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
 def _int_indices(a):
     """``a`` as an int64 array; ``IndexError`` if it holds an index of a
     dtype other than integer or bool (a float is refused, not truncated)."""
@@ -267,10 +275,8 @@ def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):
 def _canonical_index_set(I, size, what):
     """Sorted distinct indices of ``I``; ``ValueError`` unless integers
     in ``[0, size)``."""
-    try:
-        idx = sorted(set(operator.index(i) for i in I))
-    except TypeError:
-        raise ValueError(f"{what} index set holds a non-integer") from None
+    idx = sorted(set(_integer(i, f"{what} index set holds a non-integer")
+                     for i in I))
     if not idx:
         raise ValueError(f"empty {what} index set")
     if idx[0] < 0 or idx[-1] >= size:

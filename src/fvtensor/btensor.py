@@ -9,7 +9,6 @@ slowest, which is numpy's C order, so unfoldings are plain reshapes.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -21,6 +20,7 @@ from .bmatrix import (
     _canonical_index_set,
     _fiber_rows,
     _grid_indices,
+    _integer,
     _pinv_solve,
     _r_factor,
     _sigma_v,
@@ -250,11 +250,14 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
     per-mode slabs) are accessed, so ``source`` may be a lazy oracle.  The
     solve of factor ``k`` counts the numerical rank of ``R[:, I_k]``; the
     model keeps the counts as ``ranks``, and the fiber sets as
-    ``fiber_sets``.  A fiber set that is not a subset of its index set,
-    a ``prev`` whose index or fiber sets are not subsets of the new ones,
-    or a ``prev`` that carries no ``R`` or fiber sets, is a ``ValueError``.
+    ``fiber_sets``.  Index sets not one per mode, a fiber set that is not
+    a subset of its index set, a ``prev`` whose index or fiber sets are
+    not subsets of the new ones, or a ``prev`` that carries no ``R`` or
+    fiber sets, is a ``ValueError`` before any read.
     """
     dims = tuple(source.dims)
+    if len(index_sets) != len(dims):
+        raise ValueError("need one index set per mode")
     sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
                  for k, I in enumerate(index_sets))
     J = _fiber_sets(fiber_sets, sets, dims)
@@ -382,10 +385,7 @@ def _st_hosvd(A, tol_rel):
 def _check_ranks(ranks, d):
     """``ranks`` as a list of one nonnegative integer per mode of a
     ``d``-way tensor; anything else is a ``ValueError``."""
-    try:
-        ranks = [operator.index(r) for r in ranks]
-    except TypeError:
-        raise ValueError(f"ranks must be integers, got {ranks!r}") from None
+    ranks = [_integer(r, "ranks must be integers") for r in ranks]
     if len(ranks) != d or any(r < 0 for r in ranks):
         raise ValueError(f"need {d} nonnegative ranks, got {tuple(ranks)}")
     return ranks

@@ -246,9 +246,7 @@ def _cmd_hosvd(args):
         json.dump({
             "ranks": list(res.ranks),
             "clamped": res.clamped,
-            "factors": [{"rows": V.shape[0], "cols": V.shape[1],
-                         "data": [float(v).hex() for v in V.reshape(-1)]}
-                        for V in res.decomp.factors],
+            "factors": [rom._factor_json(V) for V in res.decomp.factors],
         }, f, indent=1)
         f.write("\n")
     with open(base + ".sigma.tsv", "w") as f:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bmatrix import _integer
 from .btensor import BTensor
 from .hilbert import InnerProduct
 from .sampler import EntryOracle
@@ -63,7 +64,8 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = tuple(int(n) for n in self.dims)
+        self.dims = tuple(_integer(n, "dims must be integers")
+                          for n in self.dims)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if any(n < 1 for n in self.dims) or self.h < 1:

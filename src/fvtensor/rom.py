@@ -226,6 +226,12 @@ def _hex_list(arr):
     return [float(v).hex() for v in np.asarray(arr, dtype=float).reshape(-1)]
 
 
+def _factor_json(F):
+    """Factor matrix ``F`` as its JSON entry: shape and hex-encoded data."""
+    return {"rows": int(F.shape[0]), "cols": int(F.shape[1]),
+            "data": _hex_list(F)}
+
+
 def _from_hex(values, shape):
     out = np.array([float.fromhex(v) for v in values], dtype=float)
     return out.reshape(shape)
@@ -248,11 +254,7 @@ def save_model(rm, path):
         "index_sets": [[int(i) + 1 for i in I] for I in rm.model.index_sets],
         "grids": [_hex_list(b.nodes) for b in rm.bases],
         "basis": [b.kind for b in rm.bases],
-        "factors": [
-            {"rows": int(F.shape[0]), "cols": int(F.shape[1]),
-             "data": _hex_list(F)}
-            for F in rm.model.factors
-        ],
+        "factors": [_factor_json(F) for F in rm.model.factors],
         "core_file": os.path.basename(core_path),
     }
     with open(path, "w") as f:

@@ -7,13 +7,12 @@ counts distinct evaluations, which is the sampling budget of every
 adaptive run.
 """
 
-import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bmatrix import _grid_indices, _int_indices
+from .bmatrix import _grid_indices, _int_indices, _integer
 
 
 class EntryOracle:
@@ -22,7 +21,8 @@ class EntryOracle:
     __slots__ = ("dims", "ip", "fn")
 
     def __init__(self, dims, ip, fn):
-        self.dims = tuple(int(n) for n in dims)
+        self.dims = tuple(_integer(n, "dimensions must be integers")
+                          for n in dims)
         if any(n < 1 for n in self.dims):
             raise ValueError("all dimensions must be positive")
         self.ip = ip
@@ -47,12 +47,12 @@ class CachedOracle:
     """
 
     def __init__(self, oracle, threads=1):
-        if not isinstance(threads, numbers.Integral) or threads < 1:
+        self.threads = _integer(threads, "threads must be an integer >= 1")
+        if self.threads < 1:
             raise ValueError(f"threads must be an integer >= 1, "
                              f"got {threads!r}")
         self.oracle = oracle
         self.cache = {}
-        self.threads = int(threads)
         self._lock = threading.Lock()
 
     @property

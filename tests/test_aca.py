@@ -17,7 +17,7 @@ from fvtensor.aca import (
     rook_pivot,
     tucker_abc,
 )
-from fvtensor.bmatrix import _fiber_rows, _matrix_rank
+from fvtensor.bmatrix import DEFAULT_TOL
 from fvtensor.btensor import (
     BTensor,
     assemble,
@@ -121,31 +121,17 @@ def test_rook_final_row_argmax_contract(rng):
 
 # --- the new index of a mode -------------------------------------------------
 
-def new_index(M, I, j, tol_rel=1e-12):
-    """:func:`_new_index` for mode 1 of a 2-way tensor whose stacked matrix
-    is ``M``: the slab's triangular factor is ``M``'s first row, and the
-    other rows are one scanned fiber under the identity Gram."""
-    M = np.asarray(M, dtype=float)
-    R, F = M[:1], M[1:]
-    view = SimpleNamespace(
-        k=1, cached=SimpleNamespace(ip=InnerProduct.identity(len(F))),
-        fibers=[F.T[None]])
-    model = SimpleNamespace(r_factors=[None, R], index_sets=[None, tuple(I)],
-                            ranks=[None, _matrix_rank(R[:, I], tol_rel)])
-    return _new_index(view, model, j, tol_rel)
-
-
 def test_new_index_none_when_index_set_carries_the_stack():
     # rank one: column 0 carries every row, the fiber's included
     M = np.outer([1.0, 2.0, -1.0], [1.0, 3.0, 0.5, 2.0])
     for j in (0, 1, 3):
-        assert new_index(M, [0], j) is None
+        assert _new_index(M, [0], j, DEFAULT_TOL) is None
     # two columns carry a rank-two stack, whichever the rook found
     M = np.array([[1.0, 0.0, 1.0, 2.0],
                   [0.0, 1.0, 1.0, -1.0],
                   [1.0, 1.0, 2.0, 1.0]])
-    assert new_index(M, [0, 1], 2) is None
-    assert new_index(M, [2, 3], 3) is None
+    assert _new_index(M, [0, 1], 2, DEFAULT_TOL) is None
+    assert _new_index(M, [2, 3], 3, DEFAULT_TOL) is None
 
 
 def test_new_index_keeps_the_rook_pick_within_the_ratio():
@@ -154,14 +140,15 @@ def test_new_index_keeps_the_rook_pick_within_the_ratio():
                   [0.0, 3.0, 0.0, 0.0],
                   [0.0, 0.0, 2.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0]])
-    assert new_index(M, [0], 1) == 1      # the largest
-    assert new_index(M, [0], 2) == 2      # 2 >= KEEP_RATIO * 3
+    assert _new_index(M, [0], 1, DEFAULT_TOL) == 1  # the largest
+    assert _new_index(M, [0], 2, DEFAULT_TOL) == 2  # 2 >= KEEP_RATIO * 3
     assert KEEP_RATIO * 3 > 1.0
-    assert new_index(M, [0], 3) == 1      # below the ratio: the largest
-    assert new_index(M, [0], 0) == 1      # a pick in I: the largest
+    # below the ratio, or a pick in I: the largest
+    assert _new_index(M, [0], 3, DEFAULT_TOL) == 1
+    assert _new_index(M, [0], 0, DEFAULT_TOL) == 1
     # a projected norm at the ratio exactly still keeps the pick
     M[2, 2] = KEEP_RATIO * 3.0
-    assert new_index(M, [0], 2) == 2
+    assert _new_index(M, [0], 2, DEFAULT_TOL) == 2
 
 
 def test_new_index_ties_go_to_the_smallest_index():
@@ -171,10 +158,10 @@ def test_new_index_ties_go_to_the_smallest_index():
                   [0.0, 0.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, np.nextafter(2.0, 3.0), 0.0],
                   [0.0, 0.0, 0.0, 0.0, 0.5]])
-    assert new_index(M, [2], 2) == 1
-    assert new_index(M, [2], 4) == 1
+    assert _new_index(M, [2], 2, DEFAULT_TOL) == 1
+    assert _new_index(M, [2], 4, DEFAULT_TOL) == 1
     M[3, 3] = 2.0
-    assert new_index(M, [2], 3) == 3      # a tie keeps the rook's pick
+    assert _new_index(M, [2], 3, DEFAULT_TOL) == 3  # a tie keeps the pick
 
 
 def test_new_index_takes_the_largest_projected_column(rng):
@@ -185,7 +172,7 @@ def test_new_index_takes_the_largest_projected_column(rng):
         coef = np.linalg.lstsq(M[:, I], M, rcond=None)[0]
         norms = np.linalg.norm(M - M[:, I] @ coef, axis=0)
         norms[I] = -1.0
-        assert new_index(M, I, I[0]) == int(np.argmax(norms))
+        assert _new_index(M, I, I[0], DEFAULT_TOL) == int(np.argmax(norms))
 
 
 # --- the adaptive loop ---------------------------------------------------------
@@ -373,15 +360,12 @@ def test_abc_pick_inside_the_index_set_is_not_redrawn(rng, monkeypatch):
         picks.append((view.model, view.k, j))
         return i, j
 
-    def recording_new_index(view, model, j, tol_rel):
-        k, I = view.k, list(model.index_sets[view.k])
-        rows = [_fiber_rows(view.cached.ip.whiten(f), k) for f in view.fibers]
-        M = np.vstack([model.r_factors[k], *rows])
+    def recording_new_index(M, I, j, tol_rel):
         coef = np.linalg.lstsq(M[:, I], M, rcond=None)[0]
         norms = np.linalg.norm(M - M[:, I] @ coef, axis=0)
         norms[I] = -1.0
-        new = _new_index(view, model, j, tol_rel)
-        grown.append((model, k, new, int(np.argmax(norms))))
+        new = _new_index(M, I, j, tol_rel)
+        grown.append((I, j, new, int(np.argmax(norms))))
         return new
 
     monkeypatch.setattr(aca, "rook_pivot", counting_rook)
@@ -394,9 +378,13 @@ def test_abc_pick_inside_the_index_set_is_not_redrawn(rng, monkeypatch):
     assert inside
     for model, k in inside:
         assert [m is model and l == k for m, l, _ in picks].count(True) == 1
-        (new, best), = [(new, best) for m, l, new, best in grown
-                        if m is model and l == k]
-        assert new == best and new not in model.index_sets[k]
+    # each later scan's pick reaches _new_index, in scan order
+    assert [j for model, _, j in picks if model is not None] \
+        == [j for _, j, _, _ in grown]
+    redrawn = [(I, new, best) for I, j, new, best in grown if j in I]
+    assert len(redrawn) == len(inside)
+    for I, new, best in redrawn:
+        assert new == best and new not in I
 
 
 def test_abc_set_sizes_equal_ranks_every_sweep():
@@ -493,6 +481,12 @@ def test_abc_config_validation(rng):
         with pytest.raises(ValueError, match="tol_rel"):
             tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]],
                                     tol_rel=tol))
+    # a non-integer knob is named, with its value
+    for knob in ("n_iter", "n_rook", "seed"):
+        with pytest.raises(ValueError,
+                           match=f"{knob} must be an integer, got 1.5"):
+            tucker_abc(c, AbcConfig(**{"n_iter": 1, "init_aux": [[0], [0]],
+                                       knob: 1.5}))
     assert c.count == 0
 
 

@@ -215,6 +215,23 @@ def test_tucker_cross_rejects_out_of_range_sets(rng, monkeypatch, source):
 
 
 @pytest.mark.parametrize("source", ["tensor", "oracle"])
+@pytest.mark.parametrize("n_sets", [0, 2, 4])
+def test_tucker_cross_needs_one_index_set_per_mode(rng, monkeypatch, source,
+                                                   n_sets):
+    # too few or too many sets are refused as sets, before any read
+    A = rand_bt(rng, (4, 5, 6), 3)
+    src = A if source == "tensor" else CachedOracle(EntryOracle.from_tensor(A))
+    reads = []
+    monkeypatch.setattr(type(src), "gather",
+                        lambda self, grids: reads.append(grids))
+    with pytest.raises(ValueError, match="need one index set per mode"):
+        tucker_cross(src, [[0], [1], [2], [3]][:n_sets])
+    assert reads == []
+    if source == "oracle":
+        assert src.count == 0
+
+
+@pytest.mark.parametrize("source", ["tensor", "oracle"])
 @pytest.mark.parametrize("bad", [0.9, np.nan, "1"], ids=["float", "nan", "string"])
 def test_tucker_cross_rejects_non_integer_sets(rng, source, bad):
     # 0.9 is not truncated to index 0, nor "1" parsed as index 1

@@ -33,6 +33,12 @@ def test_family_spec_validation():
         FamilySpec("separable", (0, 3), 2)
     with pytest.raises(ValueError):
         FamilySpec("gaussian_bump", (3, 3), 4)  # needs three modes
+    # a fractional or textual size is refused, not truncated or parsed
+    for bad in (2.9, "2"):
+        with pytest.raises(ValueError,
+                           match=f"dims must be integers, got {bad!r}"):
+            FamilySpec("separable", (bad, 3, 3), 4)
+    assert FamilySpec("separable", (np.int64(2), 3, 3), 4).dims == (2, 3, 3)
     # a params key its family does not read would otherwise be ignored
     for family, key in (("gaussian_bump", "smoothing"), ("separable", "rnak"),
                         ("separable", "rho")):

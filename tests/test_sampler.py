@@ -118,6 +118,16 @@ def test_threads_must_be_a_positive_integer(rng, threads):
         CachedOracle(c.oracle, threads=threads)
 
 
+@pytest.mark.parametrize("bad", [2.7, "2", None])
+def test_entry_oracle_dims_must_be_integers(bad):
+    # a fractional size is refused, not truncated to a smaller mode
+    ip = InnerProduct.identity(1)
+    with pytest.raises(ValueError,
+                       match=f"dimensions must be integers, got {bad!r}"):
+        EntryOracle((bad, 3), ip, None)
+    assert EntryOracle((np.int64(2), 3), ip, None).dims == (2, 3)
+
+
 def test_threads_accepts_numpy_integers(rng):
     _, c = counting_oracle(rng, (2, 2), 1)
     assert CachedOracle(c.oracle, threads=np.int64(3)).threads == 3
