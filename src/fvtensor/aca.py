@@ -2,20 +2,22 @@
 
 Grows one index per sweep in each mode that is not saturated: one start
 column is drawn uniformly at random and refined by rook pivoting on a
-lazily evaluated residual row matrix through the index sets of the modes
-that grew earlier in the sweep and the auxiliary sets of the rest.  A
-mode is saturated when its chosen columns carry the rank of one stack,
-its fiber slab's triangular factor over the whitened fibers the scan
-read; otherwise it gains the column of that stack which adds the most
-rank, or the rook's column when that adds nearly as much (one step of
+lazily evaluated residual row matrix.  Its rows run, in each other mode,
+through the indices the model's fibers run through, joined to the index
+that mode gained earlier in the sweep or, if it gained none, to its
+initial auxiliary indices and the witnesses drawn for it.  A mode is
+saturated when its chosen columns carry the rank of one stack, its fiber
+slab's triangular factor over the whitened fibers the scan read;
+otherwise it gains the column of that stack which adds the most rank, or
+the rook's column when that adds nearly as much (one step of
 column-pivoted QR, as in Q-DEIM).  A sweep in which no mode grows draws
-one fresh auxiliary index per mode and scans again, and the run stops
-only if that scan grows nothing either.  The Tucker-cross model is
-updated to the enlarged sets by folding in the new fibers only, and each
-mode's fibers run through the first ``FIBER_OVERSAMPLE`` chosen indices
-of the other modes, widened one index at a time while some mode's fibers
-carry less rank than its set size.  The residual matrices are never
-materialized beyond the scanned entries.
+one fresh auxiliary index, a witness, per mode and scans again, and the
+run stops only if that scan grows nothing either.  The Tucker-cross
+model is updated to the enlarged sets by folding in the new fibers only,
+and each mode's fibers run through the first ``FIBER_OVERSAMPLE`` chosen
+indices of the other modes, widened one index at a time while some
+mode's fibers carry less rank than its set size.  The residual matrices
+are never materialized beyond the scanned entries.
 """
 
 from dataclasses import dataclass, field
@@ -78,6 +80,7 @@ class AbcReport:
     aux_sets: tuple = ()
     rank_history: list = field(default_factory=list)
     evals_by_iter: list = field(default_factory=list)
+    scan_evals_by_iter: list = field(default_factory=list)
     index_set_history: list = field(default_factory=list)
     converged: bool = False
 
@@ -201,13 +204,15 @@ def _new_index(M, I, j, tol_rel):
     return _first_max(norms)
 
 
-def _scan(cached, model, aux, chosen, rng, cfg):
+def _scan(cached, model, base, chosen, m, rng, cfg):
     """Scan every mode once and grow each mode that is not saturated by
-    its new index, appended to ``chosen[k]`` and joined to ``aux[k]``;
-    return whether some mode grew."""
+    its new index, appended to ``chosen[k]``; return whether some mode
+    grew.  Mode ``k`` reads through each other mode's ``base[l]`` and
+    fiber set ``chosen[l][:m]``, or through that fiber set and the new
+    index of a mode ``l`` that grew earlier in the scan."""
     dims = cached.dims
     grown = False
-    scan = list(aux)
+    scan = [sorted(set(b).union(c[:m])) for b, c in zip(base, chosen)]
     for k in range(len(dims)):
         if len(chosen[k]) == dims[k]:
             continue
@@ -221,21 +226,25 @@ def _scan(cached, model, aux, chosen, rng, cfg):
                 continue
         grown = True
         chosen[k].append(j)
-        scan[k] = sorted(chosen[k])
-        if j not in aux[k]:
-            aux[k] = sorted(aux[k] + [j])
+        scan[k] = sorted(set(chosen[k][:m]).union([j]))
     return grown
 
 
-def _add_witnesses(dims, aux, rng):
-    """Join to each ``aux[k]`` one index drawn uniformly from those
-    outside it, in mode order; return whether any mode had one."""
+def _aux_sets(base, chosen):
+    """The auxiliary sets: each mode's ``base`` and chosen indices."""
+    return [sorted(set(b).union(c)) for b, c in zip(base, chosen)]
+
+
+def _add_witnesses(dims, base, chosen, rng):
+    """Join to each ``base[k]`` one index drawn uniformly from those
+    outside the auxiliary set, in mode order; return whether any mode
+    had one."""
     added = False
-    for k, n in enumerate(dims):
-        outside = np.setdiff1d(np.arange(n), aux[k])
+    for k, (n, aux) in enumerate(zip(dims, _aux_sets(base, chosen))):
+        outside = np.setdiff1d(np.arange(n), aux)
         if outside.size:
             j = int(outside[rng.integers(outside.size)])
-            aux[k] = sorted(aux[k] + [j])
+            base[k] = sorted(base[k] + [j])
             added = True
     return added
 
@@ -248,19 +257,24 @@ def abc_sweeps(cached, cfg):
     ``(model, report)`` after each one.  In each sweep every mode is
     scanned by rook pivoting on the residual over the scan sets, and
     every mode that is not saturated receives one new index (see New
-    index).  The scan sets start as the auxiliary sets, and a mode that
-    grows puts its index set in their place, so mode ``k`` scans through
-    the index sets of the modes ``l < k`` that grew in the sweep: new
-    core entries cross where the scans found the residual large, not
-    where d independent picks meet.  The model at the enlarged index sets
-    is :func:`tucker_cross` with the last sweep's model as ``prev``: only
-    the fibers (see Fiber sets) and core entries new at the enlarged sets
-    are read, and the fibers are folded into the last model's triangular
+    index).  Mode ``k`` scans through each other mode ``l``'s fiber set
+    ``J_l`` (see Fiber sets) joined to its base set, the initial
+    auxiliary set and the witnesses drawn for ``l`` (see Stopping); a
+    mode ``l < k`` that grew in the sweep joins its new index to ``J_l``
+    instead.  So new core entries cross where the scans found the
+    residual large, not where d independent picks meet, and the scans
+    read through the rows the fibers run through, not through every
+    chosen index.  The model at the enlarged index sets is
+    :func:`tucker_cross` with the last sweep's model as ``prev``: only the
+    fibers (see Fiber sets) and core entries new at the enlarged sets are
+    read, and the fibers are folded into the last model's triangular
     factors, so the model updates read each entry once.  ``report`` is one
-    object, updated in place: at each yield it holds the per-iteration ranks,
-    budgets and index-set snapshots so far, and the current index and
-    auxiliary sets.  Each sweep's ranks are its model's ``ranks``, the
-    numerical ranks that :func:`tucker_cross` counted when it solved the
+    object, updated in place: at each yield it holds the per-iteration
+    ranks, budgets and index-set snapshots so far, and the current index
+    and auxiliary sets; of the evaluations so far, ``evals_by_iter``,
+    ``scan_evals_by_iter`` counts those the scans caused, and the rest
+    are the model updates'.  Each sweep's ranks are its model's ``ranks``,
+    the numerical ranks that :func:`tucker_cross` counted when it solved the
     factors: the Tucker ranks of the core at ``cfg.tol_rel``
     (:func:`~fvtensor.btensor.tucker_rank`), taken without another SVD.
     Nothing runs, and ``cfg`` is not checked, until the first ``next``.
@@ -300,11 +314,11 @@ def abc_sweeps(cached, cfg):
     no sweep reads fibers for an index its model's rank does not count.
 
     Stopping.  When no mode grows in a sweep's scan, each mode not yet
-    wholly auxiliary joins one index to its auxiliary set, drawn
-    uniformly with the run's generator from the indices outside it, and
-    the sweep scans again through the widened sets; these are the only
-    draws besides the start columns, and only a run that would otherwise
-    stop makes them.  If that scan grows nothing either, the model is the
+    wholly auxiliary joins one index, a witness, to its base set, drawn
+    uniformly with the run's generator from the indices outside its
+    auxiliary set, and the sweep scans again through the widened sets;
+    these are the only draws besides the start columns, and only a run
+    that would otherwise stop makes them.  If that scan grows nothing either, the model is the
     last sweep's, so the generator sets ``report.converged`` and stops.
     This is the only stopping rule besides ``cfg.n_iter``, and it sees
     only what the scans read.
@@ -321,24 +335,28 @@ def abc_sweeps(cached, cfg):
       ``report.index_sets`` through its ``fiber_sets``; over the sweeps
       so far it has read each entry of cross_J(index_sets), the core
       included, once.
-    - Every chosen index joins its mode's auxiliary set, and the rook
-      scans read only fibers whose other indices lie in the auxiliary
-      sets or in the index sets, which are auxiliary too; the new index
-      is chosen from what the scans read.
+    - The auxiliary sets ``report.aux_sets`` are the base sets joined
+      to the chosen indices.  The rook scans read only fibers whose
+      other indices lie in a base set, a fiber set or a new index, all
+      of them auxiliary; the new index is chosen from what the scans
+      read.
     - So each evaluation lies in cross(``report.aux_sets``), and
       cross_J(index_sets) is within it.
     """
-    aux = cfg.validate(cached.dims)
+    base = cfg.validate(cached.dims)
     rng = np.random.default_rng(cfg.seed)
-    chosen = [[] for _ in aux]
+    chosen = [[] for _ in base]
     m = FIBER_OVERSAMPLE
     model = None
 
     report = AbcReport()
+    scan_evals = 0
     for _ in range(cfg.n_iter):
-        grown = _scan(cached, model, aux, chosen, rng, cfg)
-        if not grown and _add_witnesses(cached.dims, aux, rng):
-            grown = _scan(cached, model, aux, chosen, rng, cfg)
+        before = cached.count
+        grown = _scan(cached, model, base, chosen, m, rng, cfg)
+        if not grown and _add_witnesses(cached.dims, base, chosen, rng):
+            grown = _scan(cached, model, base, chosen, m, rng, cfg)
+        scan_evals += cached.count - before
 
         sets = [sorted(c) for c in chosen]
         while True:
@@ -350,8 +368,9 @@ def abc_sweeps(cached, cfg):
             m += 1
         report.rank_history.append(model.ranks)
         report.evals_by_iter.append(cached.count)
+        report.scan_evals_by_iter.append(scan_evals)
         report.index_set_history.append(tuple(tuple(I) for I in sets))
-        report.aux_sets = tuple(tuple(a) for a in aux)
+        report.aux_sets = tuple(tuple(a) for a in _aux_sets(base, chosen))
         report.converged = not grown
         yield model, report
         if report.converged:

@@ -203,6 +203,7 @@ def _report_doc(report, cached, seed):
         "aux_sets": [[i + 1 for i in I] for I in report.aux_sets],
         "rank_history": [list(r) for r in report.rank_history],
         "evals_by_iter": list(report.evals_by_iter),
+        "scan_evals_by_iter": list(report.scan_evals_by_iter),
         "total_evals": cached.count,
     }
 

@@ -66,6 +66,8 @@ class FamilySpec:
     def __post_init__(self):
         self.dims = tuple(_integer(n, "dims must be integers")
                           for n in self.dims)
+        self.h = _integer(self.h, "h must be an integer")
+        self.seed = _integer(self.seed, "seed must be an integer")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if any(n < 1 for n in self.dims) or self.h < 1:
@@ -126,7 +128,7 @@ def _sum_of_terms(spec):
     """Inner product and entry formula ``terms(idx)`` of a sum-of-terms
     family; ``idx`` is one multi-index or broadcastable index arrays."""
     amplitudes = _amplitudes(spec)
-    rng = np.random.default_rng([int(spec.seed), 0])
+    rng = np.random.default_rng([spec.seed, 0])
     profiles = _mode_profiles(rng, param_grids(spec), len(amplitudes))
     V = _space_vectors(rng, len(amplitudes), spec.h) * amplitudes
 

@@ -317,13 +317,39 @@ def test_abc_determinism_across_threads(rng):
     assert len(r1.index_sets[0]) == 2 < len(r1.index_sets[1])
 
 
-def test_abc_budget_accounting(rng):
+def test_abc_budget_accounting(rng, monkeypatch):
+    # scan_evals_by_iter counts, cumulatively, the evaluations the scans
+    # of each sweep caused, the witness scan of a sweep that grew nothing
+    # included; the rest of evals_by_iter is the model updates'
+    scanned = []
+
+    def counting_scan(cached, *args):
+        before = cached.count
+        grown = scan(cached, *args)
+        scanned.append(cached.count - before)
+        return grown
+
+    scan = aca._scan
+    monkeypatch.setattr(aca, "_scan", counting_scan)
     A = BTensor(rng.standard_normal((6, 5, 7, 2)), InnerProduct.identity(2))
     c = tensor_oracle(A)
     cfg = AbcConfig(n_iter=3, init_aux=[[0], [1], [2]], seed=5)
     _, report = tucker_abc(c, cfg)
     assert report.evals_by_iter[-1] == c.count
     assert c.count <= 6 * 5 * 7
+    assert report.scan_evals_by_iter[-1] == sum(scanned)
+
+    A = exact_rank_tensor(rng, (9, 8, 7), (2, 3, 2), 2)
+    c = tensor_oracle(A)
+    cfg = AbcConfig(n_iter=10, init_aux=[[0], [1], [2]], seed=5)
+    scanned.clear()
+    expected = []
+    for _, report in abc_sweeps(c, cfg):
+        expected.append(sum(scanned))
+    assert report.converged and len(scanned) > report.n_iter_run
+    assert report.scan_evals_by_iter == expected
+    model_evals = np.subtract(report.evals_by_iter, expected)
+    assert np.all(np.diff(model_evals) >= 0) and model_evals[0] > 0
 
 
 def test_abc_mode_saturation_skips(rng, monkeypatch):
@@ -417,6 +443,43 @@ def test_abc_fiber_sets_widen_until_the_rows_carry_the_rank(rng):
     assert tuple(len(I) for I in model.index_sets) == (6, 6)
     err = fro_norm(BTensor(assemble(model).data - A.data, A.ip)) / fro_norm(A)
     assert err <= 1e-10
+
+
+def test_abc_scans_read_through_the_fiber_sets(monkeypatch):
+    # mode k's scan reads each other mode l through base_l (the initial
+    # auxiliary set; this run draws no witness), the fiber set J_l in use
+    # and the index l gained earlier in the sweep, so a chosen index
+    # beyond FIBER_OVERSAMPLE that l did not just gain is left out
+    scans = []
+
+    class RecordingView(_ResidualRowView):
+        def __init__(self, cached, model, aux, k):
+            scans.append((model, k, [set(a) for a in aux]))
+            super().__init__(cached, model, aux, k)
+
+    monkeypatch.setattr(aca, "_ResidualRowView", RecordingView)
+    dims = (20, 20, 20)
+    c = CachedOracle(problems.make_oracle(
+        problems.FamilySpec("gaussian_bump", dims, 16, seed=0)))
+    base = cli._draw_aux(dims, 3, 0)
+    cfg = AbcConfig(n_iter=8, init_aux=base)
+    prev, left_out = [set() for _ in dims], 0
+    for model, report in abc_sweeps(c, cfg):
+        sets = [set(I) for I in report.index_sets]
+        assert report.aux_sets == tuple(
+            tuple(sorted(set(b) | I)) for b, I in zip(base, sets))
+        for scan_model, k, scan in scans:
+            J = (scan_model.fiber_sets if scan_model is not None
+                 else [()] * len(dims))
+            for l in range(len(dims)):
+                if l == k:
+                    continue
+                allowed = set(base[l]) | set(J[l]) | (sets[l] - prev[l])
+                assert scan[l] <= allowed
+                left_out += len(prev[l] - allowed)
+        scans.clear()
+        prev = sets
+    assert max(len(I) for I in prev) > FIBER_OVERSAMPLE and left_out > 0
 
 
 def test_abc_sets_stop_at_exact_rank(rng):
@@ -563,8 +626,9 @@ def family_sweeps(dims, h, kind, rank, n_noise, seed, n_aux, n_rook, n_iter,
 
 
 # Each sweep crosses its new core entries where the scans found the
-# residual large (mode k scans through the index sets of the modes l < k
-# that grew in the sweep), so every sweep's model stays within a few |A|.
+# residual large (mode k scans each mode l < k that grew in the sweep
+# through its fiber set and its new index), so every sweep's model stays
+# within a few |A|.
 # The last two draws are ROADMAP item 17's near-singular later cores.
 @settings(max_examples=40, deadline=None)
 @given(**INSTANCE, n_noise=st.integers(0, 12), n_rook=st.sampled_from([1, 2]))

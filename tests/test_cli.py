@@ -210,6 +210,9 @@ def test_build_stops_once_every_mode_is_saturated(tmp_path):
     assert report["converged"] is True
     assert report["iterations_run"] < 20
     assert report["total_evals"] == report["evals_by_iter"][-1] < 12 * 10 * 8
+    scans = report["scan_evals_by_iter"]
+    assert len(scans) == report["iterations_run"]
+    assert scans == sorted(scans) and 0 < scans[-1] < report["total_evals"]
 
 
 def test_eval_raw_roundtrip(tmp_path, capsys):

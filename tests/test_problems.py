@@ -39,6 +39,19 @@ def test_family_spec_validation():
                            match=f"dims must be integers, got {bad!r}"):
             FamilySpec("separable", (bad, 3, 3), 4)
     assert FamilySpec("separable", (np.int64(2), 3, 3), 4).dims == (2, 3, 3)
+    # so are a fractional or textual h or seed, which numpy would reject
+    # late or truncate
+    for bad in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError,
+                           match=f"h must be an integer, got {bad!r}"):
+            FamilySpec("separable", (3, 3, 3), bad)
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError,
+                           match=f"seed must be an integer, got {bad!r}"):
+            FamilySpec("separable", (3, 3, 3), 4, seed=bad)
+    spec = FamilySpec("separable", (3, 3, 3), np.int64(4), seed=np.int64(1))
+    assert (spec.h, spec.seed) == (4, 1)
+    assert type(spec.h) is int and type(spec.seed) is int
     # a params key its family does not read would otherwise be ignored
     for family, key in (("gaussian_bump", "smoothing"), ("separable", "rnak"),
                         ("separable", "rho")):
