@@ -26,7 +26,7 @@ import numpy as np
 
 from .bmatrix import (
     DEFAULT_TOL,
-    _canonical_index_set,
+    _canonical_sets,
     _fiber_rows,
     _integer,
     _matrix_rank,
@@ -59,18 +59,12 @@ class AbcConfig:
 
     def validate(self, dims):
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
-        for knob in ("n_iter", "n_rook", "seed"):
-            _integer(getattr(self, knob), f"{knob} must be an integer")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be at least 1")
-        if self.n_rook < 1:
-            raise ValueError("n_rook must be at least 1")
+        for knob, low in (("n_iter", 1), ("n_rook", 1), ("seed", None)):
+            _integer(getattr(self, knob), f"{knob} must be an integer", low)
         if not 0.0 <= self.tol_rel < 1.0:
             raise ValueError(f"tol_rel must lie in [0, 1), got {self.tol_rel}")
-        if len(self.init_aux) != len(dims):
-            raise ValueError("need one auxiliary index set per mode")
-        return [_canonical_index_set(aux, n, f"mode-{k} auxiliary")
-                for k, (aux, n) in enumerate(zip(self.init_aux, dims))]
+        return [list(a) for a in
+                _canonical_sets(self.init_aux, dims, "auxiliary index")]
 
 
 @dataclass
@@ -152,9 +146,7 @@ def rook_pivot(view, j_start, n_rook):
     by round-off.  ``n_rook >= 1`` rounds are run.
     """
     j = _integer(j_start, "j_start must be an integer")
-    n_rook = _integer(n_rook, "n_rook must be an integer")
-    if n_rook < 1:
-        raise ValueError("n_rook must be at least 1")
+    n_rook = _integer(n_rook, "n_rook must be an integer", 1)
     m, n = view.shape
     if m == 0 or n == 0:
         raise ValueError("cannot pivot on an empty matrix")

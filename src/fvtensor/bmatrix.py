@@ -33,12 +33,16 @@ DEFAULT_TOL = 1e-12
 TSQR_BLOCK = 1024  # rows of the whitened matrix per TSQR block
 
 
-def _integer(value, what):
-    """``value`` as an int; a float is refused, not truncated."""
+def _integer(value, what, low=None):
+    """``value`` as an int; a ``ValueError`` naming ``what`` and the value
+    if it is not one (a float is not truncated) or is below ``low``."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what}, got {value!r}") from None
+    if low is not None and n < low:
+        raise ValueError(f"{what}, got {value!r} < {low}")
+    return n
 
 
 def _int_indices(a):
@@ -273,12 +277,21 @@ def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):
 
 
 def _canonical_index_set(I, size, what):
-    """Sorted distinct indices of ``I``; ``ValueError`` unless integers
-    in ``[0, size)``."""
-    idx = sorted(set(_integer(i, f"{what} index set holds a non-integer")
-                     for i in I))
+    """Sorted distinct indices of ``I``; ``ValueError``, naming the set
+    ``what``, unless integers in ``[0, size)``."""
+    idx = sorted(set(_integer(i, f"{what} holds a non-integer") for i in I))
     if not idx:
-        raise ValueError(f"empty {what} index set")
+        raise ValueError(f"empty {what}")
     if idx[0] < 0 or idx[-1] >= size:
-        raise ValueError(f"{what} index set out of range for size {size}")
+        raise ValueError(f"{what} out of range for size {size}")
     return idx
+
+
+def _canonical_sets(sets, dims, what):
+    """One canonical ``what`` set (:func:`_canonical_index_set`) per mode
+    of ``dims``, as a tuple of tuples; ``ValueError`` unless there is one
+    per mode."""
+    if len(sets) != len(dims):
+        raise ValueError(f"need one {what} set per mode")
+    return tuple(tuple(_canonical_index_set(I, n, f"mode-{k} {what} set"))
+                 for k, (I, n) in enumerate(zip(sets, dims)))

@@ -17,7 +17,7 @@ import numpy as np
 from .bmatrix import (
     BTensor,
     DEFAULT_TOL,
-    _canonical_index_set,
+    _canonical_sets,
     _fiber_rows,
     _grid_indices,
     _integer,
@@ -195,19 +195,6 @@ def _subsets(small, large, what):
             raise ValueError(f"mode-{k} {what}")
 
 
-def _fiber_sets(fiber_sets, sets, dims):
-    """``fiber_sets`` canonical, one subset of ``sets[k]`` per mode;
-    ``None`` stands for ``sets``."""
-    if fiber_sets is None:
-        return sets
-    if len(fiber_sets) != len(sets):
-        raise ValueError("need one fiber set per mode")
-    J = tuple(tuple(_canonical_index_set(Jk, n, f"mode-{k} fiber"))
-              for k, (Jk, n) in enumerate(zip(fiber_sets, dims)))
-    _subsets(J, sets, "fiber set is not a subset of its index set")
-    return J
-
-
 def _old_sets(prev, source, sets, fibers):
     """Index and fiber sets of ``prev``, checked to be foldable into
     ``sets`` and ``fibers``; ``(None, None)`` without ``prev``."""
@@ -256,11 +243,10 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
     fiber sets, is a ``ValueError`` before any read.
     """
     dims = tuple(source.dims)
-    if len(index_sets) != len(dims):
-        raise ValueError("need one index set per mode")
-    sets = tuple(tuple(_canonical_index_set(I, dims[k], f"mode-{k}"))
-                 for k, I in enumerate(index_sets))
-    J = _fiber_sets(fiber_sets, sets, dims)
+    sets = _canonical_sets(index_sets, dims, "index")
+    J = (sets if fiber_sets is None
+         else _canonical_sets(fiber_sets, dims, "fiber"))
+    _subsets(J, sets, "fiber set is not a subset of its index set")
     old, old_J = _old_sets(prev, source, sets, J)
     core = _grown_core(source, sets, prev, old)
     factors = []
@@ -385,10 +371,10 @@ def _st_hosvd(A, tol_rel):
 def _check_ranks(ranks, d):
     """``ranks`` as a list of one nonnegative integer per mode of a
     ``d``-way tensor; anything else is a ``ValueError``."""
-    ranks = [_integer(r, "ranks must be integers") for r in ranks]
-    if len(ranks) != d or any(r < 0 for r in ranks):
+    if len(ranks) != d:
         raise ValueError(f"need {d} nonnegative ranks, got {tuple(ranks)}")
-    return ranks
+    return [_integer(r, "ranks must be nonnegative integers", 0)
+            for r in ranks]
 
 
 def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):

@@ -16,6 +16,7 @@ success, 1 usage error, 2 data error.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -120,12 +121,17 @@ def _parse_gram(text):
 
 def _resolve_gram(gram, h):
     """The ``--gram`` inner product for a source of coefficient length
-    ``h``; a Gram file of another length is a ``ValueError``."""
+    ``h``; a Gram file of another length, or not a whole number of
+    float64s, is a ``ValueError``."""
     if gram is None:
         return None
     kind, path = gram
     if kind == "identity":
         return InnerProduct.identity(h)
+    size = os.path.getsize(path)
+    if size % 8:
+        raise ValueError(f"--gram {kind}:{path} holds {size} bytes, not a "
+                         "whole number of float64s")
     values = np.fromfile(path, dtype="<f8")
     if kind == "diagonal":
         ip = InnerProduct.diagonal(values)

@@ -17,6 +17,8 @@ The Gram product :meth:`InnerProduct.apply` has no caller in the library.
 
 import numpy as np
 
+from .bmatrix import _integer
+
 SYMMETRY_RTOL = 1e-12
 
 
@@ -42,7 +44,8 @@ class InnerProduct:
     Parameters
     ----------
     h : int
-        Coefficient dimension of the space.
+        Coefficient dimension of the space, an integer of at least 1; a
+        float such as 2.0 is refused, not truncated.
     kind : str
         One of ``"identity"``, ``"diagonal"``, ``"dense"``.
     weights : ndarray, optional
@@ -65,9 +68,10 @@ class InnerProduct:
     __slots__ = ("h", "kind", "weights", "gram", "chol")
 
     def __init__(self, h, kind="identity", weights=None, gram=None):
-        if h < 1:
-            raise InnerProductError("coefficient dimension must be positive")
-        self.h = int(h)
+        try:
+            self.h = _integer(h, "coefficient dimension must be an integer", 1)
+        except ValueError as e:
+            raise InnerProductError(str(e)) from None
         self.kind = kind
         self.weights = self.gram = self.chol = None
         if kind == "identity":

@@ -27,6 +27,7 @@ Externally computed snapshot tensors enter through the FVT format
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,13 @@ GAUSSIAN_SMOOTHING = 0.2  # heat-kernel width added to each gamma
 class FamilySpec:
     """Recipe for a synthetic parametric family.
 
+    ``dims`` and ``h`` are integers of at least 1, ``seed`` an integer.
     ``params`` may set only the keys its family reads: ``rank`` (default
     3) for ``separable``; ``rank``, ``rho`` (0.5) and ``n_noise`` (6) for
-    ``lowrank_plus_decay``; none for ``gaussian_bump``.
+    ``lowrank_plus_decay``; none for ``gaussian_bump``.  When the family
+    is made, ``rank`` must be an integer of at least 1, ``n_noise`` one of
+    at least 0 and ``rho`` a real number in (0, 1).  A float is refused,
+    not truncated, and a string is not parsed.
     """
 
     family: str
@@ -64,14 +69,12 @@ class FamilySpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.dims = tuple(_integer(n, "dims must be integers")
+        self.dims = tuple(_integer(n, "dims must be integers", 1)
                           for n in self.dims)
-        self.h = _integer(self.h, "h must be an integer")
+        self.h = _integer(self.h, "h must be an integer", 1)
         self.seed = _integer(self.seed, "seed must be an integer")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if any(n < 1 for n in self.dims) or self.h < 1:
-            raise ValueError("dims and h must be positive")
         if self.family == "gaussian_bump" and len(self.dims) != 3:
             raise ValueError("gaussian_bump is a three-parameter family")
         for key in self.params:
@@ -142,18 +145,14 @@ def _sum_of_terms(spec):
 
 
 def _amplitudes(spec):
+    get = spec.params.get
+    R = _integer(get("rank", 3), "rank must be an integer", 1)
     if spec.family == "separable":
-        R = int(spec.params.get("rank", 3))
-        if R < 1:
-            raise ValueError("rank must be positive")
         return np.ones(R)
-    R = int(spec.params.get("rank", 3))
-    rho = float(spec.params.get("rho", 0.5))
-    n_noise = int(spec.params.get("n_noise", 6))
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    if R < 1 or n_noise < 0:
-        raise ValueError("rank must be positive and n_noise nonnegative")
+    n_noise = _integer(get("n_noise", 6), "n_noise must be an integer", 0)
+    rho = get("rho", 0.5)
+    if not isinstance(rho, numbers.Real) or not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must be a real number in (0, 1), got {rho!r}")
     return np.concatenate([np.ones(R), rho ** np.arange(1, n_noise + 1)])
 
 

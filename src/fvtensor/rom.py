@@ -270,6 +270,8 @@ def _check_doc(doc):
             raise ValueError(f"ROM field {key!r} is not a list")
     if not isinstance(doc.get("core_file"), str):
         raise ValueError("ROM field 'core_file' is not a string")
+    if os.path.basename(doc["core_file"]) != doc["core_file"]:
+        raise ValueError("ROM field 'core_file' is not a bare file name")
     if not all(isinstance(I, list) for I in doc["index_sets"]):
         raise ValueError("ROM field 'index_sets' holds a non-list")
     if not all(isinstance(F, dict) for F in doc["factors"]):
@@ -311,7 +313,7 @@ def load_model(path):
         if not all(type(i) is int for i in (n, *raw)):
             raise ValueError(f"mode {k} size or index set holds a non-integer")
         I = [i - 1 for i in raw]
-        if _canonical_index_set(I, n, f"mode {k}") != I:
+        if _canonical_index_set(I, n, f"mode {k} index set") != I:
             raise ValueError(f"mode {k} index set is not sorted and distinct")
         shape = (n, len(I))
         if (F["rows"], F["cols"]) != shape or core.dims[k] != len(I):

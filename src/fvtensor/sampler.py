@@ -21,10 +21,8 @@ class EntryOracle:
     __slots__ = ("dims", "ip", "fn")
 
     def __init__(self, dims, ip, fn):
-        self.dims = tuple(_integer(n, "dimensions must be integers")
+        self.dims = tuple(_integer(n, "dimensions must be integers", 1)
                           for n in dims)
-        if any(n < 1 for n in self.dims):
-            raise ValueError("all dimensions must be positive")
         self.ip = ip
         self.fn = fn
 
@@ -47,10 +45,7 @@ class CachedOracle:
     """
 
     def __init__(self, oracle, threads=1):
-        self.threads = _integer(threads, "threads must be an integer >= 1")
-        if self.threads < 1:
-            raise ValueError(f"threads must be an integer >= 1, "
-                             f"got {threads!r}")
+        self.threads = _integer(threads, "threads must be an integer", 1)
         self.oracle = oracle
         self.cache = {}
         self._lock = threading.Lock()

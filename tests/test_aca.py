@@ -86,6 +86,11 @@ def test_rook_zero_rounds():
     with pytest.raises(ValueError, match="n_rook"):
         tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]], n_rook=0))
     assert c.count == 0
+    # so is a start column outside the matrix
+    for j_start in (-1, 4):
+        with pytest.raises(IndexError,
+                           match=f"start column {j_start} out of range"):
+            rook_pivot(SimpleNamespace(shape=(3, 4)), j_start, 1)
 
 
 def test_rook_tie_break_smallest_index():
@@ -540,6 +545,10 @@ def test_abc_config_validation(rng):
         tucker_abc(c, AbcConfig(n_iter=0, init_aux=[[0], [0]]))
     with pytest.raises(ValueError):
         tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[], [0]]))
+    for aux in ([[0]], [[0], [0], [0]]):
+        with pytest.raises(ValueError,
+                           match="need one auxiliary index set per mode"):
+            tucker_abc(c, AbcConfig(n_iter=1, init_aux=aux))
     for tol in (float("nan"), -1.0, 1.0):
         with pytest.raises(ValueError, match="tol_rel"):
             tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]],

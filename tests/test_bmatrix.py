@@ -120,6 +120,21 @@ def test_matrix_functions_reject_other_orders(rng):
                 call()
 
 
+def test_btensor_shape_and_matrix_rows_are_checked(rng):
+    # a BTensor's data is dims + (h,): at least two axes, the last ip.h
+    ip = InnerProduct.identity(2)
+    with pytest.raises(ValueError, match=r"shape dims \+ \(h,\)"):
+        BTensor(np.ones(2), ip)
+    with pytest.raises(ValueError, match="entry length 3 does not match"):
+        BTensor(np.ones((4, 3)), ip)
+    # the two operands of a matrix product share their rows
+    A, B = rand_bm(rng, 4, 3, 2), rand_bm(rng, 5, 3, 2)
+    with pytest.raises(ValueError, match="row mismatch: 4 vs 5"):
+        pinv_apply(A, B)
+    with pytest.raises(ValueError, match="row mismatch: 5 vs 4"):
+        adjoint_apply(B, A)
+
+
 # --- SVD ---------------------------------------------------------------------
 
 def test_svd_rank_one_closed_form(rng):

@@ -431,6 +431,29 @@ def test_tucker_cross_rejects_unfoldable_prev(rng):
     with pytest.raises(ValueError):
         tucker_cross(c, [[0, 2, 4], [1], [3]], prev=loaded)
     assert c.count == count
+    # a prev built on a tensor of other dims, or under another Gram
+    other_dims = CachedOracle(EntryOracle.from_tensor(rand_bt(rng, (6, 5, 3),
+                                                              2)))
+    other_gram = CachedOracle(EntryOracle(
+        A.dims, InnerProduct.diagonal([1.0, 2.0]), c.oracle.fn))
+    for source in (other_dims, other_gram):
+        with pytest.raises(ValueError, match="prev was built on a different "
+                                             "tensor or geometry"):
+            tucker_cross(source, [[0, 2], [1], [0]], prev=prev)
+        assert source.count == 0
+
+
+@pytest.mark.parametrize("I0", [None, [1, 4]])
+@pytest.mark.parametrize("I", [[0, 1, 3, 4], list(range(6))])
+def test_tucker_cross_one_way_tensor_recovers_it(rng, I0, I):
+    # a (6, 4) one-way tensor: its one fiber is the whole tensor, and the
+    # columns at four generic indices span its range, so the model at an
+    # index set holding them is the tensor, with or without prev
+    A = rand_bt(rng, (6,), 4)
+    prev = None if I0 is None else tucker_cross(A, [I0])
+    model = tucker_cross(A, [I], prev=prev)
+    assert model.ranks == (4,)
+    assert relative_error(A, model) <= 1e-12
 
 
 # --- fibers through subsets of the index sets ---------------------------------

@@ -333,6 +333,16 @@ def test_eval_non_finite_grid_node_exit_2(tmp_path, capsys, node):
                  "ROM field 'index_sets' is not a list", id="index-sets-null"),
     pytest.param(lambda d: d.update(core_file=3),
                  "ROM field 'core_file' is not a string", id="core-file-number"),
+    pytest.param(lambda d: d["index_sets"].__setitem__(1, 2),
+                 "ROM field 'index_sets' holds a non-list",
+                 id="index-set-number"),
+    pytest.param(lambda d: d["factors"].__setitem__(0, [1.0]),
+                 "ROM field 'factors' holds a non-object", id="factor-list"),
+    # the core lies beside the model: this one is the same file, named by
+    # a path
+    pytest.param(lambda d: d.update(core_file="./" + d["core_file"]),
+                 "ROM field 'core_file' is not a bare file name",
+                 id="core-file-path"),
 ])
 def test_eval_refuses_an_inconsistent_model_exit_2(tmp_path, capsys, edit,
                                                    named):
@@ -371,6 +381,43 @@ def test_info_refuses_a_malformed_model_exit_2(tmp_path, capsys, field, value,
     capsys.readouterr()
     assert main(["info", "--input", model]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_model_core_outside_its_directory_is_refused_exit_2(tmp_path,
+                                                           capsys):
+    # a core_file that names a path, absolute or relative, could load a
+    # core from anywhere; save_model writes a bare file name
+    model = tmp_path / "a" / "m.json"
+    model.parent.mkdir()
+    assert main(["build", "--family", "separable", "--dims", "5,4,3",
+                 "--h", "2", "--iters", "1", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    elsewhere = tmp_path / "b" / doc["core_file"]
+    elsewhere.parent.mkdir()
+    os.replace(model.parent / doc["core_file"], elsewhere)
+    for path in (str(elsewhere), os.path.join("..", "b", doc["core_file"])):
+        doc["core_file"] = path
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["info", "--input", str(model)],
+                     ["eval", "--model", str(model), "--params", "0,0,0"]):
+            assert main(argv) == 2
+            assert ("ROM field 'core_file' is not a bare file name"
+                    in capsys.readouterr().err)
+
+
+def test_gram_file_of_a_partial_float64_exit_2(tmp_path, capsys):
+    # three weights and 3 stray bytes: not read as h=3
+    gfile = tmp_path / "w.f64"
+    gfile.write_bytes(np.full(3, 1.5).astype("<f8").tobytes() + b"abc")
+    out = tmp_path / "t.fvt"
+    assert main(["gen", "--family", "separable", "--dims", "3,3,3",
+                 "--h", "3", "--gram", f"diagonal:{gfile}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --gram diagonal:{gfile} holds 27 bytes, not a whole number "
+        "of float64s\n")
+    assert not out.exists()
 
 
 def test_hosvd_outputs(tmp_path):

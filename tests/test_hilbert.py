@@ -93,6 +93,11 @@ NAN, INF = float("nan"), float("inf")
                  InnerProductError, id="h-negative"),
     pytest.param(lambda: InnerProduct.identity(0), InnerProductError,
                  id="identity-h-0"),
+    # a fractional or integral-float h is refused, not truncated
+    pytest.param(lambda: InnerProduct(2.5), InnerProductError,
+                 id="h-fractional"),
+    pytest.param(lambda: InnerProduct.identity(2.0), InnerProductError,
+                 id="identity-h-float"),
     pytest.param(lambda: InnerProduct.diagonal([]), InnerProductError,
                  id="diagonal-empty"),
     pytest.param(lambda: InnerProduct.dense(np.zeros((0, 0))),

@@ -63,11 +63,26 @@ def test_family_spec_validation():
             ("lowrank_plus_decay", {"rank": 0}, "rank"),
             ("lowrank_plus_decay", {"rho": 0.0}, "rho"),
             ("lowrank_plus_decay", {"rho": 1.0}, "rho"),
-            ("lowrank_plus_decay", {"n_noise": -1}, "n_noise")):
+            ("lowrank_plus_decay", {"n_noise": -1}, "n_noise"),
+            # a fractional or textual value is refused, not truncated or
+            # parsed
+            ("separable", {"rank": 2.5}, "rank must be an integer, got 2.5"),
+            ("lowrank_plus_decay", {"rank": "3"},
+             "rank must be an integer, got '3'"),
+            ("lowrank_plus_decay", {"n_noise": 1.5},
+             "n_noise must be an integer, got 1.5"),
+            ("lowrank_plus_decay", {"rho": "0.5"}, "rho .* got '0.5'")):
         spec = FamilySpec(family, (3, 3, 3), 4, params=params)
         for make in (make_oracle, make_tensor):
             with pytest.raises(ValueError, match=match):
                 make(spec)
+    # numpy scalars are integers and reals, and make the same family
+    plain = {"rank": 2, "n_noise": 1, "rho": 0.25}
+    tensors = [make_tensor(FamilySpec("lowrank_plus_decay", (3, 3, 3), 4,
+                                      params=p))
+               for p in (plain, {"rank": np.int64(2), "n_noise": np.int32(1),
+                                 "rho": np.float64(0.25)})]
+    assert np.array_equal(tensors[0].data, tensors[1].data)
 
 
 def test_separable_rank_one():

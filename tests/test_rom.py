@@ -135,6 +135,13 @@ def test_hat_out_of_domain():
         basis_eval(b, -0.1)
     with pytest.raises(DomainError):
         basis_eval(b, 1.1)
+    # a single-node hat basis is the unit vector at its node, and defined
+    # nowhere else
+    b = Basis1D("hat", np.array([0.25]))
+    assert np.array_equal(basis_eval(b, 0.25), [1.0])
+    for alpha in (0.3, 0.0):
+        with pytest.raises(DomainError, match="is not the single grid node"):
+            basis_eval(b, alpha)
 
 
 @pytest.mark.parametrize("kind", ["hat", "lagrange"])
@@ -204,6 +211,11 @@ def test_encode_at_sampled_nodes_gives_factor_rows(rng):
     assert np.array_equal(vecs[0], model.factors[0][5])
     assert np.array_equal(vecs[1], model.factors[1][2])
     assert np.array_equal(vecs[2], model.factors[2][4])
+    # one parameter per mode
+    for alphas in ([0.5, 0.5], [0.5] * 4):
+        with pytest.raises(ValueError, match=f"expected 3 parameters, "
+                                             f"got {len(alphas)}"):
+            encode(rm, alphas)
 
 
 def test_rom_subgrid_exactness(rng):

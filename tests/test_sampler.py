@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,16 @@ def test_nonfinite_oracle_value_rejected(rng, bad):
     assert np.array_equal(c.get((1, 3)), A.data[1, 3])
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+def test_wrong_shape_oracle_value_rejected(rng, shape):
+    _, c = counting_oracle(rng, (3, 4), 2)
+    c.oracle.fn = lambda idx: np.ones(shape)
+    msg = rf"oracle returned shape {re.escape(str(shape))}, expected \(2,\)"
+    with pytest.raises(ValueError, match=msg):
+        c.get_many([(0, 0), (1, 3)])
+    assert c.count == 0
+
+
 def test_purity_repeated_gets(rng):
     A, c = counting_oracle(rng, (4, 4, 4), 3)
     idxs = [tuple(int(rng.integers(4)) for _ in range(3)) for _ in range(100)]
@@ -118,9 +130,10 @@ def test_threads_must_be_a_positive_integer(rng, threads):
         CachedOracle(c.oracle, threads=threads)
 
 
-@pytest.mark.parametrize("bad", [2.7, "2", None])
+@pytest.mark.parametrize("bad", [2.7, "2", None, 0, -2])
 def test_entry_oracle_dims_must_be_integers(bad):
-    # a fractional size is refused, not truncated to a smaller mode
+    # a fractional size is refused, not truncated to a smaller mode, and
+    # so is a size below 1
     ip = InnerProduct.identity(1)
     with pytest.raises(ValueError,
                        match=f"dimensions must be integers, got {bad!r}"):
