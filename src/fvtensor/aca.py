@@ -30,6 +30,7 @@ from .bmatrix import (
     _fiber_rows,
     _integer,
     _matrix_rank,
+    _tolerance,
     _truncated_scalar_svd,
 )
 from .btensor import model_gather, tucker_cross
@@ -45,10 +46,13 @@ class AbcConfig:
 
     ``init_aux`` holds one non-empty auxiliary index set per mode.
     ``n_rook >= 1`` is the number of rook rounds per scan, and ``seed``
-    seeds the uniform draw of each scan's start column.  ``tol_rel``, in
-    ``[0, 1)``, truncates the pseudoinverses and the ranks of the
-    saturation test.  A run ends after a sweep in which no mode grows
-    (see :func:`abc_sweeps`), so it may run fewer than ``n_iter`` sweeps.
+    seeds the uniform draw of each scan's start column; ``n_iter``,
+    ``n_rook`` and ``seed`` are integers, and a bool is not one
+    (:func:`~fvtensor.bmatrix._integer`).  ``tol_rel``, a real number in
+    ``[0, 1)`` (:func:`~fvtensor.bmatrix._tolerance`), truncates the
+    pseudoinverses and the ranks of the saturation test.  A run ends after
+    a sweep in which no mode grows (see :func:`abc_sweeps`), so it may run
+    fewer than ``n_iter`` sweeps.
     """
 
     n_iter: int
@@ -61,8 +65,7 @@ class AbcConfig:
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
         for knob, low in (("n_iter", 1), ("n_rook", 1), ("seed", None)):
             _integer(getattr(self, knob), f"{knob} must be an integer", low)
-        if not 0.0 <= self.tol_rel < 1.0:
-            raise ValueError(f"tol_rel must lie in [0, 1), got {self.tol_rel}")
+        _tolerance(self.tol_rel)
         return [list(a) for a in
                 _canonical_sets(self.init_aux, dims, "auxiliary index")]
 
@@ -310,8 +313,9 @@ def abc_sweeps(cached, cfg):
     uniformly with the run's generator from the indices outside its
     auxiliary set, and the sweep scans again through the widened sets;
     these are the only draws besides the start columns, and only a run
-    that would otherwise stop makes them.  If that scan grows nothing either, the model is the
-    last sweep's, so the generator sets ``report.converged`` and stops.
+    that would otherwise stop makes them.  If that scan grows nothing
+    either, the model is the last sweep's, so the generator sets
+    ``report.converged`` and stops.
     This is the only stopping rule besides ``cfg.n_iter``, and it sees
     only what the scans read.
 

@@ -16,7 +16,10 @@ vectors of the transposed mode-``k`` unfolding.  Every factorization, here
 and in the tensor layer, reads that one matrix: SVD, numerical rank and
 the applied pseudoinverse are each one LAPACK call on it, the adjoint
 product is one product of two such matrices, and numerical rank counts
-the singular values above ``tol_rel`` times the largest one.
+the singular values above ``tol_rel`` times the largest one.  Each
+public function that takes ``tol_rel``, here and in the tensor layer,
+checks it with :func:`_tolerance` before any work; the private helpers
+take it checked.
 Singular values and right singular vectors alone are read off its
 triangular factor, by TSQR above ``TSQR_BLOCK`` rows.  The block is 1024
 rows, so that a block of a mode matrix with 100 columns (0.8 MB) stays in
@@ -24,6 +27,7 @@ a 2 MB L2 cache while LAPACK factors it; a 4096-row block (3.2 MB) does
 not, and measured slower (see :func:`_r_factor`).
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -35,8 +39,11 @@ TSQR_BLOCK = 1024  # rows of the whitened matrix per TSQR block
 
 def _integer(value, what, low=None):
     """``value`` as an int; a ``ValueError`` naming ``what`` and the value
-    if it is not one (a float is not truncated) or is below ``low``."""
+    if it is not one (a float is not truncated, and a bool, Python's or
+    numpy's, is not an integer) or is below ``low``."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what}, got {value!r}") from None
@@ -45,19 +52,31 @@ def _integer(value, what, low=None):
     return n
 
 
+def _tolerance(tol_rel):
+    """``tol_rel`` as a float; a ``ValueError`` unless it is a real number
+    in ``[0, 1)`` (a NaN, or a string such as ``"0.5"``, is refused)."""
+    if not (isinstance(tol_rel, numbers.Real) and 0.0 <= tol_rel < 1.0):
+        raise ValueError(f"tol_rel must be a real number in [0, 1), "
+                         f"got {tol_rel!r}")
+    return float(tol_rel)
+
+
 def _int_indices(a):
     """``a`` as an int64 array; ``IndexError`` if it holds an index of a
-    dtype other than integer or bool (a float is refused, not truncated)."""
+    dtype other than integer (a float is refused, not truncated, and a
+    bool array is a mask, not the indices 0 and 1)."""
     a = np.asarray(a)
-    if a.size and a.dtype.kind not in "biu":
+    if a.size and a.dtype.kind not in "iu":
         raise IndexError(f"indices must be integers, got dtype {a.dtype}")
     return a.astype(np.int64, copy=False)
 
 
 def _grid_indices(grids, dims):
-    """A product grid over ``dims`` as one int64 index vector per mode;
-    ``IndexError`` unless it has one list per mode, of integers (see
-    :func:`_int_indices`) in ``[0, dims[k])``."""
+    """One int64 index vector per mode of ``dims``, from one index list
+    per mode: a product grid, or the columns of a batch of multi-indices.
+    ``IndexError`` unless there is one list per mode, of integers (see
+    :func:`_int_indices`) in ``[0, dims[k])``; every index read is
+    range-checked here."""
     if len(grids) != len(dims):
         raise IndexError("need one index list per mode")
     arrs = [_int_indices(g).reshape(-1) for g in grids]
@@ -246,8 +265,10 @@ def svd(A, tol_rel=DEFAULT_TOL):
     The left singular vectors of the whitened matrix are mapped back to
     coefficient vectors, which makes the columns of ``U`` H-orthonormal.
     Singular values at or below ``tol_rel`` times the largest one are
-    discarded.  A zero matrix yields empty factors.
+    discarded; a ``tol_rel`` outside ``[0, 1)`` is a ``ValueError``
+    (:func:`_tolerance`).  A zero matrix yields empty factors.
     """
+    tol_rel = _tolerance(tol_rel)
     Uw, s, Vh = _truncated_scalar_svd(_whitened(A), tol_rel)
     m, _, h = A.data.shape
     U = A.ip.unwhiten(np.moveaxis(Uw.reshape(m, h, s.size), 1, 2))
@@ -261,10 +282,11 @@ def pinv_apply(A, B, tol_rel=DEFAULT_TOL):
     minimum-norm H-least-squares solution ``X`` of ``A X ~ B``.  Both
     operands are whitened, so ``U* B`` is a single product with the left
     singular factor of one SVD of the whitened ``A``, truncated as in
-    :func:`svd`.  A zero ``A`` maps everything to zero.
+    :func:`svd`, whose ``tol_rel`` rule it shares.  A zero ``A`` maps
+    everything to zero.
     """
     _same_rows(A, B)
-    return _pinv_solve(_whitened(A), _whitened(B), tol_rel)[0]
+    return _pinv_solve(_whitened(A), _whitened(B), _tolerance(tol_rel))[0]
 
 
 def _pinv_solve(X, Y, tol_rel=DEFAULT_TOL):

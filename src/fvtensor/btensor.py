@@ -24,6 +24,7 @@ from .bmatrix import (
     _pinv_solve,
     _r_factor,
     _sigma_v,
+    _tolerance,
 )
 
 SLAB = 1 << 16  # floats per slab (512 KB): a slab and its copies stay in L2
@@ -101,7 +102,9 @@ def tucker_rank(A, tol_rel=DEFAULT_TOL):
     projected on the factors of the modes before ``k``, which at the
     ``tol_rel`` ranks drops nothing above ``tol_rel`` times the largest
     singular value, so its numerical rank is the unfolding's.  For a
-    matrix this is its (row rank, column rank)."""
+    matrix this is its (row rank, column rank).  A ``tol_rel`` outside
+    ``[0, 1)`` is a ``ValueError``
+    (:func:`~fvtensor.bmatrix._tolerance`)."""
     return tuple(s.size for s in _st_hosvd(A, tol_rel)[0])
 
 
@@ -239,9 +242,12 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
     model keeps the counts as ``ranks``, and the fiber sets as
     ``fiber_sets``.  Index sets not one per mode, a fiber set that is not
     a subset of its index set, a ``prev`` whose index or fiber sets are
-    not subsets of the new ones, or a ``prev`` that carries no ``R`` or
-    fiber sets, is a ``ValueError`` before any read.
+    not subsets of the new ones, a ``prev`` that carries no ``R`` or
+    fiber sets, or a ``tol_rel`` outside ``[0, 1)``
+    (:func:`~fvtensor.bmatrix._tolerance`), is a ``ValueError`` before
+    any read.
     """
+    tol_rel = _tolerance(tol_rel)
     dims = tuple(source.dims)
     sets = _canonical_sets(index_sets, dims, "index")
     J = (sets if fiber_sets is None
@@ -336,8 +342,11 @@ def _st_hosvd(A, tol_rel):
     read off its TSQR over slabs cut along mode 0.  A 1-way tensor has no
     other mode, and its buffer is the tensor itself.  Only a zero tensor
     has a mode of rank 0; it leaves nothing to factor, so every later mode
-    gets an empty spectrum and factor.
+    gets an empty spectrum and factor.  A ``tol_rel`` outside ``[0, 1)``
+    is a ``ValueError`` before any pass
+    (:func:`~fvtensor.bmatrix._tolerance`).
     """
+    tol_rel = _tolerance(tol_rel)
     d = A.d
     m = d - 1
     head = (slice(None),) * m
@@ -397,10 +406,10 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     leading block times the last factor, one product.  So no product the
     size of a large share of the tensor is formed.
     Requested ranks above the numerical rank are clamped (and reported),
-    never an error; ranks that are not one nonnegative integer per mode
-    are a ``ValueError``.  The per-mode
-    singular value vectors are returned whole, so the quasi-optimality
-    bound can be evaluated.
+    never an error; ranks that are not one nonnegative integer per mode,
+    or a ``tol_rel`` outside ``[0, 1)``, are a ``ValueError``.  The
+    per-mode singular value vectors are returned whole, so the
+    quasi-optimality bound can be evaluated.
     """
     d = A.d
     ranks = _check_ranks(A.dims if ranks is None else ranks, d)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import problems, rom
 from .aca import AbcConfig, abc_sweeps, tucker_abc
+from .bmatrix import _tolerance
 from .btensor import (
     DEFAULT_TOL,
     SLAB,
@@ -66,24 +67,23 @@ def _fmt(x):
 
 
 def _parse_dims(text, flag="--dims"):
+    """``--dims`` or ``--rank``: comma-separated entries, each parsed by
+    the rule of ``--h`` (:func:`_int_at_least`)."""
+    parse = _int_at_least(1)
     try:
-        dims = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse {flag} {text!r}") from None
-    if not dims or any(n < 1 for n in dims):
-        raise UsageError(f"{flag} must be positive integers")
-    return dims
+        return tuple(parse(t) for t in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"argument {flag}: {exc}") from None
 
 
 def _parse_tol(text):
-    """``--tol``: a finite relative tolerance in [0, 1)."""
+    """``--tol``: a relative tolerance in [0, 1)
+    (:func:`~fvtensor.bmatrix._tolerance`)."""
     try:
-        tol = float(text)
+        return _tolerance(float(text))
     except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1)")
-    return tol
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not in [0, 1)") from None
 
 
 def _parse_params(text):

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bmatrix import _canonical_index_set
+from .bmatrix import _canonical_index_set, _integer
 from .btensor import BTensor, TuckerCrossModel, _contract
 from .fvt import load_fvt, save_fvt
 
@@ -287,12 +287,13 @@ def _check_doc(doc):
 def load_model(path):
     """Load a ROM saved by :func:`save_model`, checking what it loads.
 
-    Mode ``k``'s size and indices must be JSON integers, not floats or
-    booleans; its index set must be sorted, distinct and inside
-    ``[0, dims[k])``; its length must be the core's size in mode ``k``;
-    and factor ``k`` must be a finite ``dims[k] x |I_k|`` matrix.  A
-    violation is a ``ValueError`` naming the mode; a field of another
-    JSON type is one naming the field.
+    Mode ``k``'s size and raw indices must be JSON integers, not floats
+    or booleans, each checked by :func:`~fvtensor.bmatrix._integer`
+    before the index is shifted to 0-based; its index set must be
+    sorted, distinct and inside ``[0, dims[k])``; its length must be the
+    core's size in mode ``k``; and factor ``k`` must be a finite
+    ``dims[k] x |I_k|`` matrix.  A violation is a ``ValueError`` naming
+    the mode; a field of another JSON type is one naming the field.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -310,9 +311,9 @@ def load_model(path):
                          f"{len(docs)} factors and a core of order {core.d}")
     index_sets, factors = [], []
     for k, (n, raw, F) in enumerate(zip(dims, sets, docs)):
-        if not all(type(i) is int for i in (n, *raw)):
-            raise ValueError(f"mode {k} size or index set holds a non-integer")
-        I = [i - 1 for i in raw]
+        what = f"mode {k} size or index set holds a non-integer"
+        n = _integer(n, what)
+        I = [_integer(i, what) - 1 for i in raw]
         if _canonical_index_set(I, n, f"mode {k} index set") != I:
             raise ValueError(f"mode {k} index set is not sorted and distinct")
         shape = (n, len(I))

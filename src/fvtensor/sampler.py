@@ -75,18 +75,17 @@ class CachedOracle:
 
         Missing entries are evaluated, in parallel when ``threads > 1``;
         the output ordering follows the input regardless of schedule.  A
-        non-integer, wrong-arity or out-of-range index raises
-        ``IndexError`` before any evaluation, a non-finite value
-        ``ValueError`` before any caching.
+        wrong-arity index raises ``IndexError`` before any evaluation,
+        and so does a non-integer or out-of-range one: the batch's
+        columns are checked by :func:`~fvtensor.bmatrix._grid_indices`,
+        which refuses a bool batch (a mask, not indices).  A non-finite
+        value raises ``ValueError`` before any caching.
         """
         try:
             idx = _int_indices(indices).reshape(len(indices), self.d)
         except ValueError:
             raise IndexError(f"expected {self.d} indices per entry") from None
-        bad = np.flatnonzero(np.any((idx < 0) | (idx >= self.dims), axis=1))
-        if bad.size:
-            raise IndexError(f"index {tuple(idx[bad[0]].tolist())} out of "
-                             f"range for dims {self.dims}")
+        _grid_indices(idx.T, self.dims)
         # Python-int keys: the oracle gets an int tuple, and no key
         # overflows however large prod(dims) is
         keys = list(map(tuple, idx.tolist()))

@@ -17,11 +17,12 @@ from fvtensor.aca import (
     rook_pivot,
     tucker_abc,
 )
-from fvtensor.bmatrix import DEFAULT_TOL
+from fvtensor.bmatrix import DEFAULT_TOL, pinv_apply, svd
 from fvtensor.btensor import (
     BTensor,
     assemble,
     fro_norm,
+    hosvd,
     tucker_cross,
     tucker_rank,
 )
@@ -549,16 +550,41 @@ def test_abc_config_validation(rng):
         with pytest.raises(ValueError,
                            match="need one auxiliary index set per mode"):
             tucker_abc(c, AbcConfig(n_iter=1, init_aux=aux))
-    for tol in (float("nan"), -1.0, 1.0):
-        with pytest.raises(ValueError, match="tol_rel"):
-            tucker_abc(c, AbcConfig(n_iter=1, init_aux=[[0], [0]],
-                                    tol_rel=tol))
-    # a non-integer knob is named, with its value
+    # a non-integer knob is named, with its value; a bool is not an integer
     for knob in ("n_iter", "n_rook", "seed"):
-        with pytest.raises(ValueError,
-                           match=f"{knob} must be an integer, got 1.5"):
-            tucker_abc(c, AbcConfig(**{"n_iter": 1, "init_aux": [[0], [0]],
-                                       knob: 1.5}))
+        for bad in (1.5, True, np.True_):
+            msg = f"{knob} must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=msg):
+                tucker_abc(c, AbcConfig(**{"n_iter": 1,
+                                           "init_aux": [[0], [0]],
+                                           knob: bad}))
+    assert c.count == 0
+
+
+# each function that takes tol_rel, given a 4 x 4 tensor A, an oracle c
+# that counts reads of it, and the tolerance
+TOL_TAKERS = {
+    "svd": lambda A, c, tol: svd(A, tol),
+    "pinv_apply": lambda A, c, tol: pinv_apply(A, A, tol),
+    "tucker_cross": lambda A, c, tol: tucker_cross(c, [[0], [1]], tol),
+    "tucker_rank": lambda A, c, tol: tucker_rank(A, tol),
+    "hosvd": lambda A, c, tol: hosvd(A, None, tol),
+    "AbcConfig": lambda A, c, tol: tucker_abc(
+        c, AbcConfig(n_iter=1, init_aux=[[0], [0]], tol_rel=tol)),
+}
+
+
+@pytest.mark.parametrize("take", sorted(TOL_TAKERS))
+@pytest.mark.parametrize("tol", [float("nan"), -1, 1, 1.5, "0.5"])
+def test_tolerance_outside_0_1_is_refused(rng, take, tol):
+    # one rule wherever a tolerance is taken: a NaN or a tolerance of 1 or
+    # more would keep no singular value, and a string is not parsed; the
+    # oracle is not read first, since each read may be a PDE solve
+    A = BTensor(rng.standard_normal((4, 4, 2)), InnerProduct.identity(2))
+    c = tensor_oracle(A)
+    with pytest.raises(ValueError,
+                       match=r"tol_rel must be a real number in \[0, 1\)"):
+        TOL_TAKERS[take](A, c, tol)
     assert c.count == 0
 
 
@@ -595,7 +621,7 @@ def invalid_configs(draw):
                 lambda out: kw["init_aux"][k] + out))
     if "non_integer" in faults:
         knob = draw(st.sampled_from(["n_iter", "n_rook", "seed"]))
-        kw[knob] = draw(st.floats() | st.sampled_from([None, "1", [1]]))
+        kw[knob] = draw(st.floats() | st.sampled_from([None, "1", [1], True]))
     if "aux_count" in faults:
         m = draw(st.integers(0, 4).filter(lambda m: m != len(dims)))
         kw["init_aux"] = (kw["init_aux"] + [[0]] * m)[:m]

@@ -232,9 +232,11 @@ def test_tucker_cross_needs_one_index_set_per_mode(rng, monkeypatch, source,
 
 
 @pytest.mark.parametrize("source", ["tensor", "oracle"])
-@pytest.mark.parametrize("bad", [0.9, np.nan, "1"], ids=["float", "nan", "string"])
+@pytest.mark.parametrize("bad", [0.9, np.nan, "1", True, np.True_],
+                         ids=["float", "nan", "string", "bool", "np-bool"])
 def test_tucker_cross_rejects_non_integer_sets(rng, source, bad):
-    # 0.9 is not truncated to index 0, nor "1" parsed as index 1
+    # 0.9 is not truncated to index 0, nor "1" parsed as index 1, nor
+    # True read as index 1
     A = rand_bt(rng, (4, 5, 6), 3)
     src = A if source == "tensor" else CachedOracle(EntryOracle.from_tensor(A))
     with pytest.raises(ValueError, match="mode-0 index set holds a non-integer"):
@@ -555,6 +557,7 @@ DENSE_GATHERS = {
 @pytest.mark.parametrize("bad, named", [
     (0.7, "indices must be integers"),
     (np.nan, "indices must be integers"),
+    (True, "indices must be integers"),
     (-1, "mode 0 index out of range for size 6"),
     (6, "mode 0 index out of range for size 6"),
 ])

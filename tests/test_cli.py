@@ -787,10 +787,19 @@ def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                  id="build-h"),
     pytest.param("hosvd", ["--seed", "-1"], "argument --seed",
                  id="hosvd-seed"),
-    pytest.param("hosvd", ["--rank", "0,2,2"], "--rank must be positive",
+    pytest.param("hosvd", ["--rank", "0,2,2"],
+                 "argument --rank: '0' is not a positive integer",
                  id="hosvd-rank"),
-    pytest.param("hosvd", ["--rank", "2,x"], "cannot parse --rank",
+    pytest.param("hosvd", ["--rank", "2,x"],
+                 "argument --rank: 'x' is not a positive integer",
                  id="hosvd-rank-text"),
+    # --dims and --rank entries are parsed by the rule of --h: no digit
+    # separator, sign or space
+    *(pytest.param(command, [flag, text],
+                   f"argument {flag}: {text.split(',')[0]!r} is not a "
+                   "positive integer", id=f"{command}{flag}-{text}")
+      for command, flag in (("gen", "--dims"), ("hosvd", "--rank"))
+      for text in ("1_0,3,3", " 3,3,3", "+2,2,2")),
     pytest.param("hosvd", ["--rank", "2,2"], "--rank has 2 entries",
                  id="hosvd-rank-length"),
 ])

@@ -98,6 +98,8 @@ NAN, INF = float("nan"), float("inf")
                  id="h-fractional"),
     pytest.param(lambda: InnerProduct.identity(2.0), InnerProductError,
                  id="identity-h-float"),
+    # a bool is not a coefficient dimension
+    pytest.param(lambda: InnerProduct(True), InnerProductError, id="h-bool"),
     pytest.param(lambda: InnerProduct.diagonal([]), InnerProductError,
                  id="diagonal-empty"),
     pytest.param(lambda: InnerProduct.dense(np.zeros((0, 0))),

@@ -33,19 +33,20 @@ def test_family_spec_validation():
         FamilySpec("separable", (0, 3), 2)
     with pytest.raises(ValueError):
         FamilySpec("gaussian_bump", (3, 3), 4)  # needs three modes
-    # a fractional or textual size is refused, not truncated or parsed
-    for bad in (2.9, "2"):
+    # a fractional or textual size is refused, not truncated or parsed,
+    # and a bool is not a size
+    for bad in (2.9, "2", True, np.True_):
         with pytest.raises(ValueError,
                            match=f"dims must be integers, got {bad!r}"):
             FamilySpec("separable", (bad, 3, 3), 4)
     assert FamilySpec("separable", (np.int64(2), 3, 3), 4).dims == (2, 3, 3)
-    # so are a fractional or textual h or seed, which numpy would reject
-    # late or truncate
-    for bad in (2.5, 2.0, "3"):
+    # so are a fractional, textual or bool h or seed, which numpy would
+    # reject late or truncate
+    for bad in (2.5, 2.0, "3", True, np.True_):
         with pytest.raises(ValueError,
                            match=f"h must be an integer, got {bad!r}"):
             FamilySpec("separable", (3, 3, 3), bad)
-    for bad in (1.5, 1.0, "1", None):
+    for bad in (1.5, 1.0, "1", None, True, np.True_):
         with pytest.raises(ValueError,
                            match=f"seed must be an integer, got {bad!r}"):
             FamilySpec("separable", (3, 3, 3), 4, seed=bad)

@@ -53,19 +53,30 @@ def test_get_out_of_range(rng, read, bad):
 
 
 NON_INTEGER = {"float": 0.7, "nan": np.nan, "string": "1"}
+# the "bool" case: a read whose every index is a bool, so that numpy keeps
+# the bool dtype (mixed with ints, a bool is an int)
+MASKS = {
+    "get": lambda c: c.get((True, False)),
+    "get_many": lambda c: c.get_many([[True, False], [False, True]]),
+    "gather": lambda c: c.gather([[True], [False, True]]),
+}
 
 
 @pytest.mark.parametrize("read", sorted(READS))
-@pytest.mark.parametrize("bad", sorted(NON_INTEGER))
+@pytest.mark.parametrize("bad", [*sorted(NON_INTEGER), "bool"])
 def test_non_integer_index_refused(rng, read, bad):
     # a float index is refused, not truncated to an entry it then counts;
-    # a string is not parsed, and a NaN is not an arity fault
+    # a string is not parsed, a NaN is not an arity fault, and a bool
+    # array is a mask, not the indices 1 and 0
     _, c = counting_oracle(rng, (3, 4), 2)
     calls = []
     fn = c.oracle.fn
     c.oracle.fn = lambda idx: calls.append(idx) or fn(idx)
     with pytest.raises(IndexError, match="indices must be integers"):
-        READS[read](c, (NON_INTEGER[bad], 1))
+        if bad == "bool":
+            MASKS[read](c)
+        else:
+            READS[read](c, (NON_INTEGER[bad], 1))
     assert calls == [] and c.count == 0
     # an empty batch or grid has no index to refuse
     assert c.get_many([]).shape == (0, 2)
@@ -123,17 +134,18 @@ def test_get_many_threads_identical(rng):
     assert c1.count == c4.count == 36
 
 
-@pytest.mark.parametrize("threads", [0, -3, 2.5, 1.0, "2", None])
+@pytest.mark.parametrize("threads", [0, -3, 2.5, 1.0, "2", None, True,
+                                     np.True_])
 def test_threads_must_be_a_positive_integer(rng, threads):
     _, c = counting_oracle(rng, (2, 2), 1)
     with pytest.raises(ValueError, match=f"got {threads!r}"):
         CachedOracle(c.oracle, threads=threads)
 
 
-@pytest.mark.parametrize("bad", [2.7, "2", None, 0, -2])
+@pytest.mark.parametrize("bad", [2.7, "2", None, 0, -2, True, np.True_])
 def test_entry_oracle_dims_must_be_integers(bad):
     # a fractional size is refused, not truncated to a smaller mode, and
-    # so is a size below 1
+    # so are a size below 1 and a bool
     ip = InnerProduct.identity(1)
     with pytest.raises(ValueError,
                        match=f"dimensions must be integers, got {bad!r}"):
