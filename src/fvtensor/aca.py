@@ -5,22 +5,24 @@ column is drawn uniformly at random and refined by rook pivoting on a
 lazily evaluated residual row matrix.  Its rows run, in each other mode,
 through the indices the model's fibers run through, joined to the index
 that mode gained earlier in the sweep or, if it gained none, to its
-initial auxiliary indices and the witnesses drawn for it.  A mode is
-saturated when its chosen columns carry the rank of one stack, its fiber
-slab's triangular factor over the whitened fibers the scan read;
-otherwise it gains the column of that stack which adds the most rank, or
-the rook's column when that adds nearly as much (one step of
-column-pivoted QR, as in Q-DEIM).  A sweep in which no mode grows draws
-one fresh auxiliary index, a witness, per mode and scans again, and the
-run stops only if that scan grows nothing either.  The Tucker-cross
-model is updated to the enlarged sets by folding in the new fibers only,
-and each mode's fibers run through the first ``FIBER_OVERSAMPLE`` chosen
-indices of the other modes, widened one index at a time while some
-mode's fibers carry less rank than its set size.  The residual matrices
-are never materialized beyond the scanned entries.
+initial auxiliary indices and the witnesses drawn for it.  Every fiber a
+scan reads is a mode-k fiber, so it is folded into that mode's
+triangular factor ``R``, whose rows are then the fiber slab and every
+scanned fiber.  A mode is saturated when its chosen columns carry the
+rank of that ``R``; otherwise it gains the column of ``R`` which adds the
+most rank, or the rook's column when that adds nearly as much (one step
+of column-pivoted QR, as in Q-DEIM).  A sweep in which no mode grows
+draws one fresh auxiliary index, a witness, per mode and scans again, and
+the run stops only if that scan grows nothing either.  The Tucker-cross
+model is updated to the enlarged sets by folding the new slab fibers
+only onto the scanned ``R``, and each mode's slab runs through the first
+``FIBER_OVERSAMPLE`` chosen index of the other modes, widened one index
+at a time while some mode's ``R`` carries less rank than its set size.
+The residual matrices are never materialized beyond the scanned entries.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .bmatrix import (
     _fiber_rows,
     _integer,
     _matrix_rank,
+    _r_factor,
     _tolerance,
     _truncated_scalar_svd,
 )
@@ -37,7 +40,7 @@ from .btensor import model_gather, tucker_cross
 
 TIE_RTOL = 1e-12  # norms this close to the largest count as tied with it
 KEEP_RATIO = 0.5  # share of the largest projected norm that keeps the rook's pick
-FIBER_OVERSAMPLE = 4  # chosen indices per mode the fibers start through
+FIBER_OVERSAMPLE = 1  # chosen indices per mode the slab starts through
 
 
 @dataclass
@@ -98,8 +101,8 @@ class _ResidualRowView:
     Rows are big-endian combinations of the other modes' sets in ``aux``,
     columns the full mode-``k`` range.  Entries are evaluated on demand:
     the tensor side goes through the cache, the model side through factor
-    contractions.  The fibers that :meth:`row_norms` read are kept for
-    the saturation test and the choice of the new index.
+    contractions.  The fibers that :meth:`row_norms` read are kept, to be
+    folded into the mode's triangular factor.
     """
 
     def __init__(self, cached, model, aux, k):
@@ -176,11 +179,14 @@ def _new_index(M, I, j, tol_rel):
     """The column of ``M`` that a mode with chosen columns ``I`` should
     gain, or ``None`` when ``I`` carries ``M``.
 
-    ``M`` is the triangular factor ``R`` of the mode's fiber slab stacked
-    on the whitened fibers the scan read.  ``I`` carries ``M`` when the
-    rank of ``M[:, I]`` reaches that of ``M``, ranks counting singular
-    values above ``tol_rel`` times the largest; then ``I`` carries ``R``
-    too.  Otherwise every column of ``M`` is projected off the span of
+    ``M`` is the mode's triangular factor ``R``, at most ``n_k x n_k``,
+    with the whitened fibers its scan read folded in; any matrix with the
+    same Gram ``M^T M``, such as the taller stack of the slab and those
+    fibers, gives the same answer, since the rank test and the projected
+    norms read only that geometry.  ``I``
+    carries ``M`` when the rank of ``M[:, I]`` reaches that of ``M``, ranks
+    counting singular values above ``tol_rel`` times the largest.
+    Otherwise every column of ``M`` is projected off the span of
     ``M[:, I]`` (its singular vectors above the same cut): the rook's
     column ``j`` is kept when it is unused and its projected norm is at
     least ``KEEP_RATIO`` times the largest over the unused columns, and
@@ -199,12 +205,14 @@ def _new_index(M, I, j, tol_rel):
     return _first_max(norms)
 
 
-def _scan(cached, model, base, chosen, m, rng, cfg):
+def _scan(cached, model, R, base, chosen, m, rng, cfg):
     """Scan every mode once and grow each mode that is not saturated by
     its new index, appended to ``chosen[k]``; return whether some mode
     grew.  Mode ``k`` reads through each other mode's ``base[l]`` and
     fiber set ``chosen[l][:m]``, or through that fiber set and the new
-    index of a mode ``l`` that grew earlier in the scan."""
+    index of a mode ``l`` that grew earlier in the scan.  The whitened
+    fibers a mode's scan read are folded into its triangular factor
+    ``R[k]``, which is replaced, and its new index is chosen from that."""
     dims = cached.dims
     grown = False
     scan = [sorted(set(b).union(c[:m])) for b, c in zip(base, chosen)]
@@ -213,10 +221,10 @@ def _scan(cached, model, base, chosen, m, rng, cfg):
             continue
         view = _ResidualRowView(cached, model, scan, k)
         _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
+        R[k] = _r_factor(chain([R[k]], (
+            _fiber_rows(cached.ip.whiten(f), k) for f in view.fibers)))
         if model is not None:
-            M = np.vstack([model.r_factors[k], *(
-                _fiber_rows(cached.ip.whiten(f), k) for f in view.fibers)])
-            j = _new_index(M, list(model.index_sets[k]), j, cfg.tol_rel)
+            j = _new_index(R[k], list(model.index_sets[k]), j, cfg.tol_rel)
             if j is None:
                 continue
         grown = True
@@ -260,48 +268,58 @@ def abc_sweeps(cached, cfg):
     residual large, not where d independent picks meet, and the scans
     read through the rows the fibers run through, not through every
     chosen index.  The model at the enlarged index sets is
-    :func:`tucker_cross` with the last sweep's model as ``prev``: only the
-    fibers (see Fiber sets) and core entries new at the enlarged sets are
-    read, and the fibers are folded into the last model's triangular
-    factors, so the model updates read each entry once.  ``report`` is one
+    :func:`tucker_cross` with the last sweep's model as ``prev`` and, as
+    ``r_factors``, that model's triangular factors with every fiber the
+    sweep's scans read folded in (see Saturation): only the slab fibers
+    (see Fiber sets) and core entries new at the enlarged sets are read,
+    and they are folded onto those factors, so the model updates read each
+    entry once and each scanned fiber is folded once.  ``report`` is one
     object, updated in place: at each yield it holds the per-iteration
     ranks, budgets and index-set snapshots so far, and the current index
     and auxiliary sets; of the evaluations so far, ``evals_by_iter``,
     ``scan_evals_by_iter`` counts those the scans caused, and the rest
     are the model updates'.  Each sweep's ranks are its model's ``ranks``,
     the numerical ranks that :func:`tucker_cross` counted when it solved the
-    factors: the Tucker ranks of the core at ``cfg.tol_rel``
-    (:func:`~fvtensor.btensor.tucker_rank`), taken without another SVD.
+    factors: ``ranks[k]`` is the rank of ``R_k[:, I_k]`` at
+    ``cfg.tol_rel``, for ``R_k`` folded over the slab and every fiber mode
+    ``k``'s scans read, taken without another SVD.  The scanned fibers
+    lie off the core, so a rank may pass the core's Tucker rank
+    (:func:`~fvtensor.btensor.tucker_rank`); it never passes ``len(I_k)``.
     Nothing runs, and ``cfg`` is not checked, until the first ``next``.
 
     Fiber sets.  Each mode keeps its indices in the order they were
-    chosen, and the model's fibers run through the first ``m`` of them,
-    ``J_l`` (``fiber_sets``), with ``m`` starting at ``FIBER_OVERSAMPLE``:
-    mode ``k``'s slab holds the fibers whose index in each other mode
+    chosen, and the model's slabs run through the first ``m`` of them,
+    ``J_l`` (``fiber_sets``), with ``m`` starting at ``FIBER_OVERSAMPLE``
+    (1): mode ``k``'s slab holds the fibers whose index in each other mode
     ``l`` lies in ``J_l``, not in all of ``I_l``.  When some mode's rank
-    through them falls short of its set size, ``ranks[k] < len(I_k)``,
-    ``m`` grows by one and the model is folded again from the one just
-    built, reading only the new fibers; this ends when no mode is short
-    or when ``J`` is the index sets.  So the ranks are the core's Tucker
-    ranks, and ``m`` never shrinks.
+    falls short of its set size, ``ranks[k] < len(I_k)``, ``m`` grows by
+    one and the model is folded again from the one just built, reading
+    only the new fibers; this ends when no mode is short or when ``J`` is
+    the index sets, and ``m`` never shrinks.  Each new index adds rank to
+    the folded ``R_k`` (see New index), whose scanned fibers carry the
+    rank that a slab through one index lacks, so this widening is a safety
+    net that a run seldom needs.
 
-    Saturation.  Mode ``k`` is saturated in a sweep when its chosen
-    columns ``I_k`` carry the rank of its fiber slab and of the
-    mode-``k`` fibers its rook scan read: the rank of ``M[:, I_k]``
-    reaches that of ``M``, for ``M`` the triangular factor ``R_k`` of the
-    slab through ``J`` stacked on the whitened scanned fibers (ranks
-    count singular values above ``cfg.tol_rel`` times the largest); if
-    ``M = M[:, I_k] X`` then ``R_k = R_k[:, I_k] X``, so ``R_k`` needs no
-    test of its own.  The slab alone only bounds the rank of the mode's
-    unfolding from below, and less tightly the fewer rows it has; a
-    scanned fiber that the chosen columns do not carry raises the rank of
-    ``M``, so the mode grows.  The test reads no entry beyond the scan's.
-    A saturated mode gets no index in that sweep, and a mode with every
-    column used is not scanned.
+    Saturation.  A scan of mode ``k`` folds the whitened fibers it read
+    into a copy of ``R_k``, the triangular factor of the last model (an
+    empty ``(0, n_k)`` one in sweep 1), so ``R_k`` is ``n_k x n_k`` at
+    most and its rows are the slab through ``J`` and every mode-``k``
+    fiber the scans read so far.  The scanned fibers need not run through
+    the core: the Tucker-cross factor holds for any set of mode-``k``
+    fibers (Caiafa & Cichocki, LAA 433, 2010).  Mode ``k`` is saturated in
+    a sweep when its chosen columns ``I_k`` carry the rank of that
+    ``R_k``: the rank of ``R_k[:, I_k]`` reaches that of ``R_k`` (ranks
+    count singular values above ``cfg.tol_rel`` times the largest).  The
+    slab alone only bounds the rank of the mode's unfolding from below,
+    and less tightly the fewer rows it has; a scanned fiber that the
+    chosen columns do not carry raises the rank of ``R_k``, so the mode
+    grows.  The test reads no entry beyond the scan's.  A saturated mode
+    gets no index in that sweep, and a mode with every column used is not
+    scanned.
 
     New index.  Sweep 1 takes the column ``j`` a mode's one scan found.
-    Later, a mode that is not saturated projects every column of ``M``
-    off the span of ``M[:, I_k]``; it keeps ``j`` when ``j`` is unused
+    Later, a mode that is not saturated projects every column of ``R_k``
+    off the span of ``R_k[:, I_k]``; it keeps ``j`` when ``j`` is unused
     and its projected norm is at least ``KEEP_RATIO`` times the largest
     over the unused columns, and otherwise (a ``j`` in ``I_k`` too) takes
     the unused column with the largest projected norm (ties as in
@@ -330,7 +348,8 @@ def abc_sweeps(cached, cfg):
     - The model of each sweep is :func:`tucker_cross` at
       ``report.index_sets`` through its ``fiber_sets``; over the sweeps
       so far it has read each entry of cross_J(index_sets), the core
-      included, once.
+      included, once.  Its ``R`` also folds the fibers the scans read,
+      which were evaluated already, so the fold adds no evaluation.
     - The auxiliary sets ``report.aux_sets`` are the base sets joined
       to the chosen indices.  The rook scans read only fibers whose
       other indices lie in a base set, a fiber set or a new index, all
@@ -344,20 +363,23 @@ def abc_sweeps(cached, cfg):
     chosen = [[] for _ in base]
     m = FIBER_OVERSAMPLE
     model = None
+    R = [np.empty((0, n)) for n in cached.dims]
 
     report = AbcReport()
     scan_evals = 0
     for _ in range(cfg.n_iter):
         before = cached.count
-        grown = _scan(cached, model, base, chosen, m, rng, cfg)
+        grown = _scan(cached, model, R, base, chosen, m, rng, cfg)
         if not grown and _add_witnesses(cached.dims, base, chosen, rng):
-            grown = _scan(cached, model, base, chosen, m, rng, cfg)
+            grown = _scan(cached, model, R, base, chosen, m, rng, cfg)
         scan_evals += cached.count - before
 
         sets = [sorted(c) for c in chosen]
         while True:
             model = tucker_cross(cached, sets, cfg.tol_rel, prev=model,
-                                 fiber_sets=[c[:m] for c in chosen])
+                                 fiber_sets=[c[:m] for c in chosen],
+                                 r_factors=R)
+            R = list(model.r_factors)
             if (all(r == len(I) for r, I in zip(model.ranks, sets))
                     or all(len(c) <= m for c in chosen)):
                 break

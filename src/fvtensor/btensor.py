@@ -126,19 +126,23 @@ class TuckerCrossModel:
     vectors, so the assembled approximant interpolates the core exactly.
 
     ``fiber_sets[l]``, a subset of ``index_sets[l]``, holds the mode-``l``
-    indices the fibers were read through: ``r_factors[k]`` is the
-    triangular factor of the whitened slab of the mode-``k`` fibers whose
-    index in every other mode ``l`` lies in ``fiber_sets[l]``, at most
-    ``n_k x n_k``, that :func:`tucker_cross` folded in; a later call given
+    indices the fibers were read through: ``r_factors[k]``, at most
+    ``n_k x n_k``, is the triangular factor that :func:`tucker_cross`
+    folded the whitened slab of the mode-``k`` fibers into, those whose
+    index in every other mode ``l`` lies in ``fiber_sets[l]``, on top of
+    the factor it started from (its ``r_factors`` argument, which holds
+    any other mode-``k`` fibers, such as a scan's); a later call given
     this model as ``prev`` folds only the new fibers into it.
-    ``ranks[k]`` is the numerical rank of ``r_factors[k][:, index_sets[k]]``,
-    the truncation of the pseudoinverse that solved factor ``k``.  That
-    matrix has the singular values of the rows of the whitened core's
-    mode-``k`` matrix through ``fiber_sets``, so ``ranks[k]`` is at most
-    the core's :func:`tucker_rank` at the same ``tol_rel``, and equal to
-    it when the fibers run through the whole ``index_sets`` or when
-    ``ranks[k] == len(index_sets[k])``;
-    :func:`~fvtensor.aca.abc_sweeps` reports it as ``rank_history``.
+    ``ranks[k]`` is the numerical rank of ``r_factors[k][:, index_sets[k]]``
+    over every fiber folded into it, the truncation of the pseudoinverse
+    that solved factor ``k``.  With the slab alone its rows are those of
+    the whitened core's mode-``k`` matrix through ``fiber_sets``, so
+    ``ranks[k]`` is at most the core's :func:`tucker_rank` at the same
+    ``tol_rel``, and equal to it when the fibers run through the whole
+    ``index_sets`` or when ``ranks[k] == len(index_sets[k])``.  Fibers off
+    the core can raise it past the core's Tucker rank, never past
+    ``len(index_sets[k])``; :func:`~fvtensor.aca.abc_sweeps` reports it as
+    ``rank_history``.
     The three are ``None`` on a model built otherwise (e.g. loaded from
     disk), are not saved, and take no part in comparisons.
     """
@@ -215,8 +219,24 @@ def _old_sets(prev, source, sets, fibers):
     return prev.index_sets, prev.fiber_sets
 
 
+def _start_factors(r_factors, prev, dims):
+    """The triangular factors the new fibers are folded onto: ``r_factors``,
+    else ``prev``'s, else empty ones; a ``ValueError`` unless there is one
+    real matrix with ``n_k`` columns per mode."""
+    if r_factors is None:
+        return ([np.empty((0, n)) for n in dims] if prev is None
+                else prev.r_factors)
+    r_factors = list(r_factors)
+    if len(r_factors) != len(dims) or not all(
+            isinstance(R, np.ndarray) and R.ndim == 2 and R.shape[1] == n
+            and np.isrealobj(R) for R, n in zip(r_factors, dims)):
+        raise ValueError("r_factors must hold one real matrix with n_k "
+                         "columns per mode")
+    return r_factors
+
+
 def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
-                 fiber_sets=None):
+                 fiber_sets=None, r_factors=None):
     """Tucker-cross approximation of ``source`` at the given index sets.
 
     The core is the sampled subtensor.  Factor ``k`` solves the
@@ -229,21 +249,29 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
     coordinates those rows are the slab's own columns at ``index_sets[k]``,
     so with the slab ``Q R`` the factor is ``pinv(R[:, I_k]) R``
     (truncated as in :func:`~fvtensor.bmatrix.pinv_apply`), and only the
-    triangular factor ``R`` is kept.  Each entry is read once: given the
-    model ``prev`` of smaller index and fiber sets, only the fibers that
-    are new through ``fiber_sets`` are gathered, whitened and folded into
-    ``prev``'s ``R`` by TSQR over ``R`` and their rows, read block by block
-    as they are gathered (:func:`~fvtensor.bmatrix._r_factor`; the stack
-    is never formed), and the core is ``prev``'s core plus the entries
-    with a new index in some mode.  Without ``prev`` every fiber is folded
-    into an empty ``R``.  Only entries inside the cross (the core and the
+    triangular factor ``R`` is kept.  The factor holds for any set of
+    mode-``k`` fibers, so ``R`` may fold fibers read elsewhere too: given
+    ``r_factors``, one real matrix with ``n_k`` columns per mode (the
+    triangular factor of such fibers' whitened rows), the slab is folded
+    onto ``r_factors[k]``.  Each entry is read once: given the model
+    ``prev`` of smaller index and fiber sets, only the fibers that are
+    new through ``fiber_sets`` are gathered, whitened and folded into
+    ``prev``'s ``R``, or into ``r_factors[k]`` in its place (which should
+    then hold ``prev``'s fibers), by TSQR over ``R`` and their rows, read
+    block by block as they are gathered
+    (:func:`~fvtensor.bmatrix._r_factor`; the stack is never formed), and
+    the core is ``prev``'s core plus the entries with a new index in some
+    mode.  Without ``prev`` every slab fiber is folded into
+    ``r_factors[k]``, or into an empty ``R``.  The same arguments give
+    the same bytes.  Only entries inside the cross (the core and the
     per-mode slabs) are accessed, so ``source`` may be a lazy oracle.  The
     solve of factor ``k`` counts the numerical rank of ``R[:, I_k]``; the
     model keeps the counts as ``ranks``, and the fiber sets as
     ``fiber_sets``.  Index sets not one per mode, a fiber set that is not
     a subset of its index set, a ``prev`` whose index or fiber sets are
     not subsets of the new ones, a ``prev`` that carries no ``R`` or
-    fiber sets, or a ``tol_rel`` outside ``[0, 1)``
+    fiber sets, ``r_factors`` not one real matrix with ``n_k`` columns
+    per mode, or a ``tol_rel`` outside ``[0, 1)``
     (:func:`~fvtensor.bmatrix._tolerance`), is a ``ValueError`` before
     any read.
     """
@@ -254,12 +282,13 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
          else _canonical_sets(fiber_sets, dims, "fiber"))
     _subsets(J, sets, "fiber set is not a subset of its index set")
     old, old_J = _old_sets(prev, source, sets, J)
+    start = _start_factors(r_factors, prev, dims)
     core = _grown_core(source, sets, prev, old)
     factors = []
-    r_factors = []
+    folded = []
     ranks = []
     for k, n_k in enumerate(dims):
-        R = np.empty((0, n_k)) if prev is None else prev.r_factors[k]
+        R = start[k]
         full = (range(n_k),)
         fibers = _fresh_grids(
             J[:k] + full + J[k + 1:],
@@ -273,10 +302,10 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
         Fk = np.ascontiguousarray(solved.T)
         Fk[I] = np.eye(len(I))
         factors.append(Fk)
-        r_factors.append(R)
+        folded.append(R)
         ranks.append(rank)
     return TuckerCrossModel(index_sets=sets, core=core, factors=factors,
-                            dims=dims, r_factors=r_factors,
+                            dims=dims, r_factors=folded,
                             ranks=tuple(ranks), fiber_sets=J)
 
 

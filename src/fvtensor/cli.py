@@ -76,31 +76,42 @@ def _parse_dims(text, flag="--dims"):
         raise UsageError(f"argument {flag}: {exc}") from None
 
 
+def _float(text):
+    """``text`` as a float, read by Python's float grammar in ASCII without
+    digit separators or surrounding whitespace (``nan`` and ``inf``
+    parse); a ``ValueError`` otherwise.  The one real-number rule of the
+    flags, as :func:`_int_at_least` is their one integer rule."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return float(text)
+
+
 def _parse_tol(text):
-    """``--tol``: a relative tolerance in [0, 1)
-    (:func:`~fvtensor.bmatrix._tolerance`)."""
+    """``--tol``: a relative tolerance in [0, 1) (:func:`_float`,
+    :func:`~fvtensor.bmatrix._tolerance`)."""
     try:
-        return _tolerance(float(text))
+        return _tolerance(_float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not in [0, 1)") from None
 
 
 def _parse_params(text):
-    """``--params``: comma-separated floats (``nan`` and ``inf`` parse)."""
+    """``--params``: comma-separated numbers (:func:`_float`)."""
     try:
-        return tuple(map(float, text.split(",")))
+        return tuple(map(_float, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a list of numbers") from None
 
 
 def _int_at_least(low):
-    """Argparse type of a decimal integer of at least ``low`` (0 or 1)."""
+    """Argparse type of a decimal integer in ASCII digits of at least
+    ``low`` (0 or 1)."""
     what = "a positive" if low else "a nonnegative"
 
     def parse(text):
-        if not text.isdecimal() or int(text) < low:
+        if not (text.isascii() and text.isdecimal()) or int(text) < low:
             raise argparse.ArgumentTypeError(f"{text!r} is not {what} integer")
         return int(text)
 

@@ -17,7 +17,14 @@ from fvtensor.aca import (
     rook_pivot,
     tucker_abc,
 )
-from fvtensor.bmatrix import DEFAULT_TOL, pinv_apply, svd
+from fvtensor.bmatrix import (
+    DEFAULT_TOL,
+    _fiber_rows,
+    _r_factor,
+    _truncated_scalar_svd,
+    pinv_apply,
+    svd,
+)
 from fvtensor.btensor import (
     BTensor,
     assemble,
@@ -181,6 +188,28 @@ def test_new_index_takes_the_largest_projected_column(rng):
         assert _new_index(M, I, I[0], DEFAULT_TOL) == int(np.argmax(norms))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 9), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+# full rank, tall and wide
+@example(12, 6, 9, 0)
+@example(3, 7, 9, 1)
+# rank-deficient: rank 2 in a 10 x 6 stack
+@example(10, 6, 2, 2)
+def test_new_index_reads_only_the_column_geometry(rows, n, rank, seed):
+    # M^T M = R^T R for R the triangular factor of M, so the rank test and
+    # the projected norms, and with them the decision, are the same on
+    # the stack and on its R, which is what the scans pass
+    g = np.random.default_rng(seed)
+    r = min(rank, rows, n)
+    M = (g.standard_normal((rows, r)) @ g.standard_normal((r, n))
+         * g.uniform(0.1, 2.0, n))
+    I = sorted(g.choice(n, g.integers(1, n + 1), replace=False).tolist())
+    j = int(g.integers(n))
+    assert _new_index(M, I, j, DEFAULT_TOL) \
+        == _new_index(_r_factor([M]), I, j, DEFAULT_TOL)
+
+
 # --- the adaptive loop ---------------------------------------------------------
 
 def test_abc_exact_recovery_constructed(rng):
@@ -244,14 +273,40 @@ def test_abc_interpolates_core_every_iteration(rng):
         assert A.ip.norms(diff).max() <= 1e-9 * A.ip.norms(A.data).max()
 
 
-def test_abc_sweeps_yield_each_sweep_model(rng):
-    # each sweep's model folds the new fibers into the last one's R, so
-    # (a) a replay of that chain on a fresh oracle gives the same bytes,
-    # and (b) the from-scratch model at the same sets agrees to round-off;
-    # from sweep 5 on the sets outgrow FIBER_OVERSAMPLE, so the fibers run
-    # through proper subsets of them
+def record_folds(monkeypatch):
+    """Record the whitened rows of every fiber the scans read, in a dict
+    by mode, and each ``tucker_cross`` call of the sweeps as ``(sets,
+    fiber_sets, r_factors)`` in a list; return the two."""
+    scanned, calls = {}, []
+
+    class RecordingView(_ResidualRowView):
+        def row_norms(self, i):
+            norms = super().row_norms(i)
+            scanned.setdefault(self.k, []).append(
+                _fiber_rows(self.cached.ip.whiten(self.fibers[-1]), self.k))
+            return norms
+
+    def recording_cross(source, sets, tol_rel, prev, fiber_sets, r_factors):
+        calls.append((sets, fiber_sets, list(r_factors)))
+        return tucker_cross(source, sets, tol_rel, prev=prev,
+                            fiber_sets=fiber_sets, r_factors=r_factors)
+
+    monkeypatch.setattr(aca, "_ResidualRowView", RecordingView)
+    monkeypatch.setattr(aca, "tucker_cross", recording_cross)
+    return scanned, calls
+
+
+def test_abc_sweeps_yield_each_sweep_model(rng, monkeypatch):
+    # each sweep's model folds the new slab fibers onto the factors its
+    # scans left, the last model's R with the scanned fibers folded in, so
+    # (a) a replay of that chain on a fresh oracle, given the same
+    # starting factors, gives the same bytes, and (b) the from-scratch
+    # model at the same sets, started from the scanned fibers alone,
+    # agrees to round-off; from sweep 2 on the sets outgrow
+    # FIBER_OVERSAMPLE, so the fibers run through proper subsets of them
     A = BTensor(rng.standard_normal((7, 6, 5, 3)), make_ip("dense", 3, rng))
     cfg = AbcConfig(n_iter=6, init_aux=[[0, 3], [1, 4], [2]], seed=6)
+    scanned, calls = record_folds(monkeypatch)
     c = tensor_oracle(A)
     replay_oracle = tensor_oracle(A)
     replay = None
@@ -264,12 +319,17 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
         J = model.fiber_sets
         assert all(len(Jk) == min(len(I), FIBER_OVERSAMPLE)
                    for Jk, I in zip(J, sets))
-        replay = tucker_cross(replay_oracle, sets, prev=replay, fiber_sets=J)
+        for call_sets, call_J, start in calls:
+            replay = tucker_cross(replay_oracle, call_sets, prev=replay,
+                                  fiber_sets=call_J, r_factors=start)
+        calls.clear()
         assert model.index_sets == replay.index_sets
         assert model.core.data.tobytes() == replay.core.data.tobytes()
         for F, F_ref in zip(model.factors, replay.factors):
             assert F.tobytes() == F_ref.tobytes()
-        scratch = tucker_cross(tensor_oracle(A), sets, fiber_sets=J)
+        start = [_r_factor(scanned[k]) for k in range(A.d)]
+        scratch = tucker_cross(tensor_oracle(A), sets, fiber_sets=J,
+                               r_factors=start)
         assert model.index_sets == scratch.index_sets
         assert model.core.data.tobytes() == scratch.core.data.tobytes()
         B, B_ref = assemble(model), assemble(scratch)
@@ -282,6 +342,27 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
         assert F.tobytes() == F_last.tobytes()
 
 
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_abc_r_factors_fold_the_slab_and_every_scanned_fiber(rng,
+                                                             monkeypatch,
+                                                             kind):
+    # after each sweep R_k^T R_k is the Gram of the whitened slab through
+    # the fiber sets plus that of every fiber mode k's scans read, the
+    # witness scans of a converging run included, so the fold drops none
+    ip = make_ip(kind, 3, rng)
+    A = exact_rank_tensor(rng, (9, 8, 7), (2, 3, 2), 3, ip)
+    cfg = AbcConfig(n_iter=10, init_aux=[[0], [1], [2]], seed=5)
+    scanned, _ = record_folds(monkeypatch)
+    for model, report in abc_sweeps(tensor_oracle(A), cfg):
+        for k, R in enumerate(model.r_factors):
+            grids = [range(n) if l == k else J
+                     for l, (n, J) in enumerate(zip(A.dims, model.fiber_sets))]
+            slab = _fiber_rows(ip.whiten(A.data[np.ix_(*grids)]), k)
+            gram = slab.T @ slab + sum(F.T @ F for F in scanned[k])
+            assert np.abs(R.T @ R - gram).max() <= 1e-12 * np.abs(gram).max()
+    assert report.converged and len(scanned[0]) > report.n_iter_run
+
+
 @pytest.mark.parametrize("family, dims, h", [
     ("gaussian_bump", (16, 14, 12), 32),
     ("lowrank_plus_decay", (14, 12, 10), 16),
@@ -289,9 +370,8 @@ def test_abc_sweeps_yield_each_sweep_model(rng):
 ])
 def test_abc_rank_history_is_core_tucker_rank(family, dims, h):
     # rank_history holds the ranks tucker_cross counted in its factor
-    # solves through the fiber sets; they are the core's Tucker ranks
-    # because the sweep widens the fiber sets until each mode's rank
-    # reaches its set size, or until they are the index sets
+    # solves over the slab and the scanned fibers; on these families each
+    # reaches its set size, and so does the core's Tucker rank
     spec = problems.FamilySpec(family, dims, h, seed=0)
     c = CachedOracle(problems.make_oracle(spec))
     cfg = AbcConfig(n_iter=8, init_aux=[[0, 5, 9], [1, 6], [2, 7]], seed=4)
@@ -432,23 +512,37 @@ def test_abc_set_sizes_equal_ranks_every_sweep():
     assert report.n_iter_run == 12 and model.ranks[2] < 12
 
 
-def test_abc_fiber_sets_widen_until_the_rows_carry_the_rank(rng):
-    # d = 2, h = 1: mode k's fibers through FIBER_OVERSAMPLE = 4 indices
-    # of the other mode are 4 rows, fewer than a rank-6 matrix's sets
-    # grow to, so the sweep widens the fiber sets until each mode's rank
-    # reaches its set size, and the model still recovers the matrix
+def test_abc_fiber_sets_widen_until_the_rows_carry_the_rank(rng,
+                                                           monkeypatch):
+    # d = 2, h = 1, a rank-6 matrix.  Each new index adds rank to the
+    # folded R, whose rows are the slab and every scanned fiber, so each
+    # mode's rank is its set size every sweep and the fiber sets stay at
+    # FIBER_OVERSAMPLE = 1 index.  With the scanned fibers withheld from
+    # the models, mode k's fibers through that one index are one row, so
+    # the sweep widens the fiber sets until each mode's rank reaches its
+    # set size.  Both runs recover the matrix.
     assert FIBER_OVERSAMPLE < 6
     A = exact_rank_tensor(rng, (12, 11), (6, 6), 1)
     cfg = AbcConfig(n_iter=10, init_aux=[[0, 5], [3, 7]], seed=2)
-    widened = False
-    for model, report in abc_sweeps(tensor_oracle(A), cfg):
-        assert model.ranks == tuple(len(I) for I in report.index_sets)
-        widened |= any(len(J) > FIBER_OVERSAMPLE for J in model.fiber_sets)
-    assert widened and report.converged
-    assert model.fiber_sets == model.index_sets
-    assert tuple(len(I) for I in model.index_sets) == (6, 6)
-    err = fro_norm(BTensor(assemble(model).data - A.data, A.ip)) / fro_norm(A)
-    assert err <= 1e-10
+
+    def slab_only(source, sets, tol_rel, prev, fiber_sets, r_factors):
+        return tucker_cross(source, sets, tol_rel, prev=prev,
+                            fiber_sets=fiber_sets)
+
+    for withheld in (False, True):
+        if withheld:
+            monkeypatch.setattr(aca, "tucker_cross", slab_only)
+        widened = False
+        for model, report in abc_sweeps(tensor_oracle(A), cfg):
+            assert model.ranks == tuple(len(I) for I in report.index_sets)
+            widened |= any(len(J) > FIBER_OVERSAMPLE
+                           for J in model.fiber_sets)
+        assert widened == withheld and report.converged
+        if withheld:
+            assert model.fiber_sets == model.index_sets
+        assert tuple(len(I) for I in model.index_sets) == (6, 6)
+        err = fro_norm(BTensor(assemble(model).data - A.data, A.ip))
+        assert err <= 1e-10 * fro_norm(A)
 
 
 def test_abc_scans_read_through_the_fiber_sets(monkeypatch):
@@ -680,8 +774,13 @@ def test_abc_every_sweep_model_error_is_bounded(dims, h, kind, rank, n_noise,
     for model, report in sweeps:
         err = fro_norm(BTensor(A.data - assemble(model).data, A.ip))
         assert err <= 10.0 * fro_norm(A)
-        assert report.rank_history[-1] == model.ranks \
-            == tucker_rank(model.core)
+        # ranks[k] is the rank of the folded R[:, I_k], over the slab and
+        # the scanned fibers; off the slab it may pass the core's Tucker
+        # rank, as (3, 4) against (3, 3) on the second draw below
+        assert report.rank_history[-1] == model.ranks == tuple(
+            _truncated_scalar_svd(R[:, I], DEFAULT_TOL)[1].size
+            for R, I in zip(model.r_factors, model.index_sets))
+        assert all(r <= len(I) for r, I in zip(model.ranks, model.index_sets))
 
 
 @settings(max_examples=10, deadline=None)
@@ -710,7 +809,7 @@ def test_abc_recovers_exact_rank_within_12_sweeps(dims, h, kind, rank,
 
 @settings(max_examples=40, deadline=None)
 @given(**INSTANCE, n_noise=st.integers(0, 12), n_rook=st.sampled_from([1, 2]))
-# the sets outgrow FIBER_OVERSAMPLE in sweep 5, so J is a proper subset
+# the sets outgrow FIBER_OVERSAMPLE in sweep 2, so J is a proper subset
 @example(dims=[9, 8, 7], h=2, kind="dense", rank=3, n_noise=12, seed=5,
          n_aux=2, n_rook=1)
 @example(dims=[9, 9], h=1, kind="identity", rank=3, n_noise=12, seed=8,

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fvtensor import btensor
+from fvtensor.bmatrix import DEFAULT_TOL, _r_factor, _truncated_scalar_svd
 from fvtensor.btensor import (
     BTensor,
     TuckerCrossModel,
@@ -529,6 +530,49 @@ def test_tucker_cross_rejects_bad_fiber_sets(rng):
     with pytest.raises(ValueError, match="no folded R factors or fiber sets"):
         tucker_cross(c, S, prev=no_fibers)
     assert c.count == count
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_tucker_cross_folds_the_new_fibers_onto_given_factors(rng, kind):
+    # r_factors takes the place of prev's R, or of the empty one: prev's
+    # own R gives prev's bytes, and the R of mode-k fibers off the cross
+    # gives R^T R = their Gram plus the slab's, with no extra read
+    A = rand_bt(rng, (7, 6, 5), 3, make_ip(kind, 3, rng))
+    S0, S = [[0, 3], [1], [2]], [[0, 3, 5], [1, 4], [2, 3]]
+    J = [[0, 3], [1], [2, 3]]
+    prev = tucker_cross(A, S0)
+    a = tucker_cross(A, S, prev=prev, fiber_sets=J)
+    b = tucker_cross(A, S, prev=prev, fiber_sets=J, r_factors=prev.r_factors)
+    assert a.ranks == b.ranks
+    for x, y in zip(a.factors + a.r_factors, b.factors + b.r_factors):
+        assert x.tobytes() == y.tobytes()
+    off = (6, 5, 4)
+    extra = [A.ip.whiten(A.data[off[:k] + (slice(None),) + off[k + 1:]]).T
+             for k in range(A.d)]
+    c = CachedOracle(EntryOracle.from_tensor(A))
+    model = tucker_cross(c, S, fiber_sets=J,
+                         r_factors=[_r_factor([E]) for E in extra])
+    assert c.count == cross_size(S, A.dims, J)
+    for k, (R, E) in enumerate(zip(model.r_factors, extra)):
+        W = A.ip.whiten(fiber_slab(A.data, J, k))
+        gram = E.T @ E + np.einsum("mih,mjh->ij", W, W)
+        assert np.abs(R.T @ R - gram).max() <= 1e-12 * np.abs(gram).max()
+        assert model.ranks[k] == _truncated_scalar_svd(
+            R[:, list(S[k])], DEFAULT_TOL)[1].size
+
+
+def test_tucker_cross_rejects_bad_r_factors(rng):
+    A = rand_bt(rng, (6, 5, 4), 2)
+    c = CachedOracle(EntryOracle.from_tensor(A))
+    S = [[0, 2], [1], [3]]
+    good = [np.eye(n) for n in A.dims]
+    for bad in (good[:2], good + [np.eye(4)],
+                [good[0], np.eye(4), good[2]], [good[0], [[1.0] * 5], good[2]],
+                [good[0], np.ones(5), good[2]],
+                [good[0], good[1] + 0j, good[2]]):
+        with pytest.raises(ValueError, match="r_factors must hold"):
+            tucker_cross(c, S, r_factors=bad)
+    assert c.count == 0
 
 
 # --- assemble / entry ---------------------------------------------------------

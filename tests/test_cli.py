@@ -793,22 +793,36 @@ def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
     pytest.param("hosvd", ["--rank", "2,x"],
                  "argument --rank: 'x' is not a positive integer",
                  id="hosvd-rank-text"),
-    # --dims and --rank entries are parsed by the rule of --h: no digit
-    # separator, sign or space
+    # --dims and --rank entries are parsed by the rule of --h: ASCII
+    # digits only, so no digit separator, sign, space or other script
     *(pytest.param(command, [flag, text],
                    f"argument {flag}: {text.split(',')[0]!r} is not a "
                    "positive integer", id=f"{command}{flag}-{text}")
       for command, flag in (("gen", "--dims"), ("hosvd", "--rank"))
-      for text in ("1_0,3,3", " 3,3,3", "+2,2,2")),
+      for text in ("1_0,3,3", " 3,3,3", "+2,2,2", "\u0663,3,3")),
+    pytest.param("gen", ["--h", "\u0664"], "argument --h", id="gen-h-arabic"),
     pytest.param("hosvd", ["--rank", "2,2"], "--rank has 2 entries",
                  id="hosvd-rank-length"),
+    # --tol and --params read one float rule: ASCII, no digit separator
+    # or surrounding space (nan and inf parse; a nonfinite --params exits 2)
+    *(pytest.param("hosvd", ["--tol", text], "argument --tol",
+                   id=f"hosvd--tol-{text}")
+      for text in (" 0.000_1", "0.000_1", "1e-1_0", " 0.0001", "0.0001 ",
+                   "\u0660.\u0661")),
+    *(pytest.param("eval", ["--model", "missing.json", "--params", text],
+                   "argument --params", id=f"eval--params-{text}")
+      for text in (" 0.2_5,+0.5,0.5", "0.2_5,0.5,0.5", "0.25,0.5, 0.5",
+                   "0.25,0.5,0.5\n", "\u0660.5,0.5,0.5")),
 ])
 def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                                                 command, flags, named):
+    # eval reads a model, not a source, and writes its --raw output
     reads = spy_reads(monkeypatch)
     out = tmp_path / "out"
-    assert main([command, "--family", "separable", "--dims", "5,5,5",
-                 "--h", "4", *flags, "--out", str(out)]) == 1
+    source = ([] if command == "eval" else
+              ["--family", "separable", "--dims", "5,5,5", "--h", "4"])
+    written = "--raw" if command == "eval" else "--out"
+    assert main([command, *source, *flags, written, str(out)]) == 1
     assert named in capsys.readouterr().err
     assert reads == []
     assert list(tmp_path.iterdir()) == []
