@@ -232,13 +232,11 @@ def _r_factor(X):
     is reduced to its triangular factor, and one QR of the stacked factors
     gives ``R``.  Each leaf QR works in cache, where a single tall QR
     streams the whole matrix once per reflector.
-    Measured with one BLAS thread on a 2 MB-L2 Xeon, on random matrices
-    of the shapes the two runs factor (medians of five passes): the 45
-    R folds of ``fvt build`` on gaussian_bump 100^3, h=256 (up to
-    7524 x 100) took 0.52 s at 1024-row blocks, 0.52 s at 2048 and
-    0.74 s at 4096; 33 QRs of up to 230400 x 40, one ``fvt compare`` on
-    a 40^3, h=144 tensor, took 0.41, 0.41 and 0.43 s.
-    Of the two equal sizes the smaller leaves wider matrices in cache.
+    Measured with one BLAS thread on a 2 MB-L2 Xeon (medians of five
+    passes): the HOSVD of a whitened 40^3, h=144 gaussian_bump tensor,
+    three TSQRs of 40 columns and up to 230400 rows, took 0.24, 0.22,
+    0.23 and 0.26 s at 512-, 1024-, 2048- and 4096-row leaves.  Of the
+    two equal sizes the smaller leaves wider matrices in cache.
     """
     R = [np.linalg.qr(leaf, mode="r") for leaf in _leaves(X)]
     return R[0] if len(R) == 1 else np.linalg.qr(np.vstack(R), mode="r")

@@ -98,7 +98,8 @@ def mode_mul(A, k, B):
 
 def tucker_rank(A, tol_rel=DEFAULT_TOL):
     """Tuple of the numerical ranks of the mode unfoldings, read off the
-    factor passes of :func:`hosvd`: ``sigmas[k]`` is the spectrum of ``A``
+    factor passes of :func:`hosvd` (:func:`_st_hosvd`, whose buffer it
+    fills, and no core): ``sigmas[k]`` is the spectrum of ``A``
     projected on the factors of the modes before ``k``, which at the
     ``tol_rel`` ranks drops nothing above ``tol_rel`` times the largest
     singular value, so its numerical rank is the unfolding's.  For a
@@ -312,7 +313,9 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
 def _contract(T, mats):
     """``T`` times ``mats[k]`` along each mode ``k`` whose ``mats[k]`` is
     not ``None``, each by :func:`_mode_matmul`: the one chain of mode
-    products.  Contracting mode ``k`` scales the array by
+    products that keeps the modes in order (the HOSVD's, which also move
+    a mode first, are :func:`_leading`'s).  Contracting mode ``k`` scales
+    the array by
     ``len(mats[k]) / r_k`` for its size ``r_k`` there, so the modes are
     contracted in ascending order of that ratio (ties in mode order; a
     rank-0 mode last, the array being empty until then), and no
@@ -354,6 +357,34 @@ class HosvdResult:
     clamped: bool
 
 
+def _leading(T, k, Vt, out=None):
+    """The slab ``T`` with mode ``k`` moved first and each mode ``l < k``
+    contracted with ``Vt[l]``: shape ``(n_k, r_0, ..., r_(k-1), ...)``
+    for the size ``n_k`` of ``T`` at mode ``k``.  The modes are contracted
+    in index order, mode ``l`` by one ``np.matmul`` broadcast over mode
+    ``l + 1`` on a transposed view, whose output has mode ``l + 1``
+    leading; so no axis is moved by a copy, and at ``k = 0`` this is
+    ``T`` itself.  (The first product's view is a copy only where a slab
+    is cut along a mode behind another kept one, which takes order 4.)
+    The last product is written into ``out`` when it is given."""
+    for l in range(k):
+        n = T.shape
+        p, q, r = math.prod(n[1:l + 1]), math.prod(n[l + 2:]), len(Vt[l])
+        lead = out if l == k - 1 and out is not None else np.empty(
+            (n[l + 1],) + n[1:l + 1] + (r,) + n[l + 2:])
+        np.matmul(Vt[l], T.reshape(n[0], p, n[l + 1], q).transpose(2, 1, 0, 3),
+                  out=lead.reshape(n[l + 1], p, r, q))
+        T = lead
+    return T
+
+
+def _rows(slabs):
+    """Row blocks of a mode matrix, one per whitened slab whose leading
+    axis is the mode: each is a view, ``w.reshape(n_k, -1).T``."""
+    for w in slabs:
+        yield w.reshape(len(w), -1).T
+
+
 def _st_hosvd(A, tol_rel):
     """Spectra and factors of the sequentially truncated HOSVD of ``A`` at
     the ``tol_rel`` ranks, and the buffer its core is read from.
@@ -361,24 +392,26 @@ def _st_hosvd(A, tol_rel):
     The modes are taken in index order, and mode ``k`` is factored from
     ``A`` already projected on the factors of the modes before it
     (Vannieuwenhoven, Vandebril & Meerbergen, SISC 34(2), 2012), by TSQR
-    (:func:`~fvtensor.bmatrix._sigma_v`).  Below the last mode that
-    projection is never stored: each slab cut along the last mode holds
-    whole mode-``k`` fibers, and is contracted with the transposed factors
-    found so far (:func:`_contract`), whitened and read as row blocks of
-    its mode-``k`` matrix.  The one buffer is ``A`` contracted with every
-    factor but the last, so it has ``n_(d-1)`` at mode ``d-1`` and the
-    ranks elsewhere; it is filled slab by slab, and the last factor is
-    read off its TSQR over slabs cut along mode 0.  A 1-way tensor has no
-    other mode, and its buffer is the tensor itself.  Only a zero tensor
-    has a mode of rank 0; it leaves nothing to factor, so every later mode
-    gets an empty spectrum and factor.  A ``tol_rel`` outside ``[0, 1)``
-    is a ``ValueError`` before any pass
+    (:func:`~fvtensor.bmatrix._sigma_v`).  Every row block TSQR reads is a
+    view of a whitened slab whose leading axis is the mode being factored,
+    so no slab is copied only to put that mode first.  Below the last mode
+    the projection is never stored: mode ``k`` reads the slabs cut along
+    mode ``k + 1``, which hold whole fibers of modes ``0 ... k``; each is
+    contracted with the transposed factors found so far, mode ``k`` first
+    (:func:`_leading`; mode 0 reads ``A``'s own slabs), and whitened.  The
+    one buffer is ``A`` contracted with every factor but the last, stored
+    with the last mode leading, ``(n_(d-1), r_0, ..., r_(d-2), h)``, and
+    filled slab by slab; the last factor is read off its slabs cut along
+    its axis 1, each whitened as it is cut.  A 1-way tensor has no other
+    mode, and its buffer is the tensor itself, read as one slab.  Only a
+    zero tensor has a mode of rank 0; it leaves nothing to factor, so every
+    later mode gets an empty spectrum and factor.  A ``tol_rel`` outside
+    ``[0, 1)`` is a ``ValueError`` before any pass
     (:func:`~fvtensor.bmatrix._tolerance`).
     """
     tol_rel = _tolerance(tol_rel)
     d = A.d
     m = d - 1
-    head = (slice(None),) * m
     Vt = [None] * d
     sigmas = []
 
@@ -390,19 +423,17 @@ def _st_hosvd(A, tol_rel):
         sigmas.append(sigma)
         Vt[k] = V.T
 
-    def projected():
-        for cut in _cuts(A, m):
-            yield cut, _contract(A.data[head + (cut,)], Vt)
-
     for k in range(m):
-        factor(k, (_fiber_rows(A.ip.whiten(P), k) for _, P in projected()))
+        head = (slice(None),) * (k + 1)
+        factor(k, _rows(A.ip.whiten(_leading(A.data[head + (cut,)], k, Vt))
+                        for cut in _cuts(A, k + 1)))
     buf = A.data
     if m:
-        buf = np.empty([len(V) for V in Vt[:m]] + [A.dims[m], A.h])
-        for cut, P in projected():
-            buf[head + (cut,)] = P
-    factor(m, (_fiber_rows(w, m) for w in
-               _whitened_slabs(BTensor(buf, A.ip), 0 if m else d)))
+        head = (slice(None),) * m
+        buf = np.empty([A.dims[m]] + [len(V) for V in Vt[:m]] + [A.h])
+        for cut in _cuts(A, m):
+            _leading(A.data[head + (cut,)], m, Vt, out=buf[cut])
+    factor(m, _rows(_whitened_slabs(BTensor(buf, A.ip), 1)))
     return sigmas, [V.T for V in Vt], buf
 
 
@@ -431,9 +462,12 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     triangular factor of the whitened matrix (no left singular vectors
     are formed), and each factor column has its entry of largest magnitude
     positive, so the factors do not depend on the QR path.  The core is
-    the tensor contracted with the transposed factors: the buffer's
-    leading block times the last factor, one product.  So no product the
-    size of a large share of the tensor is formed.
+    the tensor contracted with the transposed factors: the last factor's
+    transpose times the buffer's leading block, whose last mode leads.
+    It is formed one slab of that block at a time, cut along its axis 1,
+    by one ``np.matmul`` broadcast over the slab's other ranks and written
+    into the core in core order, so neither a transposed copy of the core
+    nor a product the size of a large share of the tensor is formed.
     Requested ranks above the numerical rank are clamped (and reported),
     never an error; ranks that are not one nonnegative integer per mode,
     or a ``tol_rel`` outside ``[0, 1)``, are a ``ValueError``.  The
@@ -445,8 +479,12 @@ def hosvd(A, ranks=None, tol_rel=DEFAULT_TOL):
     sigmas, factors, buf = _st_hosvd(A, tol_rel)
     achieved = [min(r, s.size) for r, s in zip(ranks, sigmas)]
     factors = [V[:, :r] for V, r in zip(factors, achieved)]
-    kept = tuple(slice(r) for r in achieved[:-1])
-    core = _contract(buf[kept], [None] * (d - 1) + [factors[-1].T])
+    B = BTensor(buf[(slice(None),) + tuple(slice(r) for r in achieved[:-1])],
+                A.ip)
+    core = np.empty(tuple(achieved) + (A.h,))
+    for cut in _cuts(B, 1):
+        np.matmul(factors[-1].T, np.moveaxis(B.data[:, cut], 0, -2),
+                  out=core[cut])
     decomp = TuckerDecomp(core=BTensor(core, A.ip), factors=factors)
     return HosvdResult(decomp=decomp, sigmas=sigmas, ranks=tuple(achieved),
                        clamped=achieved != ranks)

@@ -30,7 +30,6 @@ from .btensor import (
     BTensor,
     TuckerDecomp,
     error_norm,
-    fro_norm,
     hosvd,
     hosvd_error,
     hosvd_error_bound,
@@ -47,7 +46,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Parser whose errors are ``UsageError``s.  ``--dims`` and ``--h``
     describe a ``--family`` source, so either one beside ``--input`` is
-    an error too."""
+    an error too.  A flag is read only when spelled in full: argparse's
+    prefix matching would take ``--h`` beside ``--help`` as ``--help`` and
+    ``--ra`` as ``--rank``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -286,7 +290,9 @@ def _cmd_compare(args):
     coordinates.  ``A`` is whitened in place, at most ``SLAB`` floats of
     its flat ``(N, h)`` view at a time, and taken under the identity Gram;
     the sweep samples that, so no later pass over the tensor pays a Gram
-    product, and the process holds one copy of the tensor.
+    product, and the process holds one copy of the tensor.  ``|A|`` is
+    summed from the same chunks, ``w @ w`` for each whitened chunk ``w``,
+    so no norm pass reads the tensor again.
     The reference HOSVD is truncated at ``--tol`` or the default
     tolerance, whichever is smaller: the sweep stops at ``--tol``, and a
     reference cut there would score its ranks as exact.
@@ -303,11 +309,15 @@ def _cmd_compare(args):
     data = np.ascontiguousarray(A.data)
     flat = data.reshape(-1, A.h)
     step = max(1, SLAB // A.h)
+    sq = 0.0
     for s in range(0, flat.shape[0], step):
-        flat[s:s + step] = A.ip.whiten(flat[s:s + step])
+        w = flat[s:s + step]
+        w[:] = A.ip.whiten(w)
+        w = w.reshape(-1)
+        sq += float(w @ w)
     A = BTensor(data, InnerProduct.identity(A.h))
     cached = CachedOracle(EntryOracle.from_tensor(A), threads=args.threads)
-    norm_a = fro_norm(A)
+    norm_a = float(np.sqrt(sq))
     if norm_a <= 0.0:
         raise ValueError("reference tensor is zero")
     full = hosvd(A, None, min(args.tol, DEFAULT_TOL))

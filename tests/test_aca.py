@@ -545,6 +545,29 @@ def test_abc_fiber_sets_widen_until_the_rows_carry_the_rank(rng,
         assert err <= 1e-10 * fro_norm(A)
 
 
+def test_abc_fiber_sets_widen_on_a_noisy_rank_one_matrix():
+    # a natural draw, no fiber withheld: an 8 x 6 rank-1 matrix over R^4
+    # plus noise at 1e-11 of its largest entry, above tol_rel = 1e-12, so
+    # the sweeps chase the noise until the sets are whole.  At sweep 8 the
+    # slab through one index per mode no longer carries mode 0's rank, and
+    # the loop widens the fiber sets to 2 indices, after which each rank
+    # is its set size; the run then converges on the matrix
+    rng = np.random.default_rng(16)
+    core, a, b = (rng.standard_normal(n) for n in (4, 8, 6))
+    data = a[:, None, None] * b[None, :, None] * core
+    data += 1e-11 * np.abs(data).max() * rng.standard_normal(data.shape)
+    A = BTensor(data, InnerProduct.identity(4))
+    cfg = AbcConfig(n_iter=20, init_aux=[[1], [5]], seed=453)
+    widths = []
+    for model, report in abc_sweeps(tensor_oracle(A), cfg):
+        widths.append(max(len(J) for J in model.fiber_sets))
+        assert model.ranks == tuple(len(I) for I in report.index_sets)
+    assert widths == [FIBER_OVERSAMPLE] * 7 + [2, 2]
+    assert report.converged and model.ranks == (8, 6)
+    err = fro_norm(BTensor(assemble(model).data - A.data, A.ip))
+    assert err <= 1e-10 * fro_norm(A)
+
+
 def test_abc_scans_read_through_the_fiber_sets(monkeypatch):
     # mode k's scan reads each other mode l through base_l (the initial
     # auxiliary set; this run draws no witness), the fiber set J_l in use

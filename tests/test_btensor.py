@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fvtensor import btensor
+from fvtensor import bmatrix, btensor
 from fvtensor.bmatrix import DEFAULT_TOL, _r_factor, _truncated_scalar_svd
 from fvtensor.btensor import (
     BTensor,
@@ -777,10 +778,11 @@ def test_hosvd_of_a_zero_tensor_is_empty(dims):
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
 def test_hosvd_and_tucker_rank_read_one_slab_stream(monkeypatch, kind):
     # both run the same passes, each whitening slabs as they are cut and
-    # none the whole tensor: modes 0 and 1 from 8 last-mode slabs of one
-    # index, mode 1's contracted with the mode-0 factor first, then mode
-    # 2 from the (2, 3, 8) buffer in 2 first-mode slabs; the reference
-    # whitens with the Cholesky factor and takes each unfolding's SVD
+    # none the whole tensor: mode 0 from 6 mode-1 slabs of one index,
+    # mode 1 from 8 mode-2 slabs, each contracted with the mode-0 factor
+    # into mode-1-leading (6, 2, 1) slabs, then mode 2 from the (8, 2, 3)
+    # buffer in 2 slabs along its axis 1; the reference whitens with the
+    # Cholesky factor and takes each unfolding's SVD
     rng = np.random.default_rng(53)
     ranks = (2, 3, 2)
     ip = make_ip(kind, 4, rng)
@@ -795,7 +797,7 @@ def test_hosvd_and_tucker_rank_read_one_slab_stream(monkeypatch, kind):
     monkeypatch.setattr(btensor, "SLAB", 3 * 8 * 4)
     monkeypatch.setattr(InnerProduct, "whiten", whiten)
     res = hosvd(A)
-    passes = [(7, 6, 1, 4)] * 8 + [(2, 6, 1, 4)] * 8 + [(1, 3, 8, 4)] * 2
+    passes = [(7, 1, 8, 4)] * 6 + [(6, 2, 1, 4)] * 8 + [(8, 1, 3, 4)] * 2
     assert calls == passes
     assert all(math.prod(c) < A.data.size for c in calls)
     calls.clear()
@@ -811,6 +813,70 @@ def test_hosvd_and_tucker_rank_read_one_slab_stream(monkeypatch, kind):
         U = U[:, :r] * np.sign(U[np.argmax(np.abs(U[:, :r]), axis=0),
                                  np.arange(r)])
         assert np.abs(res.decomp.factors[k] - U).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+@pytest.mark.parametrize("dims, ranks", [
+    ((7,), (3,)), ((7, 6), (2, 3)), ((7, 6, 8), (2, 3, 2)),
+    ((5, 4, 6, 3), (2, 3, 2, 2))])
+def test_hosvd_factors_are_the_whitened_unfoldings_svd(monkeypatch, kind,
+                                                       dims, ranks):
+    # every order and every Gram, in slabs of a few fibers and TSQR leaves
+    # of 5 rows that span them: mode 0 reads A's slabs, the middle modes
+    # mode-leading projections, the last mode the buffer; the spectra and
+    # factors are each whitened unfolding's SVD, and the core is A
+    # contracted with the transposed factors
+    rng = np.random.default_rng(59)
+    h = 4
+    ip = make_ip(kind, h, rng)
+    A, _ = exact_rank_tensor(rng, dims, ranks, h, ip)
+    monkeypatch.setattr(btensor, "SLAB", 2 * h * dims[-1])
+    monkeypatch.setattr(bmatrix, "TSQR_BLOCK", 5)
+    res = hosvd(A)
+    assert res.ranks == ranks
+    T_w = A.data @ np.linalg.cholesky(gram_matrix(ip))
+    core = A.data
+    for k, r in enumerate(ranks):
+        U, s, _ = np.linalg.svd(scalar_unfold(T_w, k), full_matrices=False)
+        assert np.abs(res.sigmas[k] - s[:r]).max() <= 1e-12 * s[0]
+        U = U[:, :r] * np.sign(U[np.argmax(np.abs(U[:, :r]), axis=0),
+                                 np.arange(r)])
+        assert np.abs(res.decomp.factors[k] - U).max() <= 1e-10
+        core = np.moveaxis(np.tensordot(U.T, core, (1, k)), 0, k)
+    assert np.abs(res.decomp.core.data - core).max() <= 1e-10 * np.abs(
+        core).max()
+
+
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_hosvd_row_blocks_are_views_of_their_slabs(monkeypatch, kind):
+    # no pass copies a slab to put its mode first: each row block TSQR
+    # reads shares memory with the whitened slab it came from, which under
+    # the identity Gram is A itself at mode 0 and the buffer at mode 2
+    rng = np.random.default_rng(79)
+    A = rand_bt(rng, (7, 6, 8), 4, make_ip(kind, 4, rng))
+    monkeypatch.setattr(btensor, "SLAB", 3 * 8 * 4)
+    whitened, blocks = [], []
+    real_whiten, real_sigma_v = InnerProduct.whiten, btensor._sigma_v
+
+    def whiten(self, x):
+        whitened.append(real_whiten(self, x))
+        return whitened[-1]
+
+    def sigma_v(rows, tol_rel):
+        start = len(whitened)
+        blocks.append(list(rows))
+        assert len(whitened) - start == len(blocks[-1])
+        return real_sigma_v(blocks[-1], tol_rel)
+
+    monkeypatch.setattr(InnerProduct, "whiten", whiten)
+    monkeypatch.setattr(btensor, "_sigma_v", sigma_v)
+    _, _, buf = btensor._st_hosvd(A, DEFAULT_TOL)
+    assert [len(b) for b in blocks] == [6, 8, 7]  # buffer (8, 7, 6)
+    for B, w in zip(chain(*blocks), whitened):
+        assert np.shares_memory(B, w)
+    if kind == "identity":
+        assert all(np.shares_memory(B, A.data) for B in blocks[0])
+        assert all(np.shares_memory(B, buf) for B in blocks[2])
 
 
 @pytest.mark.parametrize("kind", GRAM_KINDS)

@@ -813,6 +813,12 @@ def test_bad_tol_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                    "argument --params", id=f"eval--params-{text}")
       for text in (" 0.2_5,+0.5,0.5", "0.2_5,0.5,0.5", "0.25,0.5, 0.5",
                    "0.25,0.5,0.5\n", "\u0660.5,0.5,0.5")),
+    # a flag is read only when spelled in full: --h is not eval's --help,
+    # and --ra is not hosvd's --rank
+    pytest.param("eval", ["--model", "m.json", "--params", "0.5", "--h", "4"],
+                 "unrecognized arguments: --h 4", id="eval-h-not-help"),
+    pytest.param("hosvd", ["--ra", "2,2,2"], "unrecognized arguments: --ra",
+                 id="hosvd-ra-not-rank"),
 ])
 def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
                                                 command, flags, named):
@@ -823,7 +829,8 @@ def test_bad_flag_values_exit_1_before_sampling(tmp_path, capsys, monkeypatch,
               ["--family", "separable", "--dims", "5,5,5", "--h", "4"])
     written = "--raw" if command == "eval" else "--out"
     assert main([command, *source, *flags, written, str(out)]) == 1
-    assert named in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
     assert reads == []
     assert list(tmp_path.iterdir()) == []
 
