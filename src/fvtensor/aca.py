@@ -22,17 +22,15 @@ The residual matrices are never materialized beyond the scanned entries.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .bmatrix import (
     DEFAULT_TOL,
     _canonical_sets,
-    _fiber_rows,
+    _fold,
     _integer,
     _matrix_rank,
-    _r_factor,
     _tolerance,
     _truncated_scalar_svd,
 )
@@ -50,8 +48,8 @@ class AbcConfig:
     ``init_aux`` holds one non-empty auxiliary index set per mode.
     ``n_rook >= 1`` is the number of rook rounds per scan, and ``seed``
     seeds the uniform draw of each scan's start column; ``n_iter``,
-    ``n_rook`` and ``seed`` are integers, and a bool is not one
-    (:func:`~fvtensor.bmatrix._integer`).  ``tol_rel``, a real number in
+    ``n_rook`` and ``seed`` are integers, ``seed`` at least 0, and a bool
+    is not one (:func:`~fvtensor.bmatrix._integer`).  ``tol_rel``, a real number in
     ``[0, 1)`` (:func:`~fvtensor.bmatrix._tolerance`), truncates the
     pseudoinverses and the ranks of the saturation test.  A run ends after
     a sweep in which no mode grows (see :func:`abc_sweeps`), so it may run
@@ -66,7 +64,7 @@ class AbcConfig:
 
     def validate(self, dims):
         """Check the knobs; return the sorted, deduplicated ``init_aux``."""
-        for knob, low in (("n_iter", 1), ("n_rook", 1), ("seed", None)):
+        for knob, low in (("n_iter", 1), ("n_rook", 1), ("seed", 0)):
             _integer(getattr(self, knob), f"{knob} must be an integer", low)
         _tolerance(self.tol_rel)
         return [list(a) for a in
@@ -210,9 +208,10 @@ def _scan(cached, model, R, base, chosen, m, rng, cfg):
     its new index, appended to ``chosen[k]``; return whether some mode
     grew.  Mode ``k`` reads through each other mode's ``base[l]`` and
     fiber set ``chosen[l][:m]``, or through that fiber set and the new
-    index of a mode ``l`` that grew earlier in the scan.  The whitened
-    fibers a mode's scan read are folded into its triangular factor
-    ``R[k]``, which is replaced, and its new index is chosen from that."""
+    index of a mode ``l`` that grew earlier in the scan.  The fibers a
+    mode's scan read are folded into its triangular factor ``R[k]``
+    (:func:`~fvtensor.bmatrix._fold`), which is replaced, and its new
+    index is chosen from that."""
     dims = cached.dims
     grown = False
     scan = [sorted(set(b).union(c[:m])) for b, c in zip(base, chosen)]
@@ -221,8 +220,7 @@ def _scan(cached, model, R, base, chosen, m, rng, cfg):
             continue
         view = _ResidualRowView(cached, model, scan, k)
         _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
-        R[k] = _r_factor(chain([R[k]], (
-            _fiber_rows(cached.ip.whiten(f), k) for f in view.fibers)))
+        R[k] = _fold(R[k], cached.ip, k, view.fibers)
         if model is not None:
             j = _new_index(R[k], list(model.index_sets[k]), j, cfg.tol_rel)
             if j is None:
@@ -300,9 +298,10 @@ def abc_sweeps(cached, cfg):
     rank that a slab through one index lacks, so this widening is a safety
     net that a run seldom needs.
 
-    Saturation.  A scan of mode ``k`` folds the whitened fibers it read
-    into a copy of ``R_k``, the triangular factor of the last model (an
-    empty ``(0, n_k)`` one in sweep 1), so ``R_k`` is ``n_k x n_k`` at
+    Saturation.  A scan of mode ``k`` folds the fibers it read into a
+    copy of ``R_k``, the triangular factor of the last model (an empty
+    ``(0, n_k)`` one in sweep 1), by the fold that builds the model's
+    slabs (:func:`~fvtensor.bmatrix._fold`), so ``R_k`` is ``n_k x n_k`` at
     most and its rows are the slab through ``J`` and every mode-``k``
     fiber the scans read so far.  The scanned fibers need not run through
     the core: the Tucker-cross factor holds for any set of mode-``k``

@@ -21,7 +21,8 @@ public function that takes ``tol_rel``, here and in the tensor layer,
 checks it with :func:`_tolerance` before any work; the private helpers
 take it checked.
 Singular values and right singular vectors alone are read off its
-triangular factor, by TSQR above ``TSQR_BLOCK`` rows.  The block is 1024
+triangular factor, and :func:`_fold` is the one way whitened fibers reach
+such a factor, by TSQR above ``TSQR_BLOCK`` rows.  The block is 1024
 rows, so that a block of a mode matrix with 100 columns (0.8 MB) stays in
 a 2 MB L2 cache while LAPACK factors it; a 4096-row block (3.2 MB) does
 not, and measured slower (see :func:`_r_factor`).
@@ -30,6 +31,7 @@ not, and measured slower (see :func:`_r_factor`).
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -223,10 +225,11 @@ def _r_factor(X):
     """Triangular factor of the QR factorization of a tall real matrix.
 
     ``X`` is an iterable of row blocks that stack to the matrix (the
-    blocks are read one at a time, so a generator never holds it).  Its
-    rows are read in leaves of ``TSQR_BLOCK`` rows (:func:`_leaves`): the
-    leaves of the stacked matrix, whatever the blocks, so a stream and the
-    matrix it stacks to give the same bits.  One leaf, at most
+    blocks are read one at a time, so a generator never holds it), as
+    :func:`_fold`, its one caller, streams them.  Its rows are read in
+    leaves of ``TSQR_BLOCK`` rows (:func:`_leaves`): the leaves of the
+    stacked matrix, whatever the blocks, so a stream and the matrix it
+    stacks to give the same bits.  One leaf, at most
     ``TSQR_BLOCK`` rows in all, is factored by one QR; more are factored by
     TSQR (Demmel, Grigori, Hoemmen & Langou, SISC 34(1), 2012): every leaf
     is reduced to its triangular factor, and one QR of the stacked factors
@@ -242,17 +245,32 @@ def _r_factor(X):
     return R[0] if len(R) == 1 else np.linalg.qr(np.vstack(R), mode="r")
 
 
-def _sigma_v(X, tol_rel=DEFAULT_TOL):
-    """Truncated singular values and right singular vectors of a real
-    matrix, given as an iterable of its row blocks ``X``.
+def _fold(R, ip, k, blocks):
+    """Triangular factor of the rows of ``R`` stacked on the whitened
+    mode-``k`` rows (:func:`_fiber_rows`) of each array in ``blocks``.
 
-    They are read off the triangular factor of ``X`` (:func:`_r_factor`),
-    so the tall left singular factor is never formed.  Singular vectors
-    are fixed only up to sign, and the sign LAPACK returns depends on how
-    ``R`` was reached; each column of ``V`` is therefore turned so that
-    its entry of largest magnitude (the first such, on a tie) is positive.
+    This is the one way a fiber reaches a triangular factor: each block,
+    shaped ``dims + (h,)`` under ``ip``, is whitened and laid out as its
+    mode-``k`` matrix as it is read, and the rows are streamed into TSQR
+    (:func:`_r_factor`) below ``R``, one block at a time, so the stack is
+    never formed.  ``R`` may have no rows; a block's rows are a view of
+    its whitened copy at ``k = 0``.
     """
-    _, s, Vh = _truncated_scalar_svd(_r_factor(X), tol_rel)
+    return _r_factor(chain([R], (_fiber_rows(ip.whiten(b), k)
+                                 for b in blocks)))
+
+
+def _sigma_v(R, tol_rel=DEFAULT_TOL):
+    """Truncated singular values and right singular vectors of a real
+    matrix, read off its triangular factor ``R`` (:func:`_fold`), so the
+    tall left singular factor is never formed.
+
+    Singular vectors are fixed only up to sign, and the sign LAPACK
+    returns depends on how ``R`` was reached; each column of ``V`` is
+    therefore turned so that its entry of largest magnitude (the first
+    such, on a tie) is positive.
+    """
+    _, s, Vh = _truncated_scalar_svd(R, tol_rel)
     lead = Vh[np.arange(s.size), np.argmax(np.abs(Vh), axis=1)]
     return s, (Vh * np.sign(lead)[:, None]).T
 

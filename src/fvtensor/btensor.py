@@ -10,7 +10,6 @@ slowest, which is numpy's C order, so unfoldings are plain reshapes.
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -18,11 +17,10 @@ from .bmatrix import (
     BTensor,
     DEFAULT_TOL,
     _canonical_sets,
-    _fiber_rows,
+    _fold,
     _grid_indices,
     _integer,
     _pinv_solve,
-    _r_factor,
     _sigma_v,
     _tolerance,
 )
@@ -44,19 +42,19 @@ def _cuts(A, m):
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def _whitened_slabs(A, m):
-    """The slabs of ``A`` cut along mode ``m``, each whitened as it is cut."""
+def _slabs(A, m):
+    """The slabs of ``A`` cut along mode ``m`` (:func:`_cuts`), in order."""
     head = (slice(None),) * m
     for cut in _cuts(A, m):
-        yield A.ip.whiten(A.data[head + (cut,)])
+        yield A.data[head + (cut,)]
 
 
 def fro_norm(A):
     """l2(H) norm: root of the sum of squared entry H-norms, added as
     ``w @ w`` over the whitened slabs ``w`` of ``A``."""
     sq = 0.0
-    for w in _whitened_slabs(A, 0):
-        w = w.reshape(-1)
+    for slab in _slabs(A, 0):
+        w = A.ip.whiten(slab).reshape(-1)
         sq += float(w @ w)
     return float(np.sqrt(sq))
 
@@ -256,14 +254,13 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
     triangular factor of such fibers' whitened rows), the slab is folded
     onto ``r_factors[k]``.  Each entry is read once: given the model
     ``prev`` of smaller index and fiber sets, only the fibers that are
-    new through ``fiber_sets`` are gathered, whitened and folded into
-    ``prev``'s ``R``, or into ``r_factors[k]`` in its place (which should
-    then hold ``prev``'s fibers), by TSQR over ``R`` and their rows, read
-    block by block as they are gathered
-    (:func:`~fvtensor.bmatrix._r_factor`; the stack is never formed), and
-    the core is ``prev``'s core plus the entries with a new index in some
-    mode.  Without ``prev`` every slab fiber is folded into
-    ``r_factors[k]``, or into an empty ``R``.  The same arguments give
+    new through ``fiber_sets`` are gathered and folded into ``prev``'s
+    ``R``, or into ``r_factors[k]`` in its place (which should then hold
+    ``prev``'s fibers), one gathered block at a time
+    (:func:`~fvtensor.bmatrix._fold`), and the core is ``prev``'s core
+    plus the entries with a new index in some mode.  Without ``prev``
+    every slab fiber is folded into ``r_factors[k]``, or into an empty
+    ``R``.  The same arguments give
     the same bytes.  Only entries inside the cross (the core and the
     per-mode slabs) are accessed, so ``source`` may be a lazy oracle.  The
     solve of factor ``k`` counts the numerical rank of ``R[:, I_k]``; the
@@ -295,9 +292,7 @@ def tucker_cross(source, index_sets, tol_rel=DEFAULT_TOL, prev=None,
             J[:k] + full + J[k + 1:],
             None if old is None else old_J[:k] + full + old_J[k + 1:])
         if fibers:
-            R = _r_factor(chain([R], (
-                _fiber_rows(source.ip.whiten(source.gather(grids)), k)
-                for grids in fibers)))
+            R = _fold(R, source.ip, k, map(source.gather, fibers))
         I = list(sets[k])
         solved, rank = _pinv_solve(R[:, I], R, tol_rel)
         Fk = np.ascontiguousarray(solved.T)
@@ -378,32 +373,27 @@ def _leading(T, k, Vt, out=None):
     return T
 
 
-def _rows(slabs):
-    """Row blocks of a mode matrix, one per whitened slab whose leading
-    axis is the mode: each is a view, ``w.reshape(n_k, -1).T``."""
-    for w in slabs:
-        yield w.reshape(len(w), -1).T
-
-
 def _st_hosvd(A, tol_rel):
     """Spectra and factors of the sequentially truncated HOSVD of ``A`` at
     the ``tol_rel`` ranks, and the buffer its core is read from.
 
     The modes are taken in index order, and mode ``k`` is factored from
     ``A`` already projected on the factors of the modes before it
-    (Vannieuwenhoven, Vandebril & Meerbergen, SISC 34(2), 2012), by TSQR
-    (:func:`~fvtensor.bmatrix._sigma_v`).  Every row block TSQR reads is a
-    view of a whitened slab whose leading axis is the mode being factored,
-    so no slab is copied only to put that mode first.  Below the last mode
-    the projection is never stored: mode ``k`` reads the slabs cut along
-    mode ``k + 1``, which hold whole fibers of modes ``0 ... k``; each is
+    (Vannieuwenhoven, Vandebril & Meerbergen, SISC 34(2), 2012): its slabs,
+    each with mode ``k`` leading, are folded at mode 0 into an empty
+    triangular factor (:func:`~fvtensor.bmatrix._fold`), whose spectrum
+    and right singular vectors :func:`~fvtensor.bmatrix._sigma_v` reads.
+    So every row block TSQR reads is a view of a whitened slab, and no
+    slab is copied only to put the mode first.  Below the last mode the
+    projection is never stored: mode ``k`` reads the slabs cut along mode
+    ``k + 1``, which hold whole fibers of modes ``0 ... k``, each
     contracted with the transposed factors found so far, mode ``k`` first
-    (:func:`_leading`; mode 0 reads ``A``'s own slabs), and whitened.  The
-    one buffer is ``A`` contracted with every factor but the last, stored
-    with the last mode leading, ``(n_(d-1), r_0, ..., r_(d-2), h)``, and
-    filled slab by slab; the last factor is read off its slabs cut along
-    its axis 1, each whitened as it is cut.  A 1-way tensor has no other
-    mode, and its buffer is the tensor itself, read as one slab.  Only a
+    (:func:`_leading`; mode 0 reads ``A``'s own slabs).  The one buffer is
+    ``A`` contracted with every factor but the last, stored with the last
+    mode leading, ``(n_(d-1), r_0, ..., r_(d-2), h)``, and filled slab by
+    slab; the last factor is read off its slabs cut along its axis 1.  A
+    1-way tensor has no other mode, and its buffer is the tensor itself,
+    read as one slab.  Only a
     zero tensor has a mode of rank 0; it leaves nothing to factor, so every
     later mode gets an empty spectrum and factor.  A ``tol_rel`` outside
     ``[0, 1)`` is a ``ValueError`` before any pass
@@ -415,25 +405,23 @@ def _st_hosvd(A, tol_rel):
     Vt = [None] * d
     sigmas = []
 
-    def factor(k, rows):
+    def factor(k, slabs):
         if sigmas and not sigmas[-1].size:
             sigma, V = sigmas[-1], np.empty((A.dims[k], 0))
         else:
-            sigma, V = _sigma_v(rows, tol_rel)
+            R = _fold(np.empty((0, A.dims[k])), A.ip, 0, slabs)
+            sigma, V = _sigma_v(R, tol_rel)
         sigmas.append(sigma)
         Vt[k] = V.T
 
     for k in range(m):
-        head = (slice(None),) * (k + 1)
-        factor(k, _rows(A.ip.whiten(_leading(A.data[head + (cut,)], k, Vt))
-                        for cut in _cuts(A, k + 1)))
+        factor(k, (_leading(slab, k, Vt) for slab in _slabs(A, k + 1)))
     buf = A.data
     if m:
-        head = (slice(None),) * m
         buf = np.empty([A.dims[m]] + [len(V) for V in Vt[:m]] + [A.h])
-        for cut in _cuts(A, m):
-            _leading(A.data[head + (cut,)], m, Vt, out=buf[cut])
-    factor(m, _rows(_whitened_slabs(BTensor(buf, A.ip), 1)))
+        for cut, slab in zip(_cuts(A, m), _slabs(A, m)):
+            _leading(slab, m, Vt, out=buf[cut])
+    factor(m, _slabs(BTensor(buf, A.ip), 1))
     return sigmas, [V.T for V in Vt], buf
 
 

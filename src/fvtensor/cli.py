@@ -176,8 +176,7 @@ def _load_source(args, need_dense):
     grids); ``--gram``, when given, replaces the Gram of either source."""
     if args.input is not None:
         A = load_fvt(args.input)
-        grids = [np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
-                 for n in A.dims]
+        grids = problems._unit_grids(A.dims)
         oracle = EntryOracle.from_tensor(A)
     else:
         spec = _family_spec(args)

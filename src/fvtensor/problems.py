@@ -53,7 +53,8 @@ GAUSSIAN_SMOOTHING = 0.2  # heat-kernel width added to each gamma
 class FamilySpec:
     """Recipe for a synthetic parametric family.
 
-    ``dims`` and ``h`` are integers of at least 1, ``seed`` an integer.
+    ``dims`` and ``h`` are integers of at least 1, ``seed`` one of at
+    least 0.
     ``params`` may set only the keys its family reads: ``rank`` (default
     3) for ``separable``; ``rank``, ``rho`` (0.5) and ``n_noise`` (6) for
     ``lowrank_plus_decay``; none for ``gaussian_bump``.  When the family
@@ -72,7 +73,7 @@ class FamilySpec:
         self.dims = tuple(_integer(n, "dims must be integers", 1)
                           for n in self.dims)
         self.h = _integer(self.h, "h must be an integer", 1)
-        self.seed = _integer(self.seed, "seed must be an integer")
+        self.seed = _integer(self.seed, "seed must be an integer", 0)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "gaussian_bump" and len(self.dims) != 3:
@@ -195,8 +196,14 @@ def param_grids(spec):
     """Per-mode parameter node vectors associated with a family."""
     if spec.family == "gaussian_bump":
         return [np.linspace(*r, n) for r, n in zip(GAUSSIAN_RANGES, spec.dims)]
+    return _unit_grids(spec.dims)
+
+
+def _unit_grids(dims):
+    """One node vector per mode of ``dims`` on [0, 1]: ``n`` equispaced
+    nodes, or the single node 0 when ``n == 1``."""
     return [np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
-            for n in spec.dims]
+            for n in dims]
 
 
 def make_oracle(spec):

@@ -667,9 +667,10 @@ def test_abc_config_validation(rng):
         with pytest.raises(ValueError,
                            match="need one auxiliary index set per mode"):
             tucker_abc(c, AbcConfig(n_iter=1, init_aux=aux))
-    # a non-integer knob is named, with its value; a bool is not an integer
+    # a non-integer or negative knob is named, with its value; a bool is
+    # not an integer
     for knob in ("n_iter", "n_rook", "seed"):
-        for bad in (1.5, True, np.True_):
+        for bad in (1.5, True, np.True_, -1):
             msg = f"{knob} must be an integer, got {bad!r}"
             with pytest.raises(ValueError, match=msg):
                 tucker_abc(c, AbcConfig(**{"n_iter": 1,

@@ -5,6 +5,7 @@ from fvtensor import bmatrix
 from fvtensor.bmatrix import (
     TSQR_BLOCK,
     BTensor,
+    _fold,
     _r_factor,
     _sigma_v,
     _whitened,
@@ -228,7 +229,7 @@ def test_sigma_v_tsqr_matches_whitened_svd(kind):
     A, M_w = _whitened_test_matrix(rng, ip, 3 * TSQR_BLOCK // 14, 6, sigma)
     assert TSQR_BLOCK < M_w.shape[0] < 2 * TSQR_BLOCK
     assert np.allclose(_whitened(A), M_w, rtol=0.0, atol=1e-12)
-    s, V = _sigma_v([M_w])
+    s, V = _sigma_v(_r_factor([M_w]))
     _, s_ref, Vh_ref = np.linalg.svd(M_w, full_matrices=False)
     assert s.size == whitened_rank(M_w) == 5
     assert np.abs(s - s_ref[:5]).max() <= 1e-14 * s_ref[0]
@@ -245,9 +246,9 @@ def test_sigma_v_sign_convention(monkeypatch):
     rng = np.random.default_rng(41)
     ip = make_ip("dense", 9, rng)
     _, M_w = _whitened_test_matrix(rng, ip, 600, 8, 0.7 ** np.arange(8))
-    s_tsqr, V_tsqr = _sigma_v([M_w])
+    s_tsqr, V_tsqr = _sigma_v(_r_factor([M_w]))
     monkeypatch.setattr(bmatrix, "TSQR_BLOCK", 10**9)
-    s_one, V_one = _sigma_v([M_w])
+    s_one, V_one = _sigma_v(_r_factor([M_w]))
     for V in (V_tsqr, V_one):
         lead = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
         assert np.all(lead > 0.0)
@@ -275,6 +276,33 @@ def test_r_factor_of_a_stream_is_the_r_factor_of_its_stack():
     one = np.linalg.qr(head, mode="r").tobytes()
     assert _r_factor(iter([head[:0], head[:300], head[300:]])).tobytes() == one
     assert _r_factor([head]).tobytes() == one
+
+
+@pytest.mark.parametrize("start", ["empty", "triangular"])
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("kind", GRAM_KINDS)
+def test_fold_adds_the_whitened_mode_gram(monkeypatch, kind, k, start):
+    # R^T R is the start's Gram plus the blocks' whitened mode-k Gram.  The
+    # blocks are cut along the slowest other mode, so they stack to the
+    # rows of the whole array; 16-row leaves make several leaves, some
+    # spanning two blocks
+    monkeypatch.setattr(bmatrix, "TSQR_BLOCK", 16)
+    rng = np.random.default_rng(47)
+    ip = make_ip(kind, 3, rng)
+    T = rng.standard_normal((5, 4, 6, 3))
+    n_k = T.shape[k]
+    R0 = (np.empty((0, n_k)) if start == "empty"
+          else np.triu(rng.standard_normal((n_k, n_k))))
+    T_w = T @ np.linalg.cholesky(gram_matrix(ip))
+    other = [a for a in range(4) if a != k]
+    want = R0.T @ R0 + np.tensordot(T_w, T_w, axes=(other, other))
+    R = _fold(R0, ip, k, [T])
+    assert np.abs(R.T @ R - want).max() <= 1e-12 * np.abs(want).max()
+    # whitening entrywise, the blocks give the bytes of the whole
+    cut = 1 if k == 0 else 0
+    blocks = np.array_split(T, [1, 2, 4], axis=cut)
+    if kind != "dense":
+        assert _fold(R0, ip, k, iter(blocks)).tobytes() == R.tobytes()
 
 
 # --- pseudoinverse application ----------------------------------------------

@@ -856,20 +856,22 @@ def test_hosvd_row_blocks_are_views_of_their_slabs(monkeypatch, kind):
     A = rand_bt(rng, (7, 6, 8), 4, make_ip(kind, 4, rng))
     monkeypatch.setattr(btensor, "SLAB", 3 * 8 * 4)
     whitened, blocks = [], []
-    real_whiten, real_sigma_v = InnerProduct.whiten, btensor._sigma_v
+    real_whiten, real_r_factor = InnerProduct.whiten, bmatrix._r_factor
 
     def whiten(self, x):
         whitened.append(real_whiten(self, x))
         return whitened[-1]
 
-    def sigma_v(rows, tol_rel):
+    def r_factor(rows):
+        rows = iter(rows)
+        empty = next(rows)
         start = len(whitened)
         blocks.append(list(rows))
         assert len(whitened) - start == len(blocks[-1])
-        return real_sigma_v(blocks[-1], tol_rel)
+        return real_r_factor([empty] + blocks[-1])
 
     monkeypatch.setattr(InnerProduct, "whiten", whiten)
-    monkeypatch.setattr(btensor, "_sigma_v", sigma_v)
+    monkeypatch.setattr(bmatrix, "_r_factor", r_factor)
     _, _, buf = btensor._st_hosvd(A, DEFAULT_TOL)
     assert [len(b) for b in blocks] == [6, 8, 7]  # buffer (8, 7, 6)
     for B, w in zip(chain(*blocks), whitened):

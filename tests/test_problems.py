@@ -41,12 +41,12 @@ def test_family_spec_validation():
             FamilySpec("separable", (bad, 3, 3), 4)
     assert FamilySpec("separable", (np.int64(2), 3, 3), 4).dims == (2, 3, 3)
     # so are a fractional, textual or bool h or seed, which numpy would
-    # reject late or truncate
+    # reject late or truncate, and a negative seed
     for bad in (2.5, 2.0, "3", True, np.True_):
         with pytest.raises(ValueError,
                            match=f"h must be an integer, got {bad!r}"):
             FamilySpec("separable", (3, 3, 3), bad)
-    for bad in (1.5, 1.0, "1", None, True, np.True_):
+    for bad in (1.5, 1.0, "1", None, True, np.True_, -1):
         with pytest.raises(ValueError,
                            match=f"seed must be an integer, got {bad!r}"):
             FamilySpec("separable", (3, 3, 3), 4, seed=bad)
