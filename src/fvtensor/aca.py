@@ -12,8 +12,9 @@ scanned fiber.  A mode is saturated when its chosen columns carry the
 rank of that ``R``; otherwise it gains the column of ``R`` which adds the
 most rank, or the rook's column when that adds nearly as much (one step
 of column-pivoted QR, as in Q-DEIM).  A sweep in which no mode grows
-draws one fresh auxiliary index, a witness, per mode and scans again, and
-the run stops only if that scan grows nothing either.  The Tucker-cross
+draws one fresh auxiliary index, a witness, per mode and scans again from
+start columns outside the index sets, and the run stops only if that
+scan grows nothing either.  The Tucker-cross
 model is updated to the enlarged sets by folding the new slab fibers
 only onto the scanned ``R``, and each mode's slab runs through the first
 ``FIBER_OVERSAMPLE`` chosen index of the other modes, widened one index
@@ -203,15 +204,16 @@ def _new_index(M, I, j, tol_rel):
     return _first_max(norms)
 
 
-def _scan(cached, model, R, base, chosen, m, rng, cfg):
+def _scan(cached, model, R, base, chosen, m, rng, cfg, witness=False):
     """Scan every mode once and grow each mode that is not saturated by
     its new index, appended to ``chosen[k]``; return whether some mode
     grew.  Mode ``k`` reads through each other mode's ``base[l]`` and
     fiber set ``chosen[l][:m]``, or through that fiber set and the new
-    index of a mode ``l`` that grew earlier in the scan.  The fibers a
-    mode's scan read are folded into its triangular factor ``R[k]``
-    (:func:`~fvtensor.bmatrix._fold`), which is replaced, and its new
-    index is chosen from that."""
+    index of a mode ``l`` that grew earlier in the scan.  The rook starts
+    at a column drawn uniformly, from those outside ``chosen[k]`` in a
+    ``witness`` scan.  The fibers a mode's scan read are folded into its
+    triangular factor ``R[k]`` (:func:`~fvtensor.bmatrix._fold`), which
+    is replaced, and its new index is chosen from that."""
     dims = cached.dims
     grown = False
     scan = [sorted(set(b).union(c[:m])) for b, c in zip(base, chosen)]
@@ -219,7 +221,9 @@ def _scan(cached, model, R, base, chosen, m, rng, cfg):
         if len(chosen[k]) == dims[k]:
             continue
         view = _ResidualRowView(cached, model, scan, k)
-        _, j = rook_pivot(view, rng.integers(dims[k]), cfg.n_rook)
+        start = (_draw_outside(dims[k], chosen[k], rng) if witness
+                 else rng.integers(dims[k]))
+        _, j = rook_pivot(view, start, cfg.n_rook)
         R[k] = _fold(R[k], cached.ip, k, view.fibers)
         if model is not None:
             j = _new_index(R[k], list(model.index_sets[k]), j, cfg.tol_rel)
@@ -236,15 +240,24 @@ def _aux_sets(base, chosen):
     return [sorted(set(b).union(c)) for b, c in zip(base, chosen)]
 
 
-def _add_witnesses(dims, base, chosen, rng):
+def _draw_outside(n, taken, rng):
+    """An index drawn uniformly from those in ``range(n)`` outside
+    ``taken``, or ``None`` when there is none."""
+    outside = np.setdiff1d(np.arange(n), taken)
+    return int(outside[rng.integers(outside.size)]) if outside.size else None
+
+
+def _add_witnesses(dims, base, chosen, m, rng):
     """Join to each ``base[k]`` one index drawn uniformly from those
-    outside the auxiliary set, in mode order; return whether any mode
-    had one."""
+    outside the auxiliary set or, when that set is the whole range, from
+    the chosen indices the scans do not read through (past the fiber set
+    ``chosen[k][:m]``), in mode order; return whether any mode had one."""
     added = False
     for k, (n, aux) in enumerate(zip(dims, _aux_sets(base, chosen))):
-        outside = np.setdiff1d(np.arange(n), aux)
-        if outside.size:
-            j = int(outside[rng.integers(outside.size)])
+        j = _draw_outside(n, aux, rng)
+        if j is None:
+            j = _draw_outside(n, base[k] + chosen[k][:m], rng)
+        if j is not None:
             base[k] = sorted(base[k] + [j])
             added = True
     return added
@@ -325,11 +338,15 @@ def abc_sweeps(cached, cfg):
     :func:`rook_pivot`).  So every new index adds rank to its mode, and
     no sweep reads fibers for an index its model's rank does not count.
 
-    Stopping.  When no mode grows in a sweep's scan, each mode not yet
-    wholly auxiliary joins one index, a witness, to its base set, drawn
-    uniformly with the run's generator from the indices outside its
-    auxiliary set, and the sweep scans again through the widened sets;
-    these are the only draws besides the start columns, and only a run
+    Stopping.  When no mode grows in a sweep's scan, each mode joins one
+    index, a witness, to its base set, drawn uniformly with the run's
+    generator from the indices outside its auxiliary set or, once that
+    set is the whole range, from its chosen indices outside its fiber set
+    and base set, which the scans do not read through; a mode with no
+    such index draws none.  The sweep then scans again through the
+    widened sets, each mode's rook starting at a column drawn outside its
+    index set, since a column of ``I_k`` is one the model interpolates.
+    These are the only draws besides the start columns, and only a run
     that would otherwise stop makes them.  If that scan grows nothing
     either, the model is the last sweep's, so the generator sets
     ``report.converged`` and stops.
@@ -369,8 +386,8 @@ def abc_sweeps(cached, cfg):
     for _ in range(cfg.n_iter):
         before = cached.count
         grown = _scan(cached, model, R, base, chosen, m, rng, cfg)
-        if not grown and _add_witnesses(cached.dims, base, chosen, rng):
-            grown = _scan(cached, model, R, base, chosen, m, rng, cfg)
+        if not grown and _add_witnesses(cached.dims, base, chosen, m, rng):
+            grown = _scan(cached, model, R, base, chosen, m, rng, cfg, True)
         scan_evals += cached.count - before
 
         sets = [sorted(c) for c in chosen]

@@ -816,6 +816,11 @@ def test_abc_every_sweep_model_error_is_bounded(dims, h, kind, rank, n_noise,
          n_aux=1, n_rook=2)
 @example(dims=[4, 5], h=1, kind="dense", rank=3, n_noise=0, seed=972,
          n_aux=1, n_rook=2)
+# a full-rank 3 x 3 draw: once both auxiliary sets were the whole range it
+# drew no witness, and its last scan of mode 1 started in I_1, where the
+# model interpolates, so it stopped at ranks (2, 2), relative error 3.1e-2
+@example(dims=[3, 3], h=1, kind="identity", rank=3, n_noise=0, seed=0,
+         n_aux=1, n_rook=1)
 def test_abc_recovers_exact_rank_within_12_sweeps(dims, h, kind, rank,
                                                   n_noise, seed, n_aux,
                                                   n_rook):
@@ -829,6 +834,54 @@ def test_abc_recovers_exact_rank_within_12_sweeps(dims, h, kind, rank,
     assert report.converged
     err = fro_norm(BTensor(A.data - assemble(model).data, A.ip))
     assert err <= 1e-10 * fro_norm(A)
+
+
+def test_witnesses_come_from_the_unscanned_chosen_indices_once_aux_is_full():
+    rng = np.random.default_rng(0)
+    # outside the auxiliary set while it has room
+    base, chosen = [[0], [1]], [[2], [3]]
+    assert aca._add_witnesses((3, 5), base, chosen, 1, rng)
+    assert base[0] == [0, 1] and len(base[1]) == 2
+    assert set(base[1]) - {1} <= {0, 2, 4}
+    # mode 0's auxiliary set is the whole range: its witness is the chosen
+    # index past the fiber set chosen[0][:1]; mode 1's scans read through
+    # every index, so it draws none
+    base, chosen = [[0], [0, 1]], [[2, 1], [2]]
+    assert aca._add_witnesses((3, 3), base, chosen, 1, rng)
+    assert base == [[0, 1], [0, 1]]
+    assert not aca._add_witnesses((3, 3), base, chosen, 1, rng)
+    assert base == [[0, 1], [0, 1]]
+
+
+def test_witness_scans_start_outside_the_index_sets(monkeypatch):
+    # the scan of a sweep that grew nothing starts each mode's rook at a
+    # column the model does not interpolate; the first scans start anywhere
+    starts = []
+    scan = aca._scan
+
+    def recording_scan(cached, model, R, base, chosen, m, rng, cfg,
+                       witness=False):
+        starts.append((witness, []))
+        return scan(cached, model, R, base, chosen, m, rng, cfg, witness)
+
+    def recording_rook(view, j_start, n_rook):
+        model = view.model
+        starts[-1][1].append(
+            None if model is None else j_start in model.index_sets[view.k])
+        return rook_pivot(view, j_start, n_rook)
+
+    monkeypatch.setattr(aca, "_scan", recording_scan)
+    monkeypatch.setattr(aca, "rook_pivot", recording_rook)
+    for seed in range(4):
+        _, _, sweeps = family_sweeps([3, 3], 1, "identity", 3, 0, seed, 1, 1,
+                                     n_iter=12)
+        for model, report in sweeps:
+            pass
+        assert report.converged
+    witness = [inside for w, scans in starts if w for inside in scans]
+    first = [inside for w, scans in starts if not w for inside in scans]
+    assert witness and not any(witness)
+    assert any(first)
 
 
 @settings(max_examples=40, deadline=None)
